@@ -1,8 +1,9 @@
 //! Stands up the real serving stack for a simulation run.
 //!
 //! The simulator is deliberately *not* an in-process mock: agents speak
-//! pipelined wire v4 over real TCP to a real [`NimbusServer`] fronting a
-//! real [`Marketplace`], so every run doubles as a protocol/serving soak.
+//! the pipelined wire protocol over real TCP to a real [`NimbusServer`]
+//! fronting a real [`Marketplace`], so every run doubles as a
+//! protocol/serving soak.
 //! The harness builds one published listing per [`crate::scenario::ListingSpec`] (small
 //! synthetic datasets — the simulation exercises market dynamics, not
 //! training scale), starts the server on an ephemeral port, and hands the

@@ -2,7 +2,7 @@
 //!
 //! A closed-loop market simulator for the Nimbus model marketplace. A
 //! population of heterogeneous, adaptive [`agent::BuyerAgent`]s issues
-//! real `MENU`/`QUOTE`/`COMMIT` traffic over TCP (pipelined wire v4)
+//! real `MENU`/`QUOTE`/`COMMIT` traffic over TCP (pipelined wire protocol)
 //! against a live [`nimbus_server::NimbusServer`]; a
 //! [`demand::DemandObserver`] aggregates their accepted/rejected quotes
 //! into an empirical demand curve per listing; and a

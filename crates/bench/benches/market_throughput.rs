@@ -1,5 +1,6 @@
-//! Concurrent serving-path throughput: `purchase_batch` over the immutable
-//! market snapshot at 1, 4 and 8 threads, across menu sizes.
+//! Concurrent serving-path throughput: quote + commit of a request batch
+//! spread over 1, 4 and 8 threads against the immutable market snapshot,
+//! across menu sizes.
 //!
 //! This quantifies the snapshot redesign: quoting is a lock-free read, each
 //! sale draws noise from its own `(seed, transaction id)` RNG stream, and
@@ -11,7 +12,7 @@
 //! measure pure scheduling overhead and will not beat 1t.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nimbus_core::GaussianMechanism;
+use nimbus_core::{parallel_map, GaussianMechanism};
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_market::{Broker, PurchaseRequest, Seller};
@@ -51,8 +52,8 @@ fn mixed_requests(broker: &Broker) -> Vec<PurchaseRequest> {
         .collect()
 }
 
-fn bench_purchase_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("purchase_batch_8192");
+fn bench_concurrent_buys(c: &mut Criterion) {
+    let mut group = c.benchmark_group("concurrent_buys_8192");
     group.sample_size(10);
     for points in [50usize, 200] {
         let broker = make_open_broker(points);
@@ -63,7 +64,10 @@ fn bench_purchase_batch(c: &mut Criterion) {
                 &threads,
                 |b, &t| {
                     b.iter(|| {
-                        let sales = broker.purchase_batch_with(&requests, Some(t));
+                        let sales = parallel_map(requests.clone(), Some(t), |request| {
+                            let quote = broker.quote_request(request)?;
+                            broker.commit(quote, quote.price)
+                        });
                         assert!(sales.iter().all(|s| s.is_ok()));
                         sales.len()
                     })
@@ -97,5 +101,5 @@ fn bench_lock_free_quoting(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_purchase_batch, bench_lock_free_quoting);
+criterion_group!(benches, bench_concurrent_buys, bench_lock_free_quoting);
 criterion_main!(benches);

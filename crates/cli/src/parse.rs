@@ -65,7 +65,7 @@ pub enum Command {
         /// Listen address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
         /// Table 3 dataset names, one listing each (`--dataset` repeats).
-        /// The first is the default listing v1/v2 peers are routed to.
+        /// The first is the default listing unscoped requests are routed to.
         datasets: Vec<String>,
         /// Error metric the markets price against.
         metric: String,
@@ -144,7 +144,7 @@ pub enum ClientAction {
     },
     /// Enumerate every listing the marketplace hosts.
     Listings,
-    /// Fetch one buyer's noise-budget account on a listing (wire v5).
+    /// Fetch one buyer's noise-budget account on a listing.
     Account {
         /// Buyer identity to look up.
         buyer: u64,
@@ -190,8 +190,8 @@ pub enum ClientAction {
         /// Weighted per-listing traffic mix (`name=weight` pairs);
         /// empty = all traffic on the default listing.
         mix: Vec<(String, u32)>,
-        /// Correlated requests kept in flight per thread (wire v4
-        /// pipelining); 0/1 = classic blocking requests.
+        /// Correlated requests kept in flight per thread (pipelining);
+        /// 0/1 = classic blocking requests.
         pipeline: usize,
         /// Commits grouped into one `BATCH_COMMIT` frame per window
         /// (pipelined `--buy` only); 0/1 = one `COMMIT` per request.

@@ -61,7 +61,6 @@
 use crate::account::BuyerAccounts;
 use crate::journal::{FaultPlan, GroupCommit, Journal, Recovery, SaleRecord};
 use crate::ledger::{Ledger, LedgerShard, Transaction};
-use crate::parallel::parallel_map;
 use crate::seller::Seller;
 use crate::{MarketError, Result};
 use nimbus_core::arbitrage::check_arbitrage_free_after_phi;
@@ -139,8 +138,9 @@ pub struct Quote {
     pub snapshot_epoch: u64,
 }
 
-/// One item of a batched commit ([`Broker::commit_batch_at`]): the same
-/// `(x, epoch, payment, nonce)` identity a single remote commit carries.
+/// One item of a commit ([`Broker::commit_batch_at`]): the `(x, epoch,
+/// payment, nonce, buyer)` identity a `COMMIT` frame or one `BATCH_COMMIT`
+/// item carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchCommitItem {
     /// The quoted inverse NCP.
@@ -1041,45 +1041,50 @@ impl Broker {
     ///
     /// The quote must carry the epoch of the currently published snapshot;
     /// a quote issued before a re-`open_market()` fails with
-    /// [`MarketError::QuoteExpired`]. The price is re-derived from the
-    /// snapshot rather than trusted from the quote, so a tampered quote
-    /// cannot underpay.
+    /// [`MarketError::QuoteExpired`]. Only the quote's `(x, epoch)`
+    /// identity is used: the price is re-derived from the snapshot rather
+    /// than trusted from the quote, so a tampered quote cannot underpay.
+    /// A batch of one through [`Broker::commit_batch_at`].
     pub fn commit(&self, quote: Quote, payment: f64) -> Result<Sale> {
-        self.commit_with_nonce(quote, payment, None, None)
+        self.commit_one(BatchCommitItem {
+            x: quote.x,
+            snapshot_epoch: quote.snapshot_epoch,
+            payment,
+            nonce: None,
+            buyer: None,
+        })
     }
 
-    /// [`Broker::commit`] attributed to a buyer identity: the sale is
-    /// charged against the buyer's noise-budget account (and journalled
-    /// with the attribution) before it is acknowledged.
-    pub fn commit_for(&self, quote: Quote, payment: f64, buyer: u64) -> Result<Sale> {
-        self.commit_with_nonce(quote, payment, None, Some(buyer))
-    }
-
-    /// The single commit path: validates, perturbs, journals (when a
-    /// journal is configured — the append is fsynced before the sale is
-    /// acknowledged, so a journal failure fails the commit and nothing is
-    /// recorded), then records the sale on a ledger stripe. With a journal
-    /// present, concurrent commits coalesce their appends into shared
-    /// fsyncs through the [`GroupCommit`] batcher.
-    fn commit_with_nonce(
+    /// A keyed, optionally buyer-attributed commit by `(x, epoch)`
+    /// identity — a batch of one through [`Broker::commit_batch_at`].
+    ///
+    /// A repeat of `(snapshot_epoch, nonce)` returns the *original* sale
+    /// (same transaction id, price and bitwise-identical model) without
+    /// charging money or noise budget again, including across restarts
+    /// and after a re-`open_market()`.
+    pub fn commit_at_idempotent_for(
         &self,
-        quote: Quote,
+        x: f64,
+        snapshot_epoch: u64,
         payment: f64,
-        nonce: Option<u64>,
+        nonce: u64,
         buyer: Option<u64>,
     ) -> Result<Sale> {
-        let prepared = self.prepare_commit(quote.x, quote.snapshot_epoch, payment, nonce, buyer)?;
-        if let Some(journal) = &self.journal {
-            if let Err(e) = journal.append_sale(prepared.record) {
-                // The sale never became durable: hand the budget back.
-                if let Some(buyer) = prepared.record.buyer {
-                    self.accounts
-                        .refund(buyer, prepared.record.transaction.inverse_ncp);
-                }
-                return Err(e.into());
-            }
-        }
-        Ok(self.record_prepared(prepared))
+        self.commit_one(BatchCommitItem {
+            x,
+            snapshot_epoch,
+            payment,
+            nonce: Some(nonce),
+            buyer,
+        })
+    }
+
+    fn commit_one(&self, item: BatchCommitItem) -> Result<Sale> {
+        self.commit_batch_at(&[item])
+            .pop()
+            .unwrap_or(Err(MarketError::InvalidConfig {
+                reason: "batch commit slot left unresolved".to_string(),
+            }))
     }
 
     /// Everything a commit does *before* the durability barrier: payment
@@ -1172,24 +1177,33 @@ impl Broker {
         }
     }
 
-    /// Commits many `(x, epoch, payment, nonce)` items in one call — the
-    /// hook behind the wire's `BATCH_COMMIT`. Returns one result per item,
-    /// in order.
+    /// The broker's one commit path: redeems many `(x, epoch, payment,
+    /// nonce, buyer)` items in one call and returns one result per item,
+    /// in order. A single commit — in process or the wire's `COMMIT` — is
+    /// a batch of one; `BATCH_COMMIT` is a batch of up to 256.
     ///
-    /// Every item is validated and prepared independently (stale epochs,
-    /// bad payments and unknown prices fail just their own slot), then all
-    /// admitted records are journaled through the group-commit batcher as
-    /// **one** enqueue — one fsync covers the whole batch (shared with any
-    /// concurrent committers), preserving fsync-before-ACK for every item.
-    /// Items carrying an idempotency nonce dedup exactly like
-    /// [`Broker::commit_at_idempotent`]: a repeated `(epoch, nonce)` key
-    /// replays the original sale instead of selling twice. Keys are
-    /// claimed up front (in key order, so overlapping batches never
-    /// deadlock) and resolved after the flush — the dedup table is never
-    /// held across the fsync, so keyed batches coalesce with concurrent
-    /// commits instead of serializing. A key repeated *within* one batch
-    /// fails its later slots: the same nonce twice in one frame is a
-    /// malformed request, not a retry.
+    /// Each item is validated and prepared independently (payment, epoch
+    /// check, price re-derivation, budget charge, noise draw), so a stale
+    /// epoch or a bad payment fails just its own slot. All admitted
+    /// records are journaled as **one** group-commit enqueue — one fsync
+    /// covers the batch (shared with any concurrent committers), and no
+    /// item is recorded or acknowledged before that fsync. A slot whose
+    /// append fails is refunded its budget charge and recorded nowhere.
+    ///
+    /// An item carrying a nonce is idempotent under the key `(epoch,
+    /// nonce)`: a repeat returns the *original* sale — same transaction
+    /// id, price and bitwise-identical model (sale noise is a pure function
+    /// of `(seed, transaction id, x)`) — without charging money or budget
+    /// again. The dedup table is replayed from the journal, so a retry
+    /// that lands on a recovered broker still dedups, and the lookup runs
+    /// *before* the epoch check, so a retry of a sale that committed just
+    /// before a re-`open_market()` replays instead of failing
+    /// `QuoteExpired`. Keys are claimed up front (in key order, so
+    /// overlapping batches never deadlock) and resolved after the flush;
+    /// the dedup table is never held across the fsync, and only a retry
+    /// of the *same* key parks until the first attempt resolves. A key
+    /// repeated *within* one batch fails its later slots: the same nonce
+    /// twice in one frame is a malformed request, not a retry.
     pub fn commit_batch_at(&self, items: &[BatchCommitItem]) -> Vec<Result<Sale>> {
         // Claim every distinct idempotency key in sorted order: two
         // overlapping keyed batches then always park on each other in the
@@ -1287,113 +1301,6 @@ impl Broker {
             .collect()
     }
 
-    /// Redeems a quote transported out-of-process by its `(x, epoch)`
-    /// identity — the hook behind the network serving layer's `COMMIT`.
-    ///
-    /// An in-process [`Quote`] cannot cross a wire (its metric tag is a
-    /// static borrow), and [`Broker::commit`] never trusts the quote's
-    /// price/error fields anyway: it re-derives both from the published
-    /// snapshot. So a remote commit only needs the two fields that carry
-    /// meaning — the quoted inverse NCP and the snapshot epoch it was
-    /// priced against — and gets the same epoch check, payment validation
-    /// and price re-derivation as a local one.
-    pub fn commit_at(&self, x: f64, snapshot_epoch: u64, payment: f64) -> Result<Sale> {
-        self.commit_at_for(x, snapshot_epoch, payment, None)
-    }
-
-    /// [`Broker::commit_at`] with an optional buyer identity — the hook
-    /// behind a wire v5 `COMMIT` that carries a buyer id. The buyer's
-    /// budget is charged before the durability barrier.
-    pub fn commit_at_for(
-        &self,
-        x: f64,
-        snapshot_epoch: u64,
-        payment: f64,
-        buyer: Option<u64>,
-    ) -> Result<Sale> {
-        let metric = self.published()?.metric_name();
-        self.commit_with_nonce(
-            Quote {
-                x,
-                delta: if x > 0.0 { 1.0 / x } else { f64::NAN },
-                price: f64::NAN,
-                expected_error: f64::NAN,
-                metric,
-                snapshot_epoch,
-            },
-            payment,
-            None,
-            buyer,
-        )
-    }
-
-    /// [`Broker::commit_at`] with an idempotency key — the hook behind a
-    /// *retried* `COMMIT` after a lost ACK.
-    ///
-    /// The key is `(snapshot_epoch, nonce)`. A first commit under a key
-    /// behaves exactly like [`Broker::commit_at`], additionally journaling
-    /// the key with the sale; a repeat of the same key returns the
-    /// *original* sale — same transaction id, price, and bitwise-identical
-    /// noisy model (sale noise is a pure function of `(seed, transaction
-    /// id, x)`) — without charging again. The dedup table survives
-    /// restarts because it is replayed from the journal, so a retry that
-    /// lands on a recovered broker still dedups. The key lookup runs
-    /// *before* the epoch check: a retry of a sale that committed just
-    /// before a re-`open_market()` (or a crash) replays rather than
-    /// failing `QuoteExpired`. A keyed commit claims its key before the
-    /// journal append and resolves it after, so concurrent keyed commits
-    /// share group-commit fsyncs; only a *retry of the same key* parks
-    /// until the first attempt resolves. Plain commits are unaffected.
-    pub fn commit_at_idempotent(
-        &self,
-        x: f64,
-        snapshot_epoch: u64,
-        payment: f64,
-        nonce: u64,
-    ) -> Result<Sale> {
-        self.commit_at_idempotent_for(x, snapshot_epoch, payment, nonce, None)
-    }
-
-    /// [`Broker::commit_at_idempotent`] with an optional buyer identity.
-    ///
-    /// A duplicate-nonce retry replays the journalled sale and **never
-    /// re-charges the buyer's budget** — the replay path skips
-    /// `prepare_commit` entirely, so a retried ACK-lost commit charges
-    /// both money and noise budget exactly once, including across
-    /// restarts (recovery rebuilds accounts from the replayed sales).
-    pub fn commit_at_idempotent_for(
-        &self,
-        x: f64,
-        snapshot_epoch: u64,
-        payment: f64,
-        nonce: u64,
-        buyer: Option<u64>,
-    ) -> Result<Sale> {
-        let metric = self.published()?.metric_name();
-        let key = (snapshot_epoch, nonce);
-        match self.dedup.claim(key) {
-            DedupClaim::Replay(tx_id) => self.replay_sale(tx_id),
-            DedupClaim::Claimed => {
-                let outcome = self.commit_with_nonce(
-                    Quote {
-                        x,
-                        delta: if x > 0.0 { 1.0 / x } else { f64::NAN },
-                        price: f64::NAN,
-                        expected_error: f64::NAN,
-                        metric,
-                        snapshot_epoch,
-                    },
-                    payment,
-                    Some(nonce),
-                    buyer,
-                );
-                let tx_id = outcome.as_ref().ok().map(|s| s.transaction.sequence);
-                self.dedup.resolve(key, tx_id);
-                outcome
-            }
-        }
-    }
-
     /// Reconstructs the exact [`Sale`] of an already-recorded transaction:
     /// the ledger row is read back off its stripe and the noisy model is
     /// re-derived from the transaction's private RNG stream, which depends
@@ -1443,28 +1350,6 @@ impl Broker {
             Some(journal) => journal.checkpoint().map_err(Into::into),
             None => Ok(()),
         }
-    }
-
-    /// Quotes and commits every request, fanning out over scoped threads
-    /// (up to available parallelism). Per-request failures come back as
-    /// per-slot `Err`s in input order; successful sales draw their noise
-    /// from their own transaction's RNG stream, so results are
-    /// reproducible for a given arrival order of transaction ids.
-    pub fn purchase_batch(&self, requests: &[PurchaseRequest]) -> Vec<Result<Sale>> {
-        self.purchase_batch_with(requests, None)
-    }
-
-    /// [`Broker::purchase_batch`] with an explicit thread cap (used by the
-    /// throughput benchmark to compare 1-, 4- and 8-thread serving).
-    pub fn purchase_batch_with(
-        &self,
-        requests: &[PurchaseRequest],
-        max_threads: Option<usize>,
-    ) -> Vec<Result<Sale>> {
-        parallel_map(requests.to_vec(), max_threads, |request| {
-            let quote = self.quote_request(request)?;
-            self.commit(quote, quote.price)
-        })
     }
 
     /// Builds the buyer-facing price–error curve for an arbitrary error
@@ -1598,6 +1483,17 @@ mod tests {
             .unwrap()
     }
 
+    /// An unkeyed commit item by `(x, epoch)` identity, as the wire sends it.
+    fn at(x: f64, snapshot_epoch: u64, payment: f64, buyer: Option<u64>) -> BatchCommitItem {
+        BatchCommitItem {
+            x,
+            snapshot_epoch,
+            payment,
+            nonce: None,
+            buyer,
+        }
+    }
+
     #[test]
     fn builder_validates_config() {
         let (tt, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 100)
@@ -1663,7 +1559,7 @@ mod tests {
                     let q = quote;
                     s.spawn(move || {
                         broker
-                            .commit_at_idempotent(q.x, q.snapshot_epoch, q.price, 0xFEED)
+                            .commit_at_idempotent_for(q.x, q.snapshot_epoch, q.price, 0xFEED, None)
                             .unwrap()
                     })
                 })
@@ -1691,7 +1587,7 @@ mod tests {
                 let q = q2;
                 s.spawn(move || {
                     broker
-                        .commit_at_idempotent(q.x, q.snapshot_epoch, q.price, nonce)
+                        .commit_at_idempotent_for(q.x, q.snapshot_epoch, q.price, nonce, None)
                         .unwrap()
                 });
             }
@@ -1776,10 +1672,10 @@ mod tests {
             .unwrap();
         // First purchase (x = 25) fits the 40-budget; the second does not.
         broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(1))
+            .commit_one(at(quote.x, epoch, quote.price, Some(1)))
             .unwrap();
         let err = broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(1))
+            .commit_one(at(quote.x, epoch, quote.price, Some(1)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1792,7 +1688,7 @@ mod tests {
         // The rejection sold nothing and other buyers are unaffected.
         assert_eq!(broker.ledger().count(), 1);
         broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(2))
+            .commit_one(at(quote.x, epoch, quote.price, Some(2)))
             .unwrap();
         assert_eq!(broker.accounts().budget_rejects(), 1);
         let stats = broker.market_stats();
@@ -1808,7 +1704,9 @@ mod tests {
             .quote_request(PurchaseRequest::AtInverseNcp(25.0))
             .unwrap();
         for _ in 0..3 {
-            broker.commit_at(quote.x, epoch, quote.price).unwrap();
+            broker
+                .commit_one(at(quote.x, epoch, quote.price, None))
+                .unwrap();
         }
         assert_eq!(broker.ledger().count(), 3);
         assert_eq!(broker.accounts().budget_rejects(), 0);
@@ -1870,7 +1768,7 @@ mod tests {
             .quote_request(PurchaseRequest::AtInverseNcp(25.0))
             .unwrap();
         assert!(matches!(
-            broker.commit_at_for(quote.x, epoch, quote.price, Some(5)),
+            broker.commit_one(at(quote.x, epoch, quote.price, Some(5))),
             Err(MarketError::BudgetExhausted { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -1906,16 +1804,16 @@ mod tests {
             .quote_request(PurchaseRequest::AtInverseNcp(25.0))
             .unwrap();
         broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(3))
+            .commit_one(at(quote.x, epoch, quote.price, Some(3)))
             .unwrap();
         assert!(broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(3))
+            .commit_one(at(quote.x, epoch, quote.price, Some(3)))
             .is_err());
         // The failed sale's charge was refunded: spend covers one sale.
         assert_eq!(broker.accounts().spent(3), quote.x);
         // And the freed headroom is spendable again.
         broker
-            .commit_at_for(quote.x, epoch, quote.price, Some(3))
+            .commit_one(at(quote.x, epoch, quote.price, Some(3)))
             .unwrap();
         std::fs::remove_file(&path).unwrap();
     }
@@ -2041,21 +1939,21 @@ mod tests {
             .quote_request(PurchaseRequest::AtInverseNcp(25.0))
             .unwrap();
         let sale = broker
-            .commit_at(25.0, quote.snapshot_epoch, quote.price)
+            .commit_one(at(25.0, quote.snapshot_epoch, quote.price, None))
             .unwrap();
         assert!((sale.price - quote.price).abs() < 1e-12);
         assert!((sale.expected_error - quote.expected_error).abs() < 1e-12);
         // Wrong epoch and underpayment fail exactly like a local commit.
         assert!(matches!(
-            broker.commit_at(25.0, quote.snapshot_epoch + 1, quote.price),
+            broker.commit_one(at(25.0, quote.snapshot_epoch + 1, quote.price, None)),
             Err(MarketError::QuoteExpired { .. })
         ));
         assert!(matches!(
-            broker.commit_at(25.0, quote.snapshot_epoch, quote.price / 2.0),
+            broker.commit_one(at(25.0, quote.snapshot_epoch, quote.price / 2.0, None)),
             Err(MarketError::InsufficientPayment { .. })
         ));
         assert!(broker
-            .commit_at(f64::NAN, quote.snapshot_epoch, 1e9)
+            .commit_one(at(f64::NAN, quote.snapshot_epoch, 1e9, None))
             .is_err());
     }
 
@@ -2318,13 +2216,14 @@ mod tests {
     }
 
     #[test]
-    fn purchase_batch_fans_out_and_preserves_order() {
+    fn commit_batch_preserves_order_and_allocates_dense_ids() {
         let broker = test_broker();
         broker.open_market().unwrap();
-        let requests: Vec<PurchaseRequest> = (0..64)
-            .map(|i| PurchaseRequest::AtInverseNcp(1.0 + (i % 99) as f64))
+        let epoch = broker.published().unwrap().epoch();
+        let items: Vec<BatchCommitItem> = (0..64)
+            .map(|i| at(1.0 + (i % 99) as f64, epoch, 1e12, None))
             .collect();
-        let sales = broker.purchase_batch(&requests);
+        let sales = broker.commit_batch_at(&items);
         assert_eq!(sales.len(), 64);
         for (i, s) in sales.iter().enumerate() {
             let sale = s.as_ref().expect("posted-price batch purchase succeeds");

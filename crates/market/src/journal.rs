@@ -943,13 +943,28 @@ impl Journal {
     /// Rewrites the log as `magic + one checkpoint record`, atomically
     /// (write a temp file, fsync, rename over the journal). On any error
     /// the existing log is left untouched and remains authoritative.
+    ///
+    /// State too large for one record ([`MAX_RECORD_LEN`]) is refused with
+    /// [`JournalError::RecordTooLarge`] before anything is written: recovery
+    /// would reject such a record and salvage the log down to its header.
     pub fn checkpoint(&mut self) -> Result<(), JournalError> {
         if self.poisoned {
             return Err(JournalError::Poisoned);
         }
+        // Every attempt restarts the count, so a refused compaction is
+        // retried after another `checkpoint_every` appends, not on each.
+        self.appends_since_checkpoint = 0;
+        let payload = encode_checkpoint_payload(&self.state);
+        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        if len > MAX_RECORD_LEN {
+            return Err(JournalError::RecordTooLarge {
+                offset: MAGIC.len() as u64,
+                len,
+            });
+        }
         let tmp = self.path.with_extension("journal.tmp");
         let result = (|| -> Result<u64, JournalError> {
-            let frame = frame_record(&encode_checkpoint_payload(&self.state));
+            let frame = frame_record(&payload);
             let raw = OpenOptions::new()
                 .write(true)
                 .create(true)
@@ -970,7 +985,6 @@ impl Journal {
                 file.seek(SeekFrom::End(0))?;
                 self.file = FaultyFile::new(file, self.plan.clone());
                 self.durable_len = new_len;
-                self.appends_since_checkpoint = 0;
                 Ok(())
             }
             Err(e) => {

@@ -46,8 +46,10 @@
 //!    under any thread interleaving, with zero shared RNG state on the
 //!    serving path.
 //!
-//! [`broker::Broker::purchase_batch`] fans a slice of requests over
-//! [`parallel::parallel_map`] to exploit all of this from a single call.
+//! Every sale goes through one commit path,
+//! [`Broker::commit_batch_at`](broker::Broker::commit_batch_at): a single
+//! commit is a batch of one, so concurrent buyers, wire `COMMIT`s and
+//! `BATCH_COMMIT` frames share the same dedup, budget and journal steps.
 //!
 //! [`simulation`] runs strategy comparisons (MBP vs Lin/MaxC/MedC/OptC vs
 //! the exact brute force) on a shared population — the machinery behind

@@ -55,7 +55,7 @@
 //! on startup (journal replay and the one-time model training both
 //! parallelize across listings).
 
-use crate::broker::{Broker, BrokerBuilder, BrokerConfig, PurchaseRequest, Quote, Sale};
+use crate::broker::{Broker, BrokerBuilder, BrokerConfig, PurchaseRequest, Quote};
 use crate::journal::FaultPlan;
 use crate::parallel::parallel_map;
 use crate::seller::Seller;
@@ -690,19 +690,6 @@ impl Marketplace {
         self.route(name)?.quote_request(request)
     }
 
-    /// Redeems a quote from [`Marketplace::quote_request`] at the named
-    /// listing.
-    pub fn commit(&self, name: &str, quote: Quote, payment: f64) -> Result<Sale> {
-        self.route(name)?.commit(quote, payment)
-    }
-
-    /// Buys a version of the named model (quote + commit in one step).
-    pub fn purchase(&self, name: &str, request: PurchaseRequest, payment: f64) -> Result<Sale> {
-        let broker = self.route(name)?;
-        let quote = broker.quote_request(request)?;
-        broker.commit(quote, payment)
-    }
-
     /// One consistent accounting snapshot: per-listing counters plus the
     /// aggregates, all computed from a single published directory.
     pub fn stats(&self) -> MarketplaceStats {
@@ -791,11 +778,19 @@ impl Marketplace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::Sale;
     use crate::curves::{DemandCurve, MarketCurves, ValueCurve};
     use crate::seller::Seller;
     use nimbus_core::GaussianMechanism;
     use nimbus_data::catalog::{DatasetSpec, PaperDataset};
     use nimbus_ml::{LinearRegressionTrainer, LogisticRegressionTrainer};
+
+    /// Quote + commit at `x` on the named listing.
+    fn purchase(mp: &Marketplace, name: &str, x: f64, payment: f64) -> Result<Sale> {
+        let broker = mp.route(name)?;
+        let quote = broker.quote_request(PurchaseRequest::AtInverseNcp(x))?;
+        broker.commit(quote, payment)
+    }
 
     fn regression_seller(seed: u64) -> Seller {
         let (tt, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 500)
@@ -859,12 +854,8 @@ mod tests {
         let mp = Marketplace::new();
         mp.list(regression_listing("reg", 3)).unwrap();
         mp.list(classification_listing("cls", 4)).unwrap();
-        let reg_sale = mp
-            .purchase("reg", PurchaseRequest::AtInverseNcp(10.0), 1e12)
-            .unwrap();
-        let cls_sale = mp
-            .purchase("cls", PurchaseRequest::AtInverseNcp(10.0), 1e12)
-            .unwrap();
+        let reg_sale = purchase(&mp, "reg", 10.0, 1e12).unwrap();
+        let cls_sale = purchase(&mp, "cls", 10.0, 1e12).unwrap();
         assert_eq!(reg_sale.model.dim(), 20);
         assert_eq!(cls_sale.model.dim(), 20);
         assert_eq!(mp.total_sales(), 2);
@@ -879,7 +870,10 @@ mod tests {
             .quote_request("reg", PurchaseRequest::AtInverseNcp(8.0))
             .unwrap();
         assert!(quote.price > 0.0);
-        let sale = mp.commit("reg", quote, quote.price).unwrap();
+        let sale = mp
+            .route("reg")
+            .and_then(|b| b.commit(quote, quote.price))
+            .unwrap();
         assert!((sale.inverse_ncp - 8.0).abs() < 1e-12);
         assert_eq!(mp.total_sales(), 1);
     }
@@ -892,7 +886,7 @@ mod tests {
             Err(MarketError::UnknownListing { name }) if name == "nope"
         ));
         assert!(matches!(
-            mp.purchase("nope", PurchaseRequest::AtInverseNcp(1.0), 1.0),
+            purchase(&mp, "nope", 1.0, 1.0),
             Err(MarketError::UnknownListing { .. })
         ));
         assert!(matches!(
@@ -910,8 +904,7 @@ mod tests {
     fn duplicate_listing_is_rejected_not_replaced() {
         let mp = Marketplace::new();
         mp.list(regression_listing("m", 5)).unwrap();
-        mp.purchase("m", PurchaseRequest::AtInverseNcp(5.0), 1e12)
-            .unwrap();
+        purchase(&mp, "m", 5.0, 1e12).unwrap();
         assert_eq!(mp.total_sales(), 1);
         assert!(matches!(
             mp.list(regression_listing("m", 6)),
@@ -937,8 +930,7 @@ mod tests {
 
         let expected = mp.publish("d").unwrap();
         assert!(expected > 0.0);
-        mp.purchase("d", PurchaseRequest::AtInverseNcp(5.0), 1e12)
-            .unwrap();
+        purchase(&mp, "d", 5.0, 1e12).unwrap();
         let (_, meta) = mp.broker("d").unwrap();
         assert_eq!(meta.state, ListingState::Published);
         assert_eq!(meta.model_kind, "linear_regression");
@@ -954,7 +946,7 @@ mod tests {
             .unwrap();
         mp.publish("m").unwrap();
         assert!(matches!(
-            mp.commit("m", stale, stale.price),
+            mp.route("m").and_then(|b| b.commit(stale, stale.price)),
             Err(MarketError::QuoteExpired { .. })
         ));
         // A fresh quote against the new epoch commits fine.
@@ -962,7 +954,9 @@ mod tests {
             .quote_request("m", PurchaseRequest::AtInverseNcp(4.0))
             .unwrap();
         assert!(fresh.snapshot_epoch > 1);
-        mp.commit("m", fresh, fresh.price).unwrap();
+        mp.route("m")
+            .and_then(|b| b.commit(fresh, fresh.price))
+            .unwrap();
     }
 
     #[test]
@@ -995,7 +989,7 @@ mod tests {
 
         // The pre-republish quote carries a dead epoch.
         assert!(matches!(
-            mp.commit("m", stale, stale.price),
+            mp.route("m").and_then(|b| b.commit(stale, stale.price)),
             Err(MarketError::QuoteExpired { quoted, current })
                 if quoted == stale.snapshot_epoch && current > quoted
         ));
@@ -1004,7 +998,9 @@ mod tests {
             .quote_request("m", PurchaseRequest::AtInverseNcp(4.0))
             .unwrap();
         assert!(fresh.snapshot_epoch > stale.snapshot_epoch);
-        mp.commit("m", fresh, fresh.price).unwrap();
+        mp.route("m")
+            .and_then(|b| b.commit(fresh, fresh.price))
+            .unwrap();
     }
 
     #[test]
@@ -1058,12 +1054,9 @@ mod tests {
         let mp = Marketplace::new();
         mp.list(regression_listing("a", 17)).unwrap();
         mp.list(regression_listing("b", 19)).unwrap();
-        mp.purchase("a", PurchaseRequest::AtInverseNcp(3.0), 1e12)
-            .unwrap();
-        mp.purchase("b", PurchaseRequest::AtInverseNcp(3.0), 1e12)
-            .unwrap();
-        mp.purchase("b", PurchaseRequest::AtInverseNcp(6.0), 1e12)
-            .unwrap();
+        purchase(&mp, "a", 3.0, 1e12).unwrap();
+        purchase(&mp, "b", 3.0, 1e12).unwrap();
+        purchase(&mp, "b", 6.0, 1e12).unwrap();
         let stats = mp.stats();
         assert_eq!(stats.listings.len(), 2);
         assert_eq!(stats.total_sales, 3);
@@ -1085,8 +1078,7 @@ mod tests {
         let mp = Marketplace::open_listings(builders).unwrap();
         assert_eq!(mp.names(), vec!["p0", "p1", "p2"]);
         for name in mp.names() {
-            mp.purchase(&name, PurchaseRequest::AtInverseNcp(4.0), 1e12)
-                .unwrap();
+            purchase(&mp, &name, 4.0, 1e12).unwrap();
         }
         assert_eq!(mp.total_sales(), 3);
     }
@@ -1099,8 +1091,7 @@ mod tests {
         let mp = Marketplace::new();
         mp.list(regression_listing("j", 29).journal_root(&root))
             .unwrap();
-        mp.purchase("j", PurchaseRequest::AtInverseNcp(5.0), 1e12)
-            .unwrap();
+        purchase(&mp, "j", 5.0, 1e12).unwrap();
         let path = Marketplace::journal_path_for(&root, "j");
         assert_eq!(path, root.join("j").join("journal.log"));
         assert!(path.is_file(), "journal written under <root>/<listing>/");
@@ -1147,8 +1138,7 @@ mod tests {
             Err(MarketError::InvalidConfig { .. })
         ));
         mp.list(ListingBuilder::from_broker("m", broker)).unwrap();
-        mp.purchase("m", PurchaseRequest::AtInverseNcp(5.0), 1e12)
-            .unwrap();
+        purchase(&mp, "m", 5.0, 1e12).unwrap();
     }
 
     #[test]
@@ -1176,7 +1166,7 @@ mod tests {
                         let quote = mp
                             .quote_request("hot", PurchaseRequest::AtInverseNcp(5.0))
                             .unwrap();
-                        match mp.commit("hot", quote, quote.price) {
+                        match mp.route("hot").and_then(|b| b.commit(quote, quote.price)) {
                             Ok(_) => {}
                             Err(MarketError::QuoteExpired { .. }) => {}
                             Err(other) => panic!("unexpected error: {other}"),

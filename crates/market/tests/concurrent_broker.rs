@@ -15,7 +15,8 @@ use nimbus_core::arbitrage::check_arbitrage_free;
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::{Broker, MarketError, PurchaseRequest, Seller};
+use nimbus_market::parallel::parallel_map;
+use nimbus_market::{Broker, MarketError, PurchaseRequest, Sale, Seller};
 use nimbus_ml::LinearRegressionTrainer;
 
 const THREADS: usize = 8;
@@ -241,8 +242,21 @@ fn quote_from_before_market_reopen_fails_with_epoch_mismatch() {
     assert_eq!(broker.sales_count(), 1);
 }
 
+/// Quotes and commits every request over up to `threads` scoped threads;
+/// results come back in request order.
+fn buy_all(
+    broker: &Broker,
+    requests: &[PurchaseRequest],
+    threads: usize,
+) -> Vec<Result<Sale, MarketError>> {
+    parallel_map(requests.to_vec(), Some(threads), |request| {
+        let quote = broker.quote_request(request)?;
+        broker.commit(quote, quote.price)
+    })
+}
+
 #[test]
-fn purchase_batch_multithreaded_matches_single_threaded_books() {
+fn multithreaded_commits_match_single_threaded_books() {
     let requests: Vec<PurchaseRequest> = (0..THREADS * PURCHASES_PER_THREAD)
         .map(|i| match i % 3 {
             0 => PurchaseRequest::AtInverseNcp(1.0 + (i % 99) as f64),
@@ -253,12 +267,12 @@ fn purchase_batch_multithreaded_matches_single_threaded_books() {
 
     let wide = build_broker(33);
     wide.open_market().unwrap();
-    let wide_sales = wide.purchase_batch_with(&requests, Some(THREADS));
+    let wide_sales = buy_all(&wide, &requests, THREADS);
     assert!(wide_sales.iter().all(|s| s.is_ok()));
 
     let narrow = build_broker(33);
     narrow.open_market().unwrap();
-    let narrow_sales = narrow.purchase_batch_with(&requests, Some(1));
+    let narrow_sales = buy_all(&narrow, &requests, 1);
 
     // Prices come from the immutable snapshot (never from the racing
     // transaction counter), so each request costs the same under either

@@ -11,7 +11,9 @@ use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_market::journal::{self, FaultPlan, Journal, JournalError, SaleRecord};
-use nimbus_market::{Broker, BrokerBuilder, MarketError, PurchaseRequest, Seller, Transaction};
+use nimbus_market::{
+    BatchCommitItem, Broker, BrokerBuilder, MarketError, PurchaseRequest, Seller, Transaction,
+};
 use nimbus_ml::LinearRegressionTrainer;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -26,6 +28,17 @@ fn temp_path(name: &str) -> PathBuf {
         name,
         n
     ))
+}
+
+/// An anonymous, unkeyed commit item by `(x, epoch)` identity.
+fn unkeyed(x: f64, snapshot_epoch: u64, payment: f64) -> BatchCommitItem {
+    BatchCommitItem {
+        x,
+        snapshot_epoch,
+        payment,
+        nonce: None,
+        buyer: None,
+    }
 }
 
 fn journaled_builder(path: &Path) -> BrokerBuilder {
@@ -80,7 +93,7 @@ fn broker_resumes_books_after_restart() {
     broker.open_market().unwrap();
     assert_eq!(broker.snapshot().unwrap().epoch(), 2);
     assert!(matches!(
-        broker.commit_at(10.0, 1, 1e9),
+        broker.commit_batch_at(&[unkeyed(10.0, 1, 1e9)]).remove(0),
         Err(MarketError::QuoteExpired {
             quoted: 1,
             current: 2
@@ -100,6 +113,7 @@ fn broker_resumes_books_after_restart() {
 fn idempotent_commit_is_exactly_once_within_and_across_restart() {
     let path = temp_path("idempotent");
     let nonce = 0xFEED_F00D_u64;
+    let buyer = 7u64;
     let (original_id, original_price, original_weights) = {
         let broker = journaled_builder(&path).build().unwrap();
         broker.open_market().unwrap();
@@ -107,20 +121,41 @@ fn idempotent_commit_is_exactly_once_within_and_across_restart() {
             .quote_request(PurchaseRequest::AtInverseNcp(30.0))
             .unwrap();
         let first = broker
-            .commit_at_idempotent(q.x, q.snapshot_epoch, q.price, nonce)
+            .commit_at_idempotent_for(q.x, q.snapshot_epoch, q.price, nonce, Some(buyer))
             .unwrap();
+        let revenue = broker.collected_revenue();
         // A retry with the same key replays the same sale: same id, same
-        // price, bitwise-identical noisy model, no new ledger row.
-        let retry = broker
-            .commit_at_idempotent(q.x, q.snapshot_epoch, q.price, nonce)
+        // price, bitwise-identical noisy model, no new ledger row. The
+        // dedup lookup runs before the epoch check, so this holds after a
+        // re-`open_market()` too, both as a single commit and as an item
+        // of a batch — and never charges money or noise budget twice.
+        let same_epoch = broker
+            .commit_at_idempotent_for(q.x, q.snapshot_epoch, q.price, nonce, Some(buyer))
             .unwrap();
-        assert_eq!(retry.transaction.sequence, first.transaction.sequence);
-        assert_eq!(retry.price.to_bits(), first.price.to_bits());
-        assert_eq!(
-            retry.model.weights().as_slice(),
-            first.model.weights().as_slice()
-        );
+        broker.open_market().unwrap();
+        assert_eq!(broker.snapshot().unwrap().epoch(), 2);
+        let after_bump = broker
+            .commit_at_idempotent_for(q.x, q.snapshot_epoch, q.price, nonce, Some(buyer))
+            .unwrap();
+        let batch_item = broker
+            .commit_batch_at(&[BatchCommitItem {
+                nonce: Some(nonce),
+                buyer: Some(buyer),
+                ..unkeyed(q.x, q.snapshot_epoch, q.price)
+            }])
+            .remove(0)
+            .unwrap();
+        for retry in [&same_epoch, &after_bump, &batch_item] {
+            assert_eq!(retry.transaction.sequence, first.transaction.sequence);
+            assert_eq!(retry.price.to_bits(), first.price.to_bits());
+            assert_eq!(
+                retry.model.weights().as_slice(),
+                first.model.weights().as_slice()
+            );
+        }
         assert_eq!(broker.sales_count(), 1);
+        assert_eq!(broker.collected_revenue().to_bits(), revenue.to_bits());
+        assert_eq!(broker.accounts().spent(buyer), q.x);
         (
             first.transaction.sequence,
             first.price,
@@ -141,17 +176,18 @@ fn idempotent_commit_is_exactly_once_within_and_across_restart() {
     broker.open_market().unwrap();
     assert_eq!(broker.snapshot().unwrap().epoch(), 2);
     let replayed = broker
-        .commit_at_idempotent(30.0, 1, original_price, nonce)
+        .commit_at_idempotent_for(30.0, 1, original_price, nonce, Some(buyer))
         .unwrap();
     assert_eq!(replayed.transaction.sequence, original_id);
     assert_eq!(replayed.price.to_bits(), original_price.to_bits());
     assert_eq!(replayed.model.weights().as_slice(), original_weights);
     assert_eq!(broker.sales_count(), 1);
+    assert_eq!(broker.accounts().spent(buyer), 30.0);
 
     // An *unknown* key against the dead epoch is not replayable — it gets
     // the ordinary staleness rejection, not a silent sale.
     assert!(matches!(
-        broker.commit_at_idempotent(30.0, 1, original_price, nonce + 1),
+        broker.commit_at_idempotent_for(30.0, 1, original_price, nonce + 1, None),
         Err(MarketError::QuoteExpired { .. })
     ));
     std::fs::remove_file(&path).unwrap();

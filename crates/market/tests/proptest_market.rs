@@ -7,7 +7,9 @@
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::{Broker, BrokerConfig, BuyerPopulation, PurchaseRequest, Seller};
+use nimbus_market::{
+    BatchCommitItem, Broker, BrokerConfig, BuyerPopulation, PurchaseRequest, Seller,
+};
 use nimbus_ml::LinearRegressionTrainer;
 use nimbus_randkit::seeded_rng;
 use proptest::prelude::*;
@@ -199,7 +201,16 @@ proptest! {
             let q = broker
                 .quote_request(PurchaseRequest::AtInverseNcp(x))
                 .unwrap();
-            let sale = broker.commit_for(q, q.price, buyer).unwrap();
+            let sale = broker
+                .commit_batch_at(&[BatchCommitItem {
+                    x: q.x,
+                    snapshot_epoch: q.snapshot_epoch,
+                    payment: q.price,
+                    nonce: None,
+                    buyer: Some(buyer),
+                }])
+                .remove(0)
+                .unwrap();
             paid += sale.transaction.price;
             precision += sale.transaction.inverse_ncp;
         }

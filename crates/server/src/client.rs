@@ -24,7 +24,7 @@
 //! [`NimbusClient::buy`] uses the idempotent path.
 
 //!
-//! # Pipelining (wire v4)
+//! # Pipelining
 //!
 //! [`PipelinedClient`] keeps many requests in flight on one connection:
 //! [`PipelinedClient::send`] stamps each frame with a fresh correlation
@@ -157,7 +157,7 @@ impl NimbusClient {
         Ok(client)
     }
 
-    /// Attaches a buyer identity (wire v5) to every subsequent commit
+    /// Attaches a buyer identity to every subsequent commit
     /// and batch item, routing purchases through the listing's per-buyer
     /// noise-budget accounts. `None` (the default) commits anonymously.
     ///
@@ -216,7 +216,7 @@ impl NimbusClient {
 
     /// Redeems a quote with a payment; the sale carries the noisy weights.
     /// The commit routes to the listing the quote echoes (the default
-    /// listing for quotes from pre-v3 servers).
+    /// listing when the quote names none).
     ///
     /// Without an idempotency key, this is only retried when the failure
     /// provably happened before the request was sent — prefer
@@ -286,7 +286,7 @@ impl NimbusClient {
     }
 
     /// Queries a buyer's noise-budget account against the default
-    /// listing (wire v5): precision spent, budget, and remaining.
+    /// listing: precision spent, budget, and remaining.
     pub fn account(&mut self, buyer: u64) -> Result<AccountMsg> {
         self.account_on_opt(None, buyer)
     }
@@ -349,7 +349,7 @@ impl NimbusClient {
         }
     }
 
-    /// Redeems many quotes in one `BATCH_COMMIT` frame (v4), returning
+    /// Redeems many quotes in one `BATCH_COMMIT` frame, returning
     /// per-item outcomes in request order. One stale epoch or short
     /// payment fails only its own item.
     ///
@@ -398,7 +398,7 @@ impl NimbusClient {
     }
 
     /// Fetches the default listing's menu as a `MENU_STREAM` chunk
-    /// sequence (v4) and reassembles it. Mid-stream failures are not
+    /// sequence and reassembles it. Mid-stream failures are not
     /// retried (the remainder of a half-read stream cannot be resumed);
     /// callers can simply re-issue the call.
     pub fn menu_stream(&mut self, chunk: u32) -> Result<MenuMsg> {
@@ -571,13 +571,13 @@ fn menu_stream_io(stream: &mut TcpStream, request: &Request) -> Result<MenuMsg> 
     }
 }
 
-/// A pipelined (wire v4) connection: many requests in flight at once,
+/// A pipelined connection: many requests in flight at once,
 /// responses matched by correlation id rather than order.
 ///
 /// [`PipelinedClient::send`] writes a frame stamped with a fresh id and
 /// returns without waiting; [`PipelinedClient::recv`] blocks for the
 /// *next* response on the socket, which may answer any outstanding id —
-/// the server executes v4 frames concurrently and answers as they
+/// the server executes frames concurrently and answers as they
 /// complete. This is the transport under the load generator's pipelined
 /// mode; unlike [`NimbusClient`] it does no retrying or reconnecting of
 /// its own (in-flight requests cannot be transparently replayed), so a
@@ -680,7 +680,7 @@ fn transient(e: &ServerError) -> bool {
 }
 
 /// The listing a commit should route back to: the one the quote echoed,
-/// or `None` (default listing) for quotes from pre-v3 servers.
+/// or `None` (default listing) when the quote names none.
 fn quoted_listing(quote: &QuoteMsg) -> Option<String> {
     if quote.listing.is_empty() {
         None

@@ -16,8 +16,7 @@ pub enum ServerError {
     /// full, so it answered with a typed `BUSY` frame instead of stalling.
     /// Surfaces once the client's retry budget (if any) is exhausted.
     Busy {
-        /// Server's advisory back-off hint in milliseconds (0 from v1
-        /// peers, which do not send one).
+        /// Server's advisory back-off hint in milliseconds (0 = no hint).
         retry_after_ms: u32,
     },
     /// A frame violated the wire protocol (bad magic, truncated body,

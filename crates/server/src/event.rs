@@ -17,18 +17,13 @@
 //!   holding a read buffer, a queue of parsed-but-undispatched frames, a
 //!   write buffer and a handful of counters. An idle connection costs one
 //!   fd and one slab slot — no thread, no stack.
-//! * **Pipelining with v≤3 serialization.** A v4 frame carries a
-//!   correlation id and may be dispatched while earlier frames from the
-//!   same connection are still executing; responses are matched by id,
-//!   not order. Frames from v1–v3 peers (which have no ids) are strictly
-//!   serialized: one in flight per connection, responses in order —
-//!   exactly the blocking-server contract those peers were built against.
-//! * **Shedding, not stalling.** Dispatch pushes onto the same bounded
-//!   shard queues as before; a full queue answers the *frame* with a
-//!   typed `BUSY` instead of queueing unboundedly. v4 connections stay
-//!   open across a shed (the id tells the client which request was hit);
-//!   v≤3 connections are closed after the frame, matching the old
-//!   admission-shed behavior.
+//! * **Pipelining.** Every frame carries a correlation id and may be
+//!   dispatched while earlier frames from the same connection are still
+//!   executing; responses are matched by id, not order.
+//! * **Shedding, not stalling.** Dispatch pushes onto bounded shard
+//!   queues; a full queue answers the *frame* with a typed `BUSY` instead
+//!   of queueing unboundedly. The connection stays open across a shed
+//!   (the id tells the client which request was hit).
 //! * **Slow-loris defense.** A timer wheel (binary heap with lazy
 //!   invalidation) enforces three deadlines per connection: a
 //!   header-read deadline from the first byte of an incomplete frame, an
@@ -76,10 +71,6 @@ const POLL_CAP: Duration = Duration::from_millis(500);
 /// Poll timeout ceiling while draining for shutdown.
 const POLL_CAP_STOPPING: Duration = Duration::from_millis(10);
 
-/// First protocol version that carries correlation ids and may pipeline;
-/// frames below it are strictly serialized per connection.
-const PIPELINE_MIN_VERSION: u8 = 4;
-
 /// Poller token of the TCP listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Poller token of the wake-pipe read end.
@@ -113,7 +104,6 @@ enum DeadlineKind {
 
 /// One frame sniffed off a connection, waiting for dispatch.
 struct PendingFrame {
-    version: u8,
     corr: u64,
     payload: Vec<u8>,
 }
@@ -129,18 +119,11 @@ struct Conn {
     parsed: VecDeque<PendingFrame>,
     /// Dispatched jobs whose completions have not come back yet.
     in_flight: u32,
-    /// A v≤3 frame is executing; nothing else may dispatch until it
-    /// completes (those peers expect strict request/response order).
-    serial_in_flight: bool,
     write_buf: Vec<u8>,
     write_pos: usize,
     close_after_flush: bool,
     peer_eof: bool,
     io_dead: bool,
-    /// Version of the last frame sniffed; stamps loop-originated frames
-    /// (timeout `BUSY`, oversized-frame errors). Starts at 3 so a peer
-    /// that never sent a parseable frame gets the widest-compat stamp.
-    last_version: u8,
     last_activity: Duration,
     last_write_progress: Duration,
     /// When the currently incomplete frame's first byte arrived.
@@ -262,9 +245,15 @@ impl EventLoop {
                     continue;
                 }
             }
-            // Drain completions every turn: the wake byte and the list
-            // push are not atomic together, so a byteless completion is
-            // picked up here at the latest.
+            // Drain the wake pipe *before* taking the completion list: a
+            // worker pushes its completion and then writes its byte, so
+            // every completion pushed after the take below has a byte
+            // still unread, and the next poll wakes for it. Draining
+            // after the take could swallow that byte and strand the
+            // completion until some unrelated event or `POLL_CAP`.
+            if events.iter().any(|ev| ev.token == TOKEN_WAKE) {
+                self.drain_wake_pipe();
+            }
             self.apply_completions();
             for i in 0..events.len() {
                 let Some(ev) = events.get(i).copied() else {
@@ -272,7 +261,7 @@ impl EventLoop {
                 };
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.drain_wake_pipe(),
+                    TOKEN_WAKE => {}
                     token => self.conn_ready(token, ev),
                 }
             }
@@ -375,13 +364,11 @@ impl EventLoop {
             read_buf: Vec::new(),
             parsed: VecDeque::new(),
             in_flight: 0,
-            serial_in_flight: false,
             write_buf: Vec::new(),
             write_pos: 0,
             close_after_flush: false,
             peer_eof: false,
             io_dead: false,
-            last_version: wire::V3_VERSION,
             last_activity: now,
             last_write_progress: now,
             partial_since: None,
@@ -429,9 +416,6 @@ impl EventLoop {
                 continue;
             }
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            if conn.in_flight == 0 {
-                conn.serial_in_flight = false;
-            }
             for frame in &completion.frames {
                 conn.queue_frame(frame);
             }
@@ -564,7 +548,7 @@ impl EventLoop {
     }
 
     /// Extracts complete frames from the read buffer into the parsed
-    /// queue, sniffing version and correlation id for routing.
+    /// queue, sniffing each frame's correlation id.
     fn parse_frames(&mut self, slot: u32) {
         let now = (self.clock)();
         let Some(conn) = self.conns.get_mut(slot as usize).and_then(Option::as_mut) else {
@@ -587,8 +571,7 @@ impl EventLoop {
             };
             if len > wire::MAX_FRAME_LEN {
                 // Framing is lost past an oversized announcement: answer
-                // with the typed error the blocking server sent, then
-                // close. `last_version` keeps the stamp peer-compatible.
+                // with a typed error, then close.
                 self.inner.stats.protocol_error();
                 let frame = Response::Error {
                     code: ErrorCode::BadFrame,
@@ -597,7 +580,7 @@ impl EventLoop {
                         wire::MAX_FRAME_LEN
                     ),
                 }
-                .encode_versioned(conn.last_version, 0);
+                .encode_with_corr(0);
                 conn.queue_frame(&frame);
                 conn.close_after_flush = true;
                 conn.parsed.clear();
@@ -607,13 +590,8 @@ impl EventLoop {
             let Some(payload) = conn.read_buf.get(pos + 4..pos + 4 + len) else {
                 break; // incomplete frame
             };
-            let (version, corr) = wire::sniff_header(payload);
-            if version >= wire::MIN_VERSION {
-                conn.last_version = version;
-            }
             conn.parsed.push_back(PendingFrame {
-                version,
-                corr,
+                corr: wire::sniff_header(payload),
                 payload: payload.to_vec(),
             });
             pos += 4 + len;
@@ -631,7 +609,7 @@ impl EventLoop {
     }
 
     /// Moves parsed frames onto the shard queue, shedding with `BUSY`
-    /// when it is full. v≤3 frames are serialized; v4 frames pipeline.
+    /// when it is full.
     fn dispatch(&mut self, slot: u32) {
         let retry_after_ms = self.retry_after_ms();
         let Some(conn) = self.conns.get_mut(slot as usize).and_then(Option::as_mut) else {
@@ -643,15 +621,6 @@ impl EventLoop {
         loop {
             if conn.close_after_flush || self.stopping {
                 conn.parsed.clear();
-                break;
-            }
-            let front_version = match conn.parsed.front() {
-                Some(frame) => frame.version,
-                None => break,
-            };
-            let may_dispatch = conn.in_flight == 0
-                || (front_version >= PIPELINE_MIN_VERSION && !conn.serial_in_flight);
-            if !may_dispatch {
                 break;
             }
             let Some(frame) = conn.parsed.pop_front() else {
@@ -671,28 +640,18 @@ impl EventLoop {
             if queue.len() >= self.inner.config.queue_capacity {
                 drop(queue);
                 self.inner.stats.busy_rejection();
-                let busy =
-                    Response::Busy { retry_after_ms }.encode_versioned(frame.version, frame.corr);
+                let busy = Response::Busy { retry_after_ms }.encode_with_corr(frame.corr);
                 conn.queue_frame(&busy);
-                if frame.version < PIPELINE_MIN_VERSION {
-                    // Pre-pipelining peers treat BUSY as a connection-level
-                    // shed and reconnect; close like the old server did.
-                    conn.close_after_flush = true;
-                    conn.parsed.clear();
-                    break;
-                }
                 continue;
             }
             queue.push_back(Job {
                 slot,
                 gen: conn.gen,
-                version: frame.version,
                 corr: frame.corr,
                 payload: frame.payload,
             });
             drop(queue);
             shard.available.notify_one();
-            conn.serial_in_flight = frame.version < PIPELINE_MIN_VERSION;
             conn.in_flight += 1;
             self.total_in_flight += 1;
         }
@@ -792,8 +751,8 @@ impl EventLoop {
         }
     }
 
-    /// Sheds a slow or idle connection: a courtesy `BUSY` frame (stamped
-    /// at the peer's last seen version), then close-after-flush.
+    /// Sheds a slow or idle connection: a courtesy `BUSY` frame, then
+    /// close-after-flush.
     fn timeout_shed(&mut self, slot: u32) {
         let retry_after_ms = self.retry_after_ms();
         {
@@ -801,7 +760,7 @@ impl EventLoop {
                 return;
             };
             self.inner.stats.timeout_shed();
-            let busy = Response::Busy { retry_after_ms }.encode_versioned(conn.last_version, 0);
+            let busy = Response::Busy { retry_after_ms }.encode_with_corr(0);
             conn.queue_frame(&busy);
             conn.close_after_flush = true;
             conn.parsed.clear();

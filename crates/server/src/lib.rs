@@ -12,13 +12,13 @@
 //! * [`wire`] — a hand-rolled, length-prefixed, explicitly versioned
 //!   binary protocol covering the full quote→commit epoch protocol:
 //!   `MENU`, `QUOTE`, `COMMIT` (weight vectors included in the reply),
-//!   `INFO` and `STATS`, plus typed `BUSY` and error frames. Protocol v3
-//!   routes every call by listing name (`LISTINGS` enumerates the
-//!   marketplace; `PUBLISH`/`RETIRE` drive the listing lifecycle live).
-//!   Protocol v4 adds correlation ids for pipelining, `BATCH_COMMIT`
-//!   (many sales, one frame, per-item status) and a streaming
-//!   `MENU_STREAM`; v1–v3 peers keep working byte-for-byte against a
-//!   configurable default listing.
+//!   `INFO` and `STATS`, plus typed `BUSY` and error frames. Every call
+//!   is routed by listing name (`LISTINGS` enumerates the marketplace;
+//!   `PUBLISH`/`RETIRE` drive the listing lifecycle live; an empty name
+//!   means the server's default listing) and carries a correlation id
+//!   for pipelining; `BATCH_COMMIT` (many sales, one frame, per-item
+//!   status) and a streaming `MENU_STREAM` round it out. One protocol
+//!   version is spoken; any other is refused with a typed error.
 //! * [`server`] — [`NimbusServer`]: a single readiness event loop
 //!   (`epoll`/`poll(2)` via [`sys`], no async runtime) multiplexing every
 //!   connection, dispatching complete frames onto sharded bounded job
@@ -51,8 +51,8 @@
 //!
 //! # fn doc(marketplace: nimbus_market::Marketplace) -> nimbus_server::Result<()> {
 //! // Server side: a marketplace of published listings; the named
-//! // default listing is what v1/v2 peers (no listing field on the
-//! // wire) are routed to.
+//! // default listing is what requests with an empty listing name are
+//! // routed to.
 //! let server = NimbusServer::start(
 //!     Arc::new(marketplace),
 //!     "acme-data",

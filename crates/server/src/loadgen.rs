@@ -16,7 +16,7 @@
 //! client-observed revenue can be checked against the server-side
 //! ledger.
 //!
-//! # Buyer identity and budget sheds (wire v5)
+//! # Buyer identity and budget sheds
 //!
 //! With [`LoadConfig::buyer`] set, every commit carries that buyer
 //! identity and is metered against the listing's noise budget. A
@@ -26,7 +26,7 @@
 //! run that drains its buyer's budget reports exactly how much of the
 //! offered load the server refused for exhaustion.
 //!
-//! # Pipelining and batching (wire v4)
+//! # Pipelining and batching
 //!
 //! With [`LoadConfig::pipeline_depth`] > 1 each thread drives one
 //! [`PipelinedClient`] with up to that many correlated requests in
@@ -99,7 +99,7 @@ pub struct LoadConfig {
     /// Weighted per-listing traffic mix. Empty = every request targets
     /// the server's default listing; entries with weight 0 are skipped.
     pub mix: Vec<(String, u32)>,
-    /// Correlated requests kept in flight per thread (wire v4). `0` or
+    /// Correlated requests kept in flight per thread. `0` or
     /// `1` = classic blocking request/response.
     pub pipeline_depth: usize,
     /// Commits grouped into one `BATCH_COMMIT` frame per window
@@ -109,7 +109,7 @@ pub struct LoadConfig {
     /// Extra connections opened before the run and held silent until it
     /// ends, to measure serving latency under connection pressure.
     pub idle_connections: usize,
-    /// Buyer identity attached to every commit (wire v5). `None` =
+    /// Buyer identity attached to every commit. `None` =
     /// anonymous commits that bypass budget accounting.
     pub buyer: Option<u64>,
 }
@@ -154,7 +154,7 @@ pub struct LoadReport {
     /// `BUSY` sheds that were absorbed by a retry (the request itself
     /// went on to succeed or fail some other way).
     pub busy_retried: u64,
-    /// Requests rejected with `BUDGET_EXHAUSTED` (wire v5): the buyer's
+    /// Requests rejected with `BUDGET_EXHAUSTED`: the buyer's
     /// noise budget could not cover the commit. Deterministic — never
     /// retried — and counted separately from `busy` and `errors`.
     pub budget_rejected: u64,
@@ -524,7 +524,7 @@ fn splitmix(v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Pipelined (wire v4) path: up to `pipeline_depth` quotes in flight on
+/// Pipelined path: up to `pipeline_depth` quotes in flight on
 /// one connection; `Buy` windows redeem through `BATCH_COMMIT`.
 fn thread_load_pipelined(
     addr: SocketAddr,

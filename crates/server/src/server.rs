@@ -20,14 +20,11 @@
 //!   worker threads that do the CPU-bound work (decode, route, quote,
 //!   commit, encode). Completed frames flow back through
 //!   `Inner::completions` plus one byte on a wake pipe.
-//! * **Pipelining (wire v4).** Frames carrying correlation ids may
-//!   overlap on one connection; responses are matched by id. v1–v3
-//!   frames are serialized per connection, preserving the strict
-//!   request/response order those peers expect.
+//! * **Pipelining.** Every frame carries a correlation id, so frames may
+//!   overlap on one connection; responses are matched by id.
 //! * **Load shedding, not stalling.** A full shard queue answers the
-//!   frame with a typed `BUSY` instead of queueing unboundedly; v≤3
-//!   connections are closed after the frame (the old admission-shed
-//!   contract), v4 connections stay open. Slow-loris and idle peers are
+//!   frame with a typed `BUSY` instead of queueing unboundedly; the
+//!   connection stays open. Slow-loris and idle peers are
 //!   shed by event-loop deadlines ([`ServerConfig::header_read_timeout`],
 //!   [`ServerConfig::idle_timeout`]) and counted separately in
 //!   [`StatsRegistry::timeout_sheds`].
@@ -42,17 +39,15 @@
 //!
 //! The market side is exactly the in-process API: requests resolve their
 //! listing through [`Marketplace::route`] (one atomic load, no lock),
-//! `MENU`/`QUOTE` are lock-free snapshot reads, and `COMMIT` routes
-//! through [`Broker::commit_at`] and therefore gets the same epoch check,
-//! payment validation and price re-derivation as a local caller.
-//! `BATCH_COMMIT` routes through [`Broker::commit_batch_at`], which
-//! resolves items independently and coalesces their journal fsyncs under
-//! the group-commit window. A request that names no listing (every v1/v2
-//! request, and any v3+ request with an empty listing field) resolves to
-//! the server's configured *default listing*. The `PUBLISH`/`RETIRE`
-//! admin opcodes drive the marketplace's listing lifecycle live.
+//! `MENU`/`QUOTE` are lock-free snapshot reads, and both `COMMIT` (a
+//! batch of one) and `BATCH_COMMIT` route through
+//! [`Broker::commit_batch_at`], the broker's one commit path: the same
+//! dedup, epoch check, payment validation, price re-derivation, budget
+//! charge and group-commit fsync as a local caller. A request with an
+//! empty listing field resolves to the server's configured *default
+//! listing*. The `PUBLISH`/`RETIRE` admin opcodes drive the
+//! marketplace's listing lifecycle live.
 //!
-//! [`Broker::commit_at`]: nimbus_market::Broker::commit_at
 //! [`Broker::commit_batch_at`]: nimbus_market::Broker::commit_batch_at
 //! [`Marketplace::route`]: nimbus_market::Marketplace::route
 //! [`StatsRegistry::timeout_sheds`]: crate::stats::StatsRegistry::timeout_sheds
@@ -134,9 +129,7 @@ pub(crate) struct Job {
     pub(crate) slot: u32,
     /// Slot generation at dispatch time (guards slot reuse).
     pub(crate) gen: u32,
-    /// Sniffed protocol version; stamps the response frames.
-    pub(crate) version: u8,
-    /// Sniffed correlation id (0 for v≤3 frames).
+    /// Sniffed correlation id, echoed by the response frames.
     pub(crate) corr: u64,
     /// The undecoded frame payload.
     pub(crate) payload: Vec<u8>,
@@ -186,8 +179,8 @@ pub struct NimbusServer {
 impl NimbusServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
     /// `marketplace` under `config`. `default_listing` names the listing
-    /// that unscoped requests (and every v1/v2 peer) resolve to; it must
-    /// exist and be published when the server starts.
+    /// that unscoped requests resolve to; it must exist and be published
+    /// when the server starts.
     pub fn start(
         marketplace: Arc<Marketplace>,
         default_listing: impl Into<String>,
@@ -213,8 +206,8 @@ impl NimbusServer {
             });
         }
         let default_listing = default_listing.into();
-        // The default listing is the compatibility anchor for v1/v2
-        // peers: it must be resolvable and serving before we accept.
+        // Unscoped requests resolve to the default listing: it must be
+        // resolvable and serving before we accept.
         marketplace.route(&default_listing)?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -311,7 +304,7 @@ impl NimbusServer {
         self.inner.marketplace.clone()
     }
 
-    /// The default listing unscoped (and v1/v2) requests resolve to.
+    /// The default listing unscoped requests resolve to.
     pub fn default_listing(&self) -> &str {
         &self.inner.default_listing
     }
@@ -391,10 +384,10 @@ pub(crate) fn worker_loop(inner: &Arc<Inner>, shard_idx: usize) {
     }
 }
 
-/// Decodes and executes one job, producing the encoded response frame(s).
-/// Responses are stamped at the requesting frame's version and carry its
-/// correlation id, so v≤3 peers see byte-identical answers to the
-/// blocking server's.
+/// Decodes and executes one job, producing the encoded response frame(s),
+/// each carrying the request's correlation id. A frame that fails to
+/// decode — including one at another protocol version — is answered with
+/// a typed error and closes the connection.
 fn execute_job(inner: &Inner, job: &Job) -> Completion {
     let started = Instant::now();
     let request = match Request::decode_framed(&job.payload) {
@@ -408,7 +401,7 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
                 ),
                 e => (ErrorCode::BadFrame, e.to_string()),
             };
-            let frame = Response::Error { code, message }.encode_versioned(job.version, job.corr);
+            let frame = Response::Error { code, message }.encode_with_corr(job.corr);
             return Completion {
                 slot: job.slot,
                 gen: job.gen,
@@ -437,7 +430,7 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
         Ok(responses) => (
             responses
                 .iter()
-                .map(|r| r.encode_versioned(job.version, job.corr))
+                .map(|r| r.encode_with_corr(job.corr))
                 .collect(),
             true,
         ),
@@ -446,7 +439,7 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
                 code: ErrorCode::for_market_error(&e),
                 message: e.to_string(),
             }
-            .encode_versioned(job.version, job.corr)],
+            .encode_with_corr(job.corr)],
             false,
         ),
     };
@@ -459,8 +452,8 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
     }
 }
 
-/// Resolves a request's optional listing to a concrete name: `None` (and
-/// every v1/v2 request) means the server's default listing.
+/// Resolves a request's optional listing to a concrete name: `None` means
+/// the server's default listing.
 fn resolve<'a>(inner: &'a Inner, listing: &'a Option<String>) -> &'a str {
     listing.as_deref().unwrap_or(&inner.default_listing)
 }
@@ -519,16 +512,22 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
             buyer,
         } => {
             let broker = marketplace.route(resolve(inner, &listing))?;
-            // A nonce makes the commit idempotent: a retry after a lost
-            // ACK replays the journalled sale instead of double-charging
-            // money or budget. A buyer identity routes the sale through
-            // the listing's noise-budget accounts.
-            let sale = match nonce {
-                Some(nonce) => {
-                    broker.commit_at_idempotent_for(x, snapshot_epoch, payment, nonce, buyer)?
-                }
-                None => broker.commit_at_for(x, snapshot_epoch, payment, buyer)?,
+            // A batch of one: a nonce makes the commit idempotent (a retry
+            // after a lost ACK replays the journalled sale instead of
+            // double-charging money or budget), and a buyer identity
+            // routes the sale through the listing's noise-budget accounts.
+            let item = BatchCommitItem {
+                x,
+                snapshot_epoch,
+                payment,
+                nonce,
+                buyer,
             };
+            let sale = broker.commit_batch_at(&[item]).pop().ok_or(
+                nimbus_market::MarketError::InvalidConfig {
+                    reason: "batch commit slot left unresolved".to_string(),
+                },
+            )??;
             Ok(vec![Response::Commit(sale_msg(&sale))])
         }
         Request::BatchCommit { listing, items } => {
@@ -692,8 +691,8 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
         }
         Request::Retire { listing } => {
             if listing == inner.default_listing {
-                // The default listing anchors v1/v2 interop; retiring it
-                // would orphan every unscoped peer.
+                // Unscoped requests resolve to the default listing;
+                // retiring it would orphan every one of them.
                 return Err(nimbus_market::MarketError::InvalidConfig {
                     reason: format!(
                         "listing {listing:?} is the server's default listing and cannot be retired"

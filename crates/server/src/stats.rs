@@ -39,11 +39,11 @@ pub enum Op {
     Publish = 6,
     /// `RETIRE`.
     Retire = 7,
-    /// `BATCH_COMMIT` (v4).
+    /// `BATCH_COMMIT`.
     BatchCommit = 8,
-    /// `MENU_STREAM` (v4).
+    /// `MENU_STREAM`.
     MenuStream = 9,
-    /// `ACCOUNT` (v5).
+    /// `ACCOUNT`.
     Account = 10,
 }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! frame   := u32_be payload_len | payload           (len ≤ MAX_FRAME_LEN)
-//! payload := 'N' 'B' version:u8 opcode:u8 [corr:u64 if version ≥ 4] body
+//! payload := 'N' 'B' version:u8 opcode:u8 corr:u64 body
 //! ```
 //!
 //! Every integer is big-endian; an `f64` travels as its IEEE-754 bit
@@ -18,17 +18,17 @@
 //!
 //! | opcode | request | response |
 //! |---|---|---|
-//! | `0x01` / `0x81` | `MENU` (listing-scoped, v3) | posted `(inverse NCP, price)` table + epoch |
+//! | `0x01` / `0x81` | `MENU` (listing-scoped) | posted `(inverse NCP, price)` table + epoch |
 //! | `0x02` / `0x82` | `QUOTE` (listing + one of the three §3.2 purchase options) | priced [`QuoteMsg`] pinned to a snapshot epoch |
 //! | `0x03` / `0x83` | `COMMIT` (listing, quoted x, epoch, payment, optional idempotency nonce) | [`SaleMsg`] **including the noisy weight vector** |
-//! | `0x04` / `0x84` | `INFO` (listing-scoped, v3) | listing metadata + ledger accounting |
+//! | `0x04` / `0x84` | `INFO` (listing-scoped) | listing metadata + ledger accounting |
 //! | `0x05` / `0x85` | `STATS` | per-op request/error counters + latency + per-listing accounting |
 //! | `0x06` / `0x86` | `LISTINGS` | the marketplace's listing directory, states included |
-//! | `0x07` / `0x87` | `BATCH_COMMIT` (many sales, one frame, v4) | per-item status: [`SaleMsg`] or typed error |
-//! | `0x08` / `0x88` | `MENU_STREAM` (chunked menu read, v4) | a run of [`MenuChunkMsg`] frames sharing the request's correlation id; the last sets `done` |
+//! | `0x07` / `0x87` | `BATCH_COMMIT` (many sales, one frame) | per-item status: [`SaleMsg`] or typed error |
+//! | `0x08` / `0x88` | `MENU_STREAM` (chunked menu read) | a run of [`MenuChunkMsg`] frames sharing the request's correlation id; the last sets `done` |
 //! | `0x10` / `0x90` | `PUBLISH` (admin) | listing (re-)published: new epoch + expected revenue |
 //! | `0x11` / `0x91` | `RETIRE` (admin) | listing retired, name echoed |
-//! | `0x12` / `0x92` | `ACCOUNT` (buyer budget query, v5) | [`AccountMsg`]: spent precision + budget + remaining |
+//! | `0x12` / `0x92` | `ACCOUNT` (buyer budget query) | [`AccountMsg`]: spent precision + budget + remaining |
 //! | — / `0xBB` | — | `BUSY`: shed by admission control, with a `retry_after_ms` hint |
 //! | — / `0xEE` | — | typed error: [`ErrorCode`] + message |
 //!
@@ -41,39 +41,16 @@
 //! [`ErrorCode::QuoteExpired`] at commit time. Requests against a retired
 //! listing answer [`ErrorCode::Retired`].
 //!
-//! Versioning is explicit and checked on both sides: encoders always
-//! stamp [`VERSION`], decoders accept [`MIN_VERSION`]`..=`[`VERSION`] and
-//! default the fields a version predates. Version 2 added three fields —
-//! the `COMMIT` idempotency nonce (v1 decodes to `None`), the `BUSY`
-//! `retry_after_ms` hint (v1 decodes to `0`) and the `STATS` queue-depth
-//! gauge (v1 decodes to `0`). Version 3 made the protocol
-//! marketplace-routed: `MENU`/`QUOTE`/`COMMIT`/`INFO` carry a listing
-//! name (empty = the server's configured default listing, which is also
-//! what every v1/v2 request resolves to), `QUOTE` responses echo the
-//! listing they priced, `STATS` carries per-listing accounting rows, and
-//! the `LISTINGS`/`PUBLISH`/`RETIRE` opcodes were added. Version 4 makes
-//! the protocol pipelined: every v4 payload carries a `u64` correlation
-//! id right after the opcode, a client may have many requests in flight
-//! on one connection, and responses echo the request's correlation id
-//! and may return **out of order**. v4 also adds `BATCH_COMMIT` (one
-//! frame, many sales, per-item status) and `MENU_STREAM` (a large menu
-//! streamed as chunk frames that all share the request's correlation
-//! id). Interop is strict in both directions: requests at v1–v3 carry no
-//! correlation id and are answered one-at-a-time in order with
-//! v3-stamped responses, byte-for-byte what a v3 build would have
-//! produced; the v4 opcodes simply do not exist below v4. Version 5 adds
-//! buyer identity and budget accounting: `COMMIT` and each
-//! `BATCH_COMMIT` item carry an optional `buyer: u64` (v4 and older
-//! decode to `None` = anonymous), the `ACCOUNT` opcode queries a buyer's
-//! cumulative spend against a listing's noise budget, `STATS` listing
-//! rows gain budget-reject and exhausted-buyer counters, and
-//! over-budget commits answer [`ErrorCode::BudgetExhausted`] with a
-//! machine-readable remaining-budget hint. Responses to v4 peers are
-//! stamped [`V4_VERSION`] and omit every v5 field, exactly as a v4
-//! build would have encoded them. Anything outside the version window
-//! decodes to [`ServerError::UnsupportedVersion`], which the server
-//! answers with a typed error frame stamped at the highest version the
-//! peer and server share.
+//! Versioning is explicit and checked on both sides: encoders stamp
+//! [`VERSION`] and decoders accept exactly [`VERSION`]. Every payload
+//! carries a `u64` correlation id right after the opcode, so a client may
+//! keep many requests in flight on one connection and responses (which
+//! echo the id) may return **out of order**. `COMMIT` and each
+//! `BATCH_COMMIT` item carry an optional idempotency nonce and an optional
+//! `buyer: u64` charged against the listing's noise budget; an empty
+//! listing name means the server's default listing. A payload at any
+//! other version decodes to [`ServerError::UnsupportedVersion`], which the
+//! server answers with a typed error frame before closing the connection.
 
 use crate::error::ServerError;
 use crate::Result;
@@ -82,16 +59,8 @@ use std::io::{Read, Write};
 
 /// Leading magic bytes of every payload.
 pub const MAGIC: [u8; 2] = *b"NB";
-/// Protocol version this build encodes.
+/// The protocol version: the only one this build encodes or decodes.
 pub const VERSION: u8 = 5;
-/// Oldest protocol version this build still decodes.
-pub const MIN_VERSION: u8 = 1;
-/// Highest pre-pipelining version: responses to peers at or below this
-/// version are stamped `V3_VERSION` and carry no correlation id.
-pub const V3_VERSION: u8 = 3;
-/// Highest pre-accounting version: responses to v4 peers are stamped
-/// `V4_VERSION` and omit every buyer/budget field.
-pub const V4_VERSION: u8 = 4;
 /// Cap on the number of items in one `BATCH_COMMIT` frame.
 pub const MAX_BATCH_ITEMS: usize = 256;
 /// Default (and maximum) points per `MENU_STREAM` chunk.
@@ -163,7 +132,7 @@ pub enum ErrorCode {
     /// The named listing has been retired; it no longer quotes or sells.
     Retired = 13,
     /// The buyer's cumulative noise budget cannot cover the commit; the
-    /// message carries a machine-readable remaining-budget hint (v5).
+    /// message carries a machine-readable remaining-budget hint.
     BudgetExhausted = 14,
 }
 
@@ -214,9 +183,8 @@ impl ErrorCode {
 /// A client→server message.
 ///
 /// Every listing-scoped request carries `listing: Option<String>`:
-/// `None` (and every v1/v2 request, which predates the field) resolves to
-/// the server's configured default listing, `Some(name)` routes to that
-/// listing by name.
+/// `None` (an empty name on the wire) resolves to the server's configured
+/// default listing, `Some(name)` routes to that listing by name.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Fetch the posted menu of a listing.
@@ -241,19 +209,18 @@ pub enum Request {
         snapshot_epoch: u64,
         /// Payment offered.
         payment: f64,
-        /// Idempotency nonce (v2): with `Some`, the server dedups the key
+        /// Idempotency nonce: with `Some`, the server dedups the key
         /// `(snapshot_epoch, nonce)`, so a retried commit after a lost ACK
         /// replays the original sale instead of charging twice. `None`
-        /// (and every v1 commit) is a plain non-idempotent commit.
+        /// is a plain non-idempotent commit.
         nonce: Option<u64>,
-        /// Buyer identity (v5): with `Some`, the sale is charged against
+        /// Buyer identity: with `Some`, the sale is charged against
         /// the buyer's cumulative noise-budget account and rejected with
         /// [`ErrorCode::BudgetExhausted`] when it cannot cover the
-        /// commit. `None` (and every v4-or-older commit) is anonymous
-        /// and bypasses budget accounting.
+        /// commit. `None` is anonymous and bypasses budget accounting.
         buyer: Option<u64>,
     },
-    /// Redeem many quotes in one frame (v4). Items resolve independently:
+    /// Redeem many quotes in one frame. Items resolve independently:
     /// one stale epoch does not poison its neighbours, and the response
     /// reports a per-item [`SaleMsg`]-or-error in request order.
     BatchCommit {
@@ -262,7 +229,7 @@ pub enum Request {
         /// The commits, at most [`MAX_BATCH_ITEMS`].
         items: Vec<BatchItemMsg>,
     },
-    /// Fetch a listing's posted menu as a stream of chunk frames (v4).
+    /// Fetch a listing's posted menu as a stream of chunk frames.
     /// Every chunk shares the request's correlation id; the last chunk
     /// sets [`MenuChunkMsg::done`].
     MenuStream {
@@ -277,24 +244,24 @@ pub enum Request {
         /// Listing to describe; `None` = the server's default listing.
         listing: Option<String>,
     },
-    /// Query a buyer's noise-budget account against a listing (v5).
+    /// Query a buyer's noise-budget account against a listing.
     Account {
         /// Listing to query; `None` = the server's default listing.
         listing: Option<String>,
         /// Buyer identity to look up.
         buyer: u64,
     },
-    /// Enumerate the marketplace's listing directory (v3).
+    /// Enumerate the marketplace's listing directory.
     Listings,
     /// Fetch the server's per-op serving statistics.
     Stats,
     /// Admin: publish (or re-publish) a listing. Re-publishing posts a
-    /// new snapshot epoch, invalidating every outstanding quote (v3).
+    /// new snapshot epoch, invalidating every outstanding quote.
     Publish {
         /// Listing to publish.
         listing: String,
     },
-    /// Admin: retire a listing permanently (v3).
+    /// Admin: retire a listing permanently.
     Retire {
         /// Listing to retire.
         listing: String,
@@ -331,7 +298,7 @@ pub struct MenuMsg {
     pub points: Vec<(f64, f64)>,
 }
 
-/// One commit inside a `BATCH_COMMIT` request (v4) — the same fields a
+/// One commit inside a `BATCH_COMMIT` request — the same fields a
 /// standalone `COMMIT` carries, minus the listing (the batch routes as a
 /// whole).
 #[derive(Debug, Clone, PartialEq)]
@@ -344,12 +311,12 @@ pub struct BatchItemMsg {
     pub payment: f64,
     /// Idempotency nonce; same dedup semantics as a standalone `COMMIT`.
     pub nonce: Option<u64>,
-    /// Buyer identity (v5); same budget semantics as a standalone
+    /// Buyer identity; same budget semantics as a standalone
     /// `COMMIT`. `None` = anonymous.
     pub buyer: Option<u64>,
 }
 
-/// One item's resolution inside a `BATCH_COMMIT` response (v4).
+/// One item's resolution inside a `BATCH_COMMIT` response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcomeMsg {
     /// The item committed; the completed sale, weights included.
@@ -371,7 +338,7 @@ pub struct BatchCommitMsg {
     pub items: Vec<BatchOutcomeMsg>,
 }
 
-/// One `MENU_STREAM` chunk (v4). All chunks of one stream share the
+/// One `MENU_STREAM` chunk. All chunks of one stream share the
 /// request's correlation id and a single snapshot epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MenuChunkMsg {
@@ -404,8 +371,8 @@ pub struct QuoteMsg {
     pub metric: String,
     /// Epoch the quote is pinned to; `COMMIT` must echo it.
     pub snapshot_epoch: u64,
-    /// Listing the quote was priced at (v3; empty when decoded from an
-    /// older peer). `COMMIT` should route back to the same listing.
+    /// Listing the quote was priced at. `COMMIT` should route back to the
+    /// same listing.
     pub listing: String,
 }
 
@@ -429,14 +396,14 @@ pub struct ListingMsg {
 /// `LISTINGS` response body — the marketplace's listing directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ListingsMsg {
-    /// The server's configured default listing (what v1/v2 peers and
-    /// unscoped requests resolve to).
+    /// The server's configured default listing (what unscoped requests
+    /// resolve to).
     pub default_listing: String,
     /// Every listing, in name order, states included.
     pub listings: Vec<ListingMsg>,
 }
 
-/// One listing's accounting row in a `STATS` response (v3).
+/// One listing's accounting row in a `STATS` response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ListingStatsMsg {
     /// Listing name.
@@ -449,15 +416,13 @@ pub struct ListingStatsMsg {
     pub sales: u64,
     /// Revenue collected so far.
     pub revenue: f64,
-    /// Commits rejected for budget exhaustion (v5; older peers decode
-    /// to 0).
+    /// Commits rejected for budget exhaustion.
     pub budget_rejects: u64,
-    /// Buyers whose remaining noise budget is zero (v5; older peers
-    /// decode to 0).
+    /// Buyers whose remaining noise budget is zero.
     pub exhausted_buyers: u64,
 }
 
-/// `ACCOUNT` response body (v5) — one buyer's noise-budget account
+/// `ACCOUNT` response body — one buyer's noise-budget account
 /// against one listing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccountMsg {
@@ -538,12 +503,12 @@ pub struct StatsMsg {
     /// Frames that failed to decode.
     pub protocol_errors: u64,
     /// Connections currently parked in the admission queues, summed over
-    /// shards at snapshot time (v2; v1 decodes to 0).
+    /// shards at snapshot time.
     pub queue_depth: u64,
     /// Per-operation counters, in registry order.
     pub ops: Vec<OpStatsMsg>,
     /// Per-listing accounting rows from one consistent marketplace
-    /// snapshot (v3; older peers decode to empty).
+    /// snapshot.
     pub listings: Vec<ListingStatsMsg>,
 }
 
@@ -556,13 +521,13 @@ pub enum Response {
     Quote(QuoteMsg),
     /// Completed sale.
     Commit(SaleMsg),
-    /// Per-item outcomes of a `BATCH_COMMIT` (v4).
+    /// Per-item outcomes of a `BATCH_COMMIT`.
     BatchCommit(BatchCommitMsg),
-    /// One chunk of a streamed menu (v4).
+    /// One chunk of a streamed menu.
     MenuChunk(MenuChunkMsg),
     /// Listing metadata.
     Info(InfoMsg),
-    /// A buyer's noise-budget account (v5).
+    /// A buyer's noise-budget account.
     Account(AccountMsg),
     /// The marketplace's listing directory.
     Listings(ListingsMsg),
@@ -585,7 +550,7 @@ pub enum Response {
     /// Shed by admission control (or drained at shutdown).
     Busy {
         /// Server's hint for how long to back off before retrying, in
-        /// milliseconds (v2; v1 decodes to 0 = no hint).
+        /// milliseconds (0 = no hint).
         retry_after_ms: u32,
     },
     /// Typed failure.
@@ -606,17 +571,13 @@ struct Enc {
 }
 
 impl Enc {
-    /// Starts a payload at an explicit `version`. For v4 and above the
-    /// header carries the correlation id; below v4 `corr` is not encoded
-    /// (the payload is byte-for-byte what a v3 build produces).
-    fn at_version(version: u8, opcode: u8, corr: u64) -> Enc {
+    /// Starts a payload: magic, [`VERSION`], opcode, correlation id.
+    fn header(opcode: u8, corr: u64) -> Enc {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&MAGIC);
-        buf.push(version);
+        buf.push(VERSION);
         buf.push(opcode);
-        if version >= 4 {
-            buf.extend_from_slice(&corr.to_be_bytes());
-        }
+        buf.extend_from_slice(&corr.to_be_bytes());
         Enc { buf }
     }
 
@@ -742,41 +703,36 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Strips and validates the `magic | version | opcode [| corr]` header,
-/// returning the negotiated version, the opcode, the correlation id (0
-/// below v4) and the body decoder. Versions in
-/// [`MIN_VERSION`]`..=`[`VERSION`] are accepted; body decoders branch on
-/// the version to default fields the peer's version predates.
-fn open_payload(payload: &[u8]) -> Result<(u8, u8, u64, Dec<'_>)> {
+/// Strips and validates the `magic | version | opcode | corr` header,
+/// returning the opcode, the correlation id and the body decoder. Only
+/// [`VERSION`] is accepted.
+fn open_payload(payload: &[u8]) -> Result<(u8, u64, Dec<'_>)> {
     let mut dec = Dec { buf: payload };
     let magic = dec.take(2)?;
     if magic != MAGIC {
         return Err(Dec::bad(format!("bad magic bytes {magic:02x?}")));
     }
     let version = dec.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ServerError::UnsupportedVersion { got: version });
     }
     let opcode = dec.u8()?;
-    let corr = if version >= 4 { dec.u64()? } else { 0 };
-    Ok((version, opcode, corr, dec))
+    let corr = dec.u64()?;
+    Ok((opcode, corr, dec))
 }
 
-/// Sniffs a payload's version and correlation id without decoding the
-/// body — what the event loop needs to route a frame to a worker before
-/// anything is validated. Returns `(version, corr)`; frames too short to
-/// carry the fields report `(0, 0)` and are left for the full decoder to
-/// reject with a typed error.
-pub fn sniff_header(payload: &[u8]) -> (u8, u64) {
-    let version = payload.get(2).copied().unwrap_or(0);
-    if version >= 4 {
-        if let Some(bytes) = payload.get(4..12) {
-            if let Ok(raw) = <[u8; 8]>::try_from(bytes) {
-                return (version, u64::from_be_bytes(raw));
-            }
-        }
+/// Sniffs a payload's correlation id without decoding the body — what the
+/// event loop needs to answer a frame before anything is validated.
+/// Frames at another version, or too short to carry the id, report 0 and
+/// are left for the full decoder to reject with a typed error.
+pub fn sniff_header(payload: &[u8]) -> u64 {
+    if payload.get(2) != Some(&VERSION) {
+        return 0;
     }
-    (version, 0)
+    payload
+        .get(4..12)
+        .and_then(|bytes| <[u8; 8]>::try_from(bytes).ok())
+        .map_or(0, u64::from_be_bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -851,22 +807,14 @@ fn enc_listing(e: &mut Enc, listing: &Option<String>) {
     }
 }
 
-/// Decodes the trailing v3 listing field; absent (older peer) or empty
-/// means "the server's default listing".
-fn dec_listing(d: &mut Dec<'_>, version: u8) -> Result<Option<String>> {
-    if version < 3 {
-        return Ok(None);
-    }
+/// Decodes a listing field; empty means "the server's default listing".
+fn dec_listing(d: &mut Dec<'_>) -> Result<Option<String>> {
     let name = d.str()?;
     Ok(if name.is_empty() { None } else { Some(name) })
 }
 
-/// Decodes the v5 optional buyer identity (flag byte + `u64`); peers
-/// below v5 predate the field and decode to `None` = anonymous.
-fn dec_buyer(d: &mut Dec<'_>, version: u8) -> Result<Option<u64>> {
-    if version < 5 {
-        return Ok(None);
-    }
+/// Decodes an optional buyer identity (flag byte + `u64`).
+fn dec_buyer(d: &mut Dec<'_>) -> Result<Option<u64>> {
     match d.u8()? {
         0 => Ok(None),
         1 => Ok(Some(d.u64()?)),
@@ -886,12 +834,12 @@ impl Request {
     pub fn encode_with_corr(&self, corr: u64) -> Vec<u8> {
         match self {
             Request::Menu { listing } => {
-                let mut e = Enc::at_version(VERSION, OP_MENU, corr);
+                let mut e = Enc::header(OP_MENU, corr);
                 enc_listing(&mut e, listing);
                 e.finish()
             }
             Request::Quote { listing, request } => {
-                let mut e = Enc::at_version(VERSION, OP_QUOTE, corr);
+                let mut e = Enc::header(OP_QUOTE, corr);
                 let (kind, v) = match request {
                     PurchaseRequest::AtInverseNcp(x) => (REQ_AT, *x),
                     PurchaseRequest::ErrorBudget(b) => (REQ_ERROR_BUDGET, *b),
@@ -910,7 +858,7 @@ impl Request {
                 nonce,
                 buyer,
             } => {
-                let mut e = Enc::at_version(VERSION, OP_COMMIT, corr);
+                let mut e = Enc::header(OP_COMMIT, corr);
                 e.f64(*x);
                 e.u64(*snapshot_epoch);
                 e.f64(*payment);
@@ -933,7 +881,7 @@ impl Request {
             }
             Request::BatchCommit { listing, items } => {
                 debug_assert!(items.len() <= MAX_BATCH_ITEMS);
-                let mut e = Enc::at_version(VERSION, OP_BATCH_COMMIT, corr);
+                let mut e = Enc::header(OP_BATCH_COMMIT, corr);
                 enc_listing(&mut e, listing);
                 let count = items.len().min(MAX_BATCH_ITEMS);
                 e.u16(count as u16);
@@ -959,31 +907,31 @@ impl Request {
                 e.finish()
             }
             Request::MenuStream { listing, chunk } => {
-                let mut e = Enc::at_version(VERSION, OP_MENU_STREAM, corr);
+                let mut e = Enc::header(OP_MENU_STREAM, corr);
                 enc_listing(&mut e, listing);
                 e.u32(*chunk);
                 e.finish()
             }
             Request::Info { listing } => {
-                let mut e = Enc::at_version(VERSION, OP_INFO, corr);
+                let mut e = Enc::header(OP_INFO, corr);
                 enc_listing(&mut e, listing);
                 e.finish()
             }
             Request::Account { listing, buyer } => {
-                let mut e = Enc::at_version(VERSION, OP_ACCOUNT, corr);
+                let mut e = Enc::header(OP_ACCOUNT, corr);
                 e.u64(*buyer);
                 enc_listing(&mut e, listing);
                 e.finish()
             }
-            Request::Listings => Enc::at_version(VERSION, OP_LISTINGS, corr).finish(),
-            Request::Stats => Enc::at_version(VERSION, OP_STATS, corr).finish(),
+            Request::Listings => Enc::header(OP_LISTINGS, corr).finish(),
+            Request::Stats => Enc::header(OP_STATS, corr).finish(),
             Request::Publish { listing } => {
-                let mut e = Enc::at_version(VERSION, OP_PUBLISH, corr);
+                let mut e = Enc::header(OP_PUBLISH, corr);
                 e.str(listing);
                 e.finish()
             }
             Request::Retire { listing } => {
-                let mut e = Enc::at_version(VERSION, OP_RETIRE, corr);
+                let mut e = Enc::header(OP_RETIRE, corr);
                 e.str(listing);
                 e.finish()
             }
@@ -995,13 +943,12 @@ impl Request {
         Ok(Request::decode_framed(payload)?.1)
     }
 
-    /// Decodes a payload into `(correlation id, request)`; the id is 0
-    /// for peers below v4.
+    /// Decodes a payload into `(correlation id, request)`.
     pub fn decode_framed(payload: &[u8]) -> Result<(u64, Request)> {
-        let (version, opcode, corr, mut d) = open_payload(payload)?;
+        let (opcode, corr, mut d) = open_payload(payload)?;
         let req = match opcode {
             OP_MENU => Request::Menu {
-                listing: dec_listing(&mut d, version)?,
+                listing: dec_listing(&mut d)?,
             },
             OP_QUOTE => {
                 let kind = d.u8()?;
@@ -1015,7 +962,7 @@ impl Request {
                     }
                 };
                 Request::Quote {
-                    listing: dec_listing(&mut d, version)?,
+                    listing: dec_listing(&mut d)?,
                     request,
                 }
             }
@@ -1023,28 +970,24 @@ impl Request {
                 let x = d.f64()?;
                 let snapshot_epoch = d.u64()?;
                 let payment = d.f64()?;
-                let nonce = if version >= 2 {
-                    match d.u8()? {
-                        0 => None,
-                        1 => Some(d.u64()?),
-                        other => {
-                            return Err(Dec::bad(format!("bad commit nonce flag {other}")));
-                        }
+                let nonce = match d.u8()? {
+                    0 => None,
+                    1 => Some(d.u64()?),
+                    other => {
+                        return Err(Dec::bad(format!("bad commit nonce flag {other}")));
                     }
-                } else {
-                    None
                 };
                 Request::Commit {
-                    listing: dec_listing(&mut d, version)?,
+                    listing: dec_listing(&mut d)?,
                     x,
                     snapshot_epoch,
                     payment,
                     nonce,
-                    buyer: dec_buyer(&mut d, version)?,
+                    buyer: dec_buyer(&mut d)?,
                 }
             }
-            OP_BATCH_COMMIT if version >= 4 => {
-                let listing = dec_listing(&mut d, version)?;
+            OP_BATCH_COMMIT => {
+                let listing = dec_listing(&mut d)?;
                 let count = d.u16()? as usize;
                 if count > MAX_BATCH_ITEMS {
                     return Err(Dec::bad(format!(
@@ -1068,23 +1011,23 @@ impl Request {
                             snapshot_epoch,
                             payment,
                             nonce,
-                            buyer: dec_buyer(&mut d, version)?,
+                            buyer: dec_buyer(&mut d)?,
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
                 Request::BatchCommit { listing, items }
             }
-            OP_MENU_STREAM if version >= 4 => Request::MenuStream {
-                listing: dec_listing(&mut d, version)?,
+            OP_MENU_STREAM => Request::MenuStream {
+                listing: dec_listing(&mut d)?,
                 chunk: d.u32()?,
             },
             OP_INFO => Request::Info {
-                listing: dec_listing(&mut d, version)?,
+                listing: dec_listing(&mut d)?,
             },
-            OP_ACCOUNT if version >= 5 => {
+            OP_ACCOUNT => {
                 let buyer = d.u64()?;
                 Request::Account {
-                    listing: dec_listing(&mut d, version)?,
+                    listing: dec_listing(&mut d)?,
                     buyer,
                 }
             }
@@ -1109,25 +1052,19 @@ impl Response {
     /// Encodes into a complete payload (header + body) at [`VERSION`]
     /// with correlation id 0.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(VERSION, 0)
+        self.encode_with_corr(0)
     }
 
-    /// Encodes for a peer that spoke `peer_version`, echoing `corr`.
-    ///
-    /// v5+ peers get a [`VERSION`]-stamped payload; v4 peers get a
-    /// [`V4_VERSION`]-stamped payload with no v5 fields; everyone older
-    /// gets a [`V3_VERSION`]-stamped payload with no correlation id —
-    /// in each case byte-for-byte what a build of that version would
-    /// have sent, which is the interop contract.
-    pub fn encode_versioned(&self, peer_version: u8, corr: u64) -> Vec<u8> {
-        let version = if peer_version >= 5 {
-            VERSION
-        } else if peer_version >= 4 {
-            V4_VERSION
-        } else {
-            V3_VERSION
-        };
-        let enc = |opcode: u8| Enc::at_version(version, opcode, corr);
+    /// Encodes at [`VERSION`] echoing `corr`. Every peer speaks
+    /// [`VERSION`], so `version` only keeps existing callers compiling;
+    /// the payload is always [`Response::encode_with_corr`]'s.
+    pub fn encode_versioned(&self, _version: u8, corr: u64) -> Vec<u8> {
+        self.encode_with_corr(corr)
+    }
+
+    /// Encodes at [`VERSION`] echoing the request's correlation id.
+    pub fn encode_with_corr(&self, corr: u64) -> Vec<u8> {
+        let enc = |opcode: u8| Enc::header(opcode, corr);
         match self {
             Response::Menu(m) => {
                 let mut e = enc(OP_R_MENU);
@@ -1262,10 +1199,8 @@ impl Response {
                     e.u64(row.epoch);
                     e.u64(row.sales);
                     e.f64(row.revenue);
-                    if version >= 5 {
-                        e.u64(row.budget_rejects);
-                        e.u64(row.exhausted_buyers);
-                    }
+                    e.u64(row.budget_rejects);
+                    e.u64(row.exhausted_buyers);
                 }
                 e.finish()
             }
@@ -1304,10 +1239,9 @@ impl Response {
         Ok(Response::decode_framed(payload)?.1)
     }
 
-    /// Decodes a payload into `(correlation id, response)`; the id is 0
-    /// for responses below v4.
+    /// Decodes a payload into `(correlation id, response)`.
     pub fn decode_framed(payload: &[u8]) -> Result<(u64, Response)> {
-        let (version, opcode, corr, mut d) = open_payload(payload)?;
+        let (opcode, corr, mut d) = open_payload(payload)?;
         let resp = match opcode {
             OP_R_MENU => {
                 let epoch = d.u64()?;
@@ -1332,11 +1266,7 @@ impl Response {
                 expected_error: d.f64()?,
                 metric: d.str()?,
                 snapshot_epoch: d.u64()?,
-                listing: if version >= 3 {
-                    d.str()?
-                } else {
-                    String::new()
-                },
+                listing: d.str()?,
             }),
             OP_R_COMMIT => Response::Commit(SaleMsg {
                 inverse_ncp: d.f64()?,
@@ -1346,7 +1276,7 @@ impl Response {
                 transaction: d.u64()?,
                 weights: d.f64s()?,
             }),
-            OP_R_BATCH_COMMIT if version >= 4 => {
+            OP_R_BATCH_COMMIT => {
                 let count = d.u16()? as usize;
                 if count > MAX_BATCH_ITEMS {
                     return Err(Dec::bad(format!(
@@ -1382,7 +1312,7 @@ impl Response {
                     .collect::<Result<Vec<_>>>()?;
                 Response::BatchCommit(BatchCommitMsg { items })
             }
-            OP_R_MENU_CHUNK if version >= 4 => {
+            OP_R_MENU_CHUNK => {
                 let epoch = d.u64()?;
                 let metric = d.str()?;
                 let offset = d.u64()?;
@@ -1404,7 +1334,7 @@ impl Response {
                     done,
                 })
             }
-            OP_R_ACCOUNT if version >= 5 => {
+            OP_R_ACCOUNT => {
                 let listing = d.str()?;
                 let buyer = d.u64()?;
                 let spent = d.f64()?;
@@ -1460,7 +1390,7 @@ impl Response {
                 let connections = d.u64()?;
                 let busy_rejections = d.u64()?;
                 let protocol_errors = d.u64()?;
-                let queue_depth = if version >= 2 { d.u64()? } else { 0 };
+                let queue_depth = d.u64()?;
                 let n = d.u16()? as usize;
                 let ops = (0..n)
                     .map(|_| {
@@ -1473,24 +1403,20 @@ impl Response {
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
-                let listings = if version >= 3 {
-                    let n = d.u16()? as usize;
-                    (0..n)
-                        .map(|_| {
-                            Ok(ListingStatsMsg {
-                                listing: d.str()?,
-                                state: d.str()?,
-                                epoch: d.u64()?,
-                                sales: d.u64()?,
-                                revenue: d.f64()?,
-                                budget_rejects: if version >= 5 { d.u64()? } else { 0 },
-                                exhausted_buyers: if version >= 5 { d.u64()? } else { 0 },
-                            })
+                let n = d.u16()? as usize;
+                let listings = (0..n)
+                    .map(|_| {
+                        Ok(ListingStatsMsg {
+                            listing: d.str()?,
+                            state: d.str()?,
+                            epoch: d.u64()?,
+                            sales: d.u64()?,
+                            revenue: d.f64()?,
+                            budget_rejects: d.u64()?,
+                            exhausted_buyers: d.u64()?,
                         })
-                        .collect::<Result<Vec<_>>>()?
-                } else {
-                    Vec::new()
-                };
+                    })
+                    .collect::<Result<Vec<_>>>()?;
                 Response::Stats(StatsMsg {
                     connections,
                     busy_rejections,
@@ -1507,7 +1433,7 @@ impl Response {
             },
             OP_R_RETIRE => Response::Retire { listing: d.str()? },
             OP_R_BUSY => Response::Busy {
-                retry_after_ms: if version >= 2 { d.u32()? } else { 0 },
+                retry_after_ms: d.u32()?,
             },
             OP_R_ERROR => {
                 let raw = d.u16()?;
@@ -1873,133 +1799,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_peers_still_decode() {
-        // A v1 COMMIT has no nonce flag byte: magic, version 1, opcode,
-        // then exactly x | epoch | payment.
-        let mut payload = vec![b'N', b'B', 1, 0x03];
-        payload.extend_from_slice(&42.5f64.to_bits().to_be_bytes());
-        payload.extend_from_slice(&9u64.to_be_bytes());
-        payload.extend_from_slice(&12.75f64.to_bits().to_be_bytes());
-        assert_eq!(
-            Request::decode(&payload).unwrap(),
-            Request::Commit {
-                listing: None,
-                x: 42.5,
-                snapshot_epoch: 9,
-                payment: 12.75,
-                nonce: None,
-                buyer: None,
-            }
-        );
-
-        // A v1 BUSY is a bare header; the retry hint defaults to zero.
-        let payload = vec![b'N', b'B', 1, 0xBB];
-        assert_eq!(
-            Response::decode(&payload).unwrap(),
-            Response::Busy { retry_after_ms: 0 }
-        );
-
-        // A v1 STATS body lacks the queue-depth gauge.
-        let mut payload = vec![b'N', b'B', 1, 0x85];
-        payload.extend_from_slice(&4u64.to_be_bytes()); // connections
-        payload.extend_from_slice(&2u64.to_be_bytes()); // busy_rejections
-        payload.extend_from_slice(&1u64.to_be_bytes()); // protocol_errors
-        payload.extend_from_slice(&0u16.to_be_bytes()); // no per-op rows
-        assert_eq!(
-            Response::decode(&payload).unwrap(),
-            Response::Stats(StatsMsg {
-                connections: 4,
-                busy_rejections: 2,
-                protocol_errors: 1,
-                queue_depth: 0,
-                ops: vec![],
-                listings: vec![],
-            })
-        );
-    }
-
-    #[test]
-    fn v2_peers_still_decode_against_the_default_listing() {
-        // A v2 MENU is a bare header: no listing field. It decodes to
-        // `listing: None`, which the server resolves to its default.
-        let payload = vec![b'N', b'B', 2, 0x01];
-        assert_eq!(
-            Request::decode(&payload).unwrap(),
-            Request::Menu { listing: None }
-        );
-
-        // A v2 QUOTE is kind + value, no listing.
-        let mut payload = vec![b'N', b'B', 2, 0x02, 1];
-        payload.extend_from_slice(&25.0f64.to_bits().to_be_bytes());
-        assert_eq!(
-            Request::decode(&payload).unwrap(),
-            Request::Quote {
-                listing: None,
-                request: PurchaseRequest::AtInverseNcp(25.0),
-            }
-        );
-
-        // A v2 COMMIT has the nonce flag but no listing field.
-        let mut payload = vec![b'N', b'B', 2, 0x03];
-        payload.extend_from_slice(&42.5f64.to_bits().to_be_bytes());
-        payload.extend_from_slice(&9u64.to_be_bytes());
-        payload.extend_from_slice(&12.75f64.to_bits().to_be_bytes());
-        payload.push(1);
-        payload.extend_from_slice(&7u64.to_be_bytes());
-        assert_eq!(
-            Request::decode(&payload).unwrap(),
-            Request::Commit {
-                listing: None,
-                x: 42.5,
-                snapshot_epoch: 9,
-                payment: 12.75,
-                nonce: Some(7),
-                buyer: None,
-            }
-        );
-
-        // A v2 R_QUOTE lacks the echoed listing; it decodes to empty.
-        let mut payload = vec![b'N', b'B', 2, 0x82];
-        for v in [20.0f64, 0.05, 14.5, 0.05] {
-            payload.extend_from_slice(&v.to_bits().to_be_bytes());
-        }
-        payload.extend_from_slice(&(6u16).to_be_bytes());
-        payload.extend_from_slice(b"square");
-        payload.extend_from_slice(&3u64.to_be_bytes());
-        assert_eq!(
-            Response::decode(&payload).unwrap(),
-            Response::Quote(QuoteMsg {
-                x: 20.0,
-                delta: 0.05,
-                price: 14.5,
-                expected_error: 0.05,
-                metric: "square".into(),
-                snapshot_epoch: 3,
-                listing: String::new(),
-            })
-        );
-
-        // A v2 STATS body has the queue-depth gauge but no per-listing rows.
-        let mut payload = vec![b'N', b'B', 2, 0x85];
-        payload.extend_from_slice(&4u64.to_be_bytes()); // connections
-        payload.extend_from_slice(&2u64.to_be_bytes()); // busy_rejections
-        payload.extend_from_slice(&1u64.to_be_bytes()); // protocol_errors
-        payload.extend_from_slice(&6u64.to_be_bytes()); // queue_depth
-        payload.extend_from_slice(&0u16.to_be_bytes()); // no per-op rows
-        assert_eq!(
-            Response::decode(&payload).unwrap(),
-            Response::Stats(StatsMsg {
-                connections: 4,
-                busy_rejections: 2,
-                protocol_errors: 1,
-                queue_depth: 6,
-                ops: vec![],
-                listings: vec![],
-            })
-        );
-    }
-
-    #[test]
     fn correlation_ids_round_trip_at_v4() {
         let req = Request::Quote {
             listing: Some("acme-data".into()),
@@ -2007,7 +1806,7 @@ mod tests {
         };
         let payload = req.encode_with_corr(0xFEED_F00D_1234_5678);
         assert_eq!(payload[2], VERSION);
-        assert_eq!(sniff_header(&payload), (VERSION, 0xFEED_F00D_1234_5678));
+        assert_eq!(sniff_header(&payload), 0xFEED_F00D_1234_5678);
         let (corr, decoded) = Request::decode_framed(&payload).unwrap();
         assert_eq!(corr, 0xFEED_F00D_1234_5678);
         assert_eq!(decoded, req);
@@ -2017,39 +1816,6 @@ mod tests {
         let (corr, decoded) = Response::decode_framed(&payload).unwrap();
         assert_eq!(corr, 77);
         assert_eq!(decoded, resp);
-    }
-
-    #[test]
-    fn v3_peers_get_byte_identical_v3_responses() {
-        // The interop contract: a response encoded for any pre-v4 peer is
-        // exactly the v3 encoding — version byte 3, no correlation id.
-        let resp = Response::Quote(QuoteMsg {
-            x: 20.0,
-            delta: 0.05,
-            price: 14.5,
-            expected_error: 0.05,
-            metric: "square".into(),
-            snapshot_epoch: 3,
-            listing: "acme-data".into(),
-        });
-        for peer in 1..=3u8 {
-            let payload = resp.encode_versioned(peer, 123);
-            assert_eq!(payload[2], V3_VERSION);
-            // Hand-build the v3 frame a v3 server produced.
-            let mut expect = vec![b'N', b'B', 3, 0x82];
-            for v in [20.0f64, 0.05, 14.5, 0.05] {
-                expect.extend_from_slice(&v.to_bits().to_be_bytes());
-            }
-            expect.extend_from_slice(&(6u16).to_be_bytes());
-            expect.extend_from_slice(b"square");
-            expect.extend_from_slice(&3u64.to_be_bytes());
-            expect.extend_from_slice(&(9u16).to_be_bytes());
-            expect.extend_from_slice(b"acme-data");
-            assert_eq!(payload, expect);
-            let (corr, decoded) = Response::decode_framed(&payload).unwrap();
-            assert_eq!(corr, 0); // pre-v4 frames carry no correlation id
-            assert_eq!(decoded, resp);
-        }
     }
 
     #[test]
@@ -2111,14 +1877,13 @@ mod tests {
             Err(ServerError::Protocol { .. })
         ));
 
-        // The opcode does not exist below v4: a v3-stamped BATCH_COMMIT
-        // frame is an unknown opcode, exactly as a real v3 peer sees it.
+        // A pre-v4 BATCH_COMMIT frame is refused by its version byte.
         let mut v3 = vec![b'N', b'B', 3, 0x07];
         v3.extend_from_slice(&0u16.to_be_bytes()); // listing ""
         v3.extend_from_slice(&0u16.to_be_bytes()); // zero items
         assert!(matches!(
             Request::decode(&v3),
-            Err(ServerError::Protocol { .. })
+            Err(ServerError::UnsupportedVersion { got: 3 })
         ));
     }
 
@@ -2144,13 +1909,38 @@ mod tests {
 
     #[test]
     fn sniff_header_tolerates_short_and_old_frames() {
-        assert_eq!(sniff_header(&[]), (0, 0));
-        assert_eq!(sniff_header(b"NB"), (0, 0));
-        // v3 frames have no correlation id to sniff.
-        assert_eq!(sniff_header(&[b'N', b'B', 3, 0x01]), (3, 0));
-        // A v4 header too short for the id reports id 0 and leaves the
+        assert_eq!(sniff_header(&[]), 0);
+        assert_eq!(sniff_header(b"NB"), 0);
+        // Frames at another version report id 0, whatever their bytes.
+        assert_eq!(
+            sniff_header(&[b'N', b'B', 3, 0x01, 0, 0, 0, 0, 0, 0, 0, 9]),
+            0
+        );
+        // A header too short for the id reports id 0 and leaves the
         // rejection to the full decoder.
-        assert_eq!(sniff_header(&[b'N', b'B', 4, 0x01, 1, 2]), (4, 0));
+        assert_eq!(sniff_header(&[b'N', b'B', VERSION, 0x01, 1, 2]), 0);
+    }
+
+    #[test]
+    fn only_the_current_version_decodes() {
+        let request = Request::Menu { listing: None }.encode_with_corr(7);
+        let response = Response::Busy { retry_after_ms: 3 }.encode_with_corr(7);
+        for version in (0..VERSION).chain([VERSION + 1]) {
+            for payload in [&request, &response] {
+                let mut payload = payload.clone();
+                payload[2] = version;
+                assert!(matches!(
+                    Request::decode(&payload),
+                    Err(ServerError::UnsupportedVersion { got }) if got == version
+                ));
+                assert!(matches!(
+                    Response::decode(&payload),
+                    Err(ServerError::UnsupportedVersion { got }) if got == version
+                ));
+            }
+        }
+        assert!(Request::decode(&request).is_ok());
+        assert!(Response::decode(&response).is_ok());
     }
 
     #[test]
@@ -2165,84 +1955,5 @@ mod tests {
         }
         assert!(ErrorCode::from_u16(0).is_none());
         assert!(ErrorCode::from_u16(999).is_none());
-    }
-
-    #[test]
-    fn v4_peers_get_byte_identical_v4_responses() {
-        // The interop contract: a response encoded for a v4 peer is the
-        // v4 encoding — version byte 4, correlation id, no v5 fields.
-        let resp = Response::Stats(StatsMsg {
-            connections: 4,
-            busy_rejections: 2,
-            protocol_errors: 1,
-            queue_depth: 6,
-            ops: vec![],
-            listings: vec![ListingStatsMsg {
-                listing: "acme-data".into(),
-                state: "published".into(),
-                epoch: 2,
-                sales: 12,
-                revenue: 340.0,
-                budget_rejects: 9,
-                exhausted_buyers: 3,
-            }],
-        });
-        let payload = resp.encode_versioned(4, 55);
-        assert_eq!(payload[2], V4_VERSION);
-        // Hand-build the frame a v4 server produced.
-        let mut expect = vec![b'N', b'B', 4, 0x85];
-        expect.extend_from_slice(&55u64.to_be_bytes()); // corr
-        expect.extend_from_slice(&4u64.to_be_bytes()); // connections
-        expect.extend_from_slice(&2u64.to_be_bytes()); // busy_rejections
-        expect.extend_from_slice(&1u64.to_be_bytes()); // protocol_errors
-        expect.extend_from_slice(&6u64.to_be_bytes()); // queue_depth
-        expect.extend_from_slice(&0u16.to_be_bytes()); // no per-op rows
-        expect.extend_from_slice(&1u16.to_be_bytes()); // one listing row
-        expect.extend_from_slice(&(9u16).to_be_bytes());
-        expect.extend_from_slice(b"acme-data");
-        expect.extend_from_slice(&(9u16).to_be_bytes());
-        expect.extend_from_slice(b"published");
-        expect.extend_from_slice(&2u64.to_be_bytes()); // epoch
-        expect.extend_from_slice(&12u64.to_be_bytes()); // sales
-        expect.extend_from_slice(&340.0f64.to_bits().to_be_bytes());
-        assert_eq!(payload, expect);
-        // A v5 decoder defaults the budget counters it cannot see.
-        match Response::decode(&payload).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(s.listings[0].budget_rejects, 0);
-                assert_eq!(s.listings[0].exhausted_buyers, 0);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-
-        // A v4 COMMIT has no buyer field and decodes to anonymous.
-        let mut v4 = vec![b'N', b'B', 4, 0x03];
-        v4.extend_from_slice(&0u64.to_be_bytes()); // corr
-        v4.extend_from_slice(&42.5f64.to_bits().to_be_bytes());
-        v4.extend_from_slice(&9u64.to_be_bytes());
-        v4.extend_from_slice(&12.75f64.to_bits().to_be_bytes());
-        v4.push(0); // no nonce
-        v4.extend_from_slice(&0u16.to_be_bytes()); // listing ""
-        assert_eq!(
-            Request::decode(&v4).unwrap(),
-            Request::Commit {
-                listing: None,
-                x: 42.5,
-                snapshot_epoch: 9,
-                payment: 12.75,
-                nonce: None,
-                buyer: None,
-            }
-        );
-
-        // The ACCOUNT opcode does not exist below v5.
-        let mut v4 = vec![b'N', b'B', 4, 0x12];
-        v4.extend_from_slice(&0u64.to_be_bytes()); // corr
-        v4.extend_from_slice(&7u64.to_be_bytes()); // buyer
-        v4.extend_from_slice(&0u16.to_be_bytes()); // listing ""
-        assert!(matches!(
-            Request::decode(&v4),
-            Err(ServerError::Protocol { .. })
-        ));
     }
 }

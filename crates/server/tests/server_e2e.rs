@@ -10,9 +10,8 @@
 //! serving layer adds no money and loses none. On top of that: admission
 //! floods resolve as typed `BUSY` frames (never hangs), stale quotes fail
 //! with the epoch error, listing routing fails typed (unknown, retired),
-//! malformed frames get typed protocol errors, v2 peers interoperate on
-//! the default listing, and graceful shutdown never truncates an
-//! in-flight response.
+//! malformed frames and other protocol versions get typed protocol errors,
+//! and graceful shutdown never truncates an in-flight response.
 
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
@@ -484,7 +483,7 @@ fn stats_text_export_has_gauges() {
 /// name is rejected without disturbing the live listing, a hot re-publish
 /// voids outstanding quotes via the epoch protocol, retirement sheds with
 /// the dedicated `Retired` code and is terminal, and the server refuses to
-/// retire its own default listing out from under v1/v2 peers.
+/// retire its own default listing out from under unscoped requests.
 #[test]
 fn listing_routing_and_lifecycle_error_paths() {
     let (marketplace, _broker) = build_marketplace(67);
@@ -650,58 +649,6 @@ fn multi_listing_buyers_route_and_reconcile_independently() {
     server.shutdown();
 }
 
-/// Tentpole: a version-2 peer (no listing fields anywhere) still completes
-/// a full menu -> quote -> commit session; the server resolves every
-/// unscoped request to its default listing.
-#[test]
-fn v2_peers_interoperate_on_the_default_listing() {
-    let (marketplace, broker) = build_marketplace(83);
-    let server = start_server(marketplace, ServerConfig::default());
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut rpc = |payload: &[u8]| -> Response {
-        wire::write_frame(&mut stream, payload).unwrap();
-        Response::decode(&wire::read_frame(&mut stream).unwrap()).unwrap()
-    };
-
-    // v2 MENU is a bare header; it reads the default listing's menu.
-    let menu = match rpc(&[b'N', b'B', 2, 0x01]) {
-        Response::Menu(m) => m,
-        other => panic!("expected menu, got {other:?}"),
-    };
-    assert!(!menu.points.is_empty());
-
-    // v2 QUOTE: request kind + value, no listing field.
-    let mut payload = vec![b'N', b'B', 2, 0x02, 1];
-    payload.extend_from_slice(&10.0f64.to_bits().to_be_bytes());
-    let quote = match rpc(&payload) {
-        Response::Quote(q) => q,
-        other => panic!("expected quote, got {other:?}"),
-    };
-    assert_eq!(quote.snapshot_epoch, menu.epoch);
-    // The v3 response names the listing the unscoped quote landed on.
-    assert_eq!(quote.listing, "e2e-listing");
-
-    // v2 COMMIT: x, epoch, payment, nonce flag — still no listing.
-    let mut payload = vec![b'N', b'B', 2, 0x03];
-    payload.extend_from_slice(&quote.x.to_bits().to_be_bytes());
-    payload.extend_from_slice(&quote.snapshot_epoch.to_be_bytes());
-    payload.extend_from_slice(&quote.price.to_bits().to_be_bytes());
-    payload.push(0);
-    let sale = match rpc(&payload) {
-        Response::Commit(s) => s,
-        other => panic!("expected sale, got {other:?}"),
-    };
-    assert!((sale.price - quote.price).abs() < 1e-9);
-
-    // The money landed in the default listing's ledger.
-    assert_eq!(broker.sales_count(), 1);
-    assert!((broker.collected_revenue() - quote.price).abs() < 1e-9);
-    server.shutdown();
-}
-
 /// Satellite: slow-loris defense. Half-open connections — some trickling
 /// a partial frame header, some fully silent — are shed by the event
 /// loop's header-read and idle deadlines with a typed `BUSY`, while quote
@@ -770,7 +717,7 @@ fn slow_loris_half_open_connections_are_shed_while_service_continues() {
     server.shutdown();
 }
 
-/// Tentpole: wire v4 pipelining. Many correlated quotes in flight on one
+/// Tentpole: wire pipelining. Many correlated quotes in flight on one
 /// connection; responses are matched by correlation id, not arrival
 /// order, and each answer is exactly the quote its request asked for.
 /// A `MENU` interleaved mid-stream answers under its own id.
@@ -941,7 +888,7 @@ fn batch_commit_mixed_outcomes_and_menu_stream() {
 }
 
 /// Tentpole: frames split across arbitrary TCP segment boundaries. Three
-/// pipelined v4 quotes arrive interleaved — a complete frame plus half of
+/// pipelined quotes arrive interleaved — a complete frame plus half of
 /// the next per write, with pauses so each lands in a separate readiness
 /// event — and every request is still answered under its own id.
 #[test]
@@ -1003,72 +950,102 @@ fn interleaved_partial_frames_parse_across_readiness_events() {
     server.shutdown();
 }
 
-/// Regression: a version-3 peer (listing-routed, no correlation ids)
-/// still runs a full menu → quote → commit session byte-for-byte — the
-/// reply header stays v3 and carries no id field.
+/// Only the current wire version is spoken: a v3 frame is answered with a
+/// typed `UnsupportedVersion` error and the connection closes, while a
+/// fresh connection on the same server still buys normally.
 #[test]
-fn v3_raw_frames_stay_byte_compatible() {
+fn pre_v5_frames_get_unsupported_version_and_a_close() {
     let (marketplace, broker) = build_marketplace(107);
     let server = start_server(marketplace, ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut rpc = |payload: &[u8]| -> Vec<u8> {
-        wire::write_frame(&mut stream, payload).unwrap();
-        wire::read_frame(&mut stream).unwrap()
-    };
-    let enc_str = |payload: &mut Vec<u8>, s: &str| {
-        payload.extend_from_slice(&(s.len() as u16).to_be_bytes());
-        payload.extend_from_slice(s.as_bytes());
-    };
-
-    // v3 MENU routed by name. The reply is a v3 header: version byte 3,
-    // no correlation id (sniff reports id 0).
+    // A v3 MENU routed by name: no correlation id, trailing listing.
     let mut payload = vec![b'N', b'B', 3, 0x01];
-    enc_str(&mut payload, "e2e-listing");
-    let reply = rpc(&payload);
-    assert_eq!(reply[2], 3, "reply must keep the peer's version");
-    assert_eq!(wire::sniff_header(&reply), (3, 0));
-    let menu = match Response::decode(&reply).unwrap() {
-        Response::Menu(m) => m,
-        other => panic!("expected menu, got {other:?}"),
-    };
-
-    // v3 QUOTE: kind + value, then the trailing listing field.
-    let mut payload = vec![b'N', b'B', 3, 0x02, 1];
-    payload.extend_from_slice(&10.0f64.to_bits().to_be_bytes());
-    enc_str(&mut payload, "e2e-listing");
-    let reply = rpc(&payload);
-    assert_eq!(reply[2], 3);
-    let quote = match Response::decode(&reply).unwrap() {
-        Response::Quote(q) => q,
-        other => panic!("expected quote, got {other:?}"),
-    };
-    assert_eq!(quote.snapshot_epoch, menu.epoch);
-
-    // v3 COMMIT: x, epoch, payment, nonce flag, listing.
-    let mut payload = vec![b'N', b'B', 3, 0x03];
-    payload.extend_from_slice(&quote.x.to_bits().to_be_bytes());
-    payload.extend_from_slice(&quote.snapshot_epoch.to_be_bytes());
-    payload.extend_from_slice(&quote.price.to_bits().to_be_bytes());
-    payload.push(0);
-    enc_str(&mut payload, "e2e-listing");
-    let reply = rpc(&payload);
-    assert_eq!(reply[2], 3);
-    match Response::decode(&reply).unwrap() {
-        Response::Commit(sale) => assert!((sale.price - quote.price).abs() < 1e-9),
-        other => panic!("expected sale, got {other:?}"),
+    payload.extend_from_slice(&11u16.to_be_bytes());
+    payload.extend_from_slice(b"e2e-listing");
+    wire::write_frame(&mut stream, &payload).unwrap();
+    let reply = wire::read_frame(&mut stream).unwrap();
+    assert_eq!(reply[2], wire::VERSION);
+    match Response::decode_framed(&reply).unwrap() {
+        (0, Response::Error { code, .. }) => assert_eq!(code, ErrorCode::UnsupportedVersion),
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    assert_eq!(broker.sales_count(), 1);
+    let mut rest = Vec::new();
+    assert_eq!(
+        stream.read_to_end(&mut rest).unwrap(),
+        0,
+        "server must close"
+    );
 
-    // v4 opcodes are refused for v3 peers with a typed error, not served.
-    let mut payload = vec![b'N', b'B', 3, 0x07];
-    enc_str(&mut payload, "");
-    payload.extend_from_slice(&0u16.to_be_bytes());
-    match Response::decode(&rpc(&payload)).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
-        other => panic!("expected BadFrame for v3 BATCH_COMMIT, got {other:?}"),
+    let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
+    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let sale = client.commit(&quote, quote.price).unwrap();
+    assert_eq!(sale.price.to_bits(), quote.price.to_bits());
+    assert_eq!(broker.sales_count(), 1);
+    assert_eq!(server.stats().snapshot().protocol_errors, 1);
+    server.shutdown();
+}
+
+/// Regression: a worker's completion must never wait for the event
+/// loop's `POLL_CAP` (500 ms) timeout. The loop used to take the
+/// completion list *before* draining the wake pipe, so a completion
+/// pushed in between lost its wake byte and sat until some other event
+/// arrived. Two pipelined connections run 10k round trips in lockstep —
+/// both requests in flight together, then a barrier — so one completion
+/// often lands while the loop handles the other, and a lost wake-up has
+/// no later traffic to hide behind. Every round trip must stay far below
+/// the cap.
+#[test]
+fn back_to_back_round_trips_never_wait_for_the_poll_cap() {
+    const ROUNDS: usize = 5_000;
+    const LIMIT: Duration = Duration::from_millis(250);
+    let (marketplace, _broker) = build_marketplace(113);
+    let server = start_server(marketplace, ServerConfig::default());
+    let addr = server.local_addr();
+    let barrier = std::sync::Barrier::new(2);
+    let stalled = std::sync::atomic::AtomicBool::new(false);
+    let longest: Vec<Duration> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (barrier, stalled) = (&barrier, &stalled);
+                s.spawn(move || {
+                    let mut conn =
+                        nimbus_server::PipelinedClient::connect(addr, &fast_client()).unwrap();
+                    let request = wire::Request::Quote {
+                        listing: None,
+                        request: PurchaseRequest::AtInverseNcp(10.0),
+                    };
+                    let mut longest = Duration::ZERO;
+                    for _ in 0..ROUNDS {
+                        let sent = std::time::Instant::now();
+                        let corr = conn.send(&request).unwrap();
+                        let (got, response) = conn.recv().unwrap();
+                        let waited = sent.elapsed();
+                        longest = longest.max(waited);
+                        assert_eq!(got, corr);
+                        assert!(matches!(response, Response::Quote(_)), "{response:?}");
+                        if waited >= LIMIT {
+                            stalled.store(true, std::sync::atomic::Ordering::SeqCst);
+                        }
+                        // Both connections stop together on the first stall.
+                        barrier.wait();
+                        if stalled.load(std::sync::atomic::Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                    longest
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for waited in longest {
+        assert!(
+            waited < LIMIT,
+            "a round trip waited {waited:?}: a completion missed its wake-up"
+        );
     }
     server.shutdown();
 }

@@ -14,9 +14,11 @@
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
+use nimbus_market::journal::{FaultPlan, Journal};
 use nimbus_market::{Broker, ListingBuilder, Marketplace, PurchaseRequest, Seller};
 use nimbus_ml::LinearRegressionTrainer;
 use nimbus_server::loadgen::{run_load, LoadConfig, LoadMode};
+use nimbus_server::wire::{BatchItemMsg, BatchOutcomeMsg};
 use nimbus_server::{ClientConfig, NimbusClient, NimbusServer, RetryPolicy, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -231,6 +233,93 @@ fn same_nonce_retry_across_restart_charges_once() {
         other => panic!("expected a remote QuoteExpired, got {other:?}"),
     }
     server.shutdown();
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// Regression: compaction used to write one checkpoint record holding the
+/// whole book. Past ~18.7k keyed sales that record exceeds the journal's
+/// record cap, and reopening salvaged the log down to its header — an
+/// empty book. With the default checkpoint cadence, more than twice that
+/// many keyed, buyer-attributed sales go in as `BATCH_COMMIT` frames, the
+/// server shuts down (which compacts once more), and the reopened journal
+/// must still hold every transaction, dedup key and account; a keyed
+/// retry must replay the identical sale.
+#[test]
+fn books_past_the_checkpoint_record_cap_reopen_whole() {
+    const BATCH: usize = 256;
+    const SALES: usize = 147 * BATCH; // 37 632 > 2 × 18.7k
+    const BUYERS: u64 = 97;
+    let journal = temp_journal("past-checkpoint-cap");
+    let broker = journaled_broker(71, &journal);
+    let server = NimbusServer::start(
+        host(broker.clone()),
+        "recovery-e2e",
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = NimbusClient::connect(server.local_addr(), &client_config(71)).unwrap();
+    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let item = |i: usize| BatchItemMsg {
+        x: quote.x,
+        snapshot_epoch: quote.snapshot_epoch,
+        payment: quote.price,
+        nonce: Some(i as u64),
+        buyer: Some(i as u64 % BUYERS),
+    };
+    let mut first = None;
+    for start in (0..SALES).step_by(BATCH) {
+        let outcomes = client
+            .commit_batch(None, (start..start + BATCH).map(item).collect())
+            .unwrap();
+        for outcome in outcomes {
+            match outcome {
+                BatchOutcomeMsg::Sale(sale) => {
+                    first.get_or_insert(sale);
+                }
+                BatchOutcomeMsg::Error { code, message } => panic!("{code:?}: {message}"),
+            }
+        }
+    }
+    let first = first.unwrap();
+    let transactions = broker.ledger().transactions().to_vec();
+    let accounts = broker.accounts().snapshot();
+    assert_eq!(transactions.len(), SALES);
+    server.shutdown();
+    drop(client);
+    drop(broker);
+
+    let (_, recovery) = Journal::open(&journal, 0, FaultPlan::new()).unwrap();
+    assert!(recovery.truncated.is_none(), "{:?}", recovery.truncated);
+    assert_eq!(recovery.transactions.len(), SALES);
+    assert_eq!(recovery.dedup.len(), SALES);
+    let broker = journaled_broker(71, &journal);
+    assert_eq!(broker.ledger().transactions(), &transactions[..]);
+    assert_eq!(broker.accounts().snapshot(), accounts);
+    let mut keys: Vec<(u64, u64)> = recovery.dedup.iter().map(|&(e, n, _)| (e, n)).collect();
+    keys.sort_unstable();
+    let expected: Vec<(u64, u64)> = (0..SALES as u64)
+        .map(|n| (quote.snapshot_epoch, n))
+        .collect();
+    assert_eq!(keys, expected);
+
+    // A keyed retry of the first sale replays it bit for bit, charging
+    // nothing, even though the reopened market posts a later epoch.
+    let replayed = broker
+        .commit_at_idempotent_for(quote.x, quote.snapshot_epoch, quote.price, 0, Some(0))
+        .unwrap();
+    assert_eq!(replayed.transaction.sequence, first.transaction);
+    let weights: Vec<u64> = replayed
+        .model
+        .weights()
+        .as_slice()
+        .iter()
+        .map(|w| w.to_bits())
+        .collect();
+    let original: Vec<u64> = first.weights.iter().map(|w| w.to_bits()).collect();
+    assert_eq!(weights, original);
+    assert_eq!(broker.sales_count(), SALES);
+    assert_eq!(broker.accounts().snapshot(), accounts);
     let _ = std::fs::remove_file(&journal);
 }
 

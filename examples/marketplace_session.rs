@@ -100,9 +100,7 @@ fn main() {
             )
             .expect("quote");
         if buyer.will_buy(quote.price) {
-            marketplace
-                .commit("forest-cover", quote, quote.price)
-                .expect("purchase");
+            broker.commit(quote, quote.price).expect("purchase");
             served += 1;
         }
     }
@@ -118,9 +116,7 @@ fn main() {
     let quote = marketplace
         .quote_request("forest-cover", PurchaseRequest::AtInverseNcp(60.0))
         .expect("final quote");
-    let sale = marketplace
-        .commit("forest-cover", quote, quote.price)
-        .expect("final purchase");
+    let sale = broker.commit(quote, quote.price).expect("final purchase");
     let acc = metrics::accuracy(&sale.model, &test_set).expect("evaluate");
     println!("spot check: purchased model test accuracy {:.3}", acc);
 

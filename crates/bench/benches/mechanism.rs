@@ -18,9 +18,7 @@
 //!   the serving hot path's new pre-durability step; it must stay in the
 //!   tens of nanoseconds.
 //!
-//! A warm-up pass prints one summary line per comparison, and when
-//! `NIMBUS_BENCH_JSON` names a path the summaries are persisted there as a
-//! JSON document (the CI step writes `BENCH_pr9.json`).
+//! A warm-up pass prints one summary line per comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nimbus_core::{
@@ -32,29 +30,12 @@ use nimbus_market::BuyerAccounts;
 use nimbus_ml::LinearModel;
 use nimbus_randkit::seeded_rng;
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 fn model_of_dim(d: usize) -> LinearModel {
     LinearModel::new(Vector::from_vec(
         (0..d).map(|i| (i as f64 * 0.37).sin()).collect(),
     ))
-}
-
-/// Warm-up summaries collected for the optional JSON artifact.
-fn recorded() -> &'static Mutex<Vec<String>> {
-    static RECORDS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    RECORDS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn record(label: &str, per_op_ns: f64, extra: &str) {
-    let entry = if extra.is_empty() {
-        format!("    {{\"label\": \"{label}\", \"per_op_ns\": {per_op_ns:.1}}}")
-    } else {
-        format!("    {{\"label\": \"{label}\", \"per_op_ns\": {per_op_ns:.1}, {extra}}}")
-    };
-    recorded().lock().expect("records lock").push(entry);
 }
 
 /// Times `iters` runs of `f` and returns the mean ns/op (warm-up metric;
@@ -65,28 +46,6 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
-/// Writes the collected summaries to `$NIMBUS_BENCH_JSON`, if set. A
-/// relative path is anchored at the workspace root (criterion runs with
-/// the package directory as CWD, which is not where CI looks).
-fn flush_bench_json() {
-    let Ok(path) = std::env::var("NIMBUS_BENCH_JSON") else {
-        return;
-    };
-    let mut target = PathBuf::from(&path);
-    if target.is_relative() {
-        target = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(target);
-    }
-    let entries = recorded().lock().expect("records lock");
-    let doc = format!(
-        "{{\n  \"bench\": \"mechanism\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write(&target, doc).expect("write bench json");
-    println!("bench summaries written to {}", target.display());
 }
 
 fn bench_perturb_dims(c: &mut Criterion) {
@@ -131,7 +90,7 @@ fn bench_naive_vs_snapped(c: &mut Criterion) {
     let mut group = c.benchmark_group("naive_vs_snapped_perturb");
     for d in [9usize, 90, 512] {
         let model = model_of_dim(d);
-        // Warm-up comparison for the JSON artifact.
+        // Warm-up comparison for the printed summary line.
         let mut rng = seeded_rng(3);
         let naive_ns = time_ns(2_000, || {
             black_box(GaussianMechanism.perturb(&model, ncp, &mut rng).unwrap());
@@ -147,19 +106,6 @@ fn bench_naive_vs_snapped(c: &mut Criterion) {
             "perturb d={d}: naive {naive_ns:.0} ns/op, snapped {snapped_ns:.0} ns/op \
              ({:.1}x premium)",
             snapped_ns / naive_ns.max(1e-9),
-        );
-        record(
-            &format!("mechanism/naive_d{d}"),
-            naive_ns,
-            &format!("\"dim\": {d}"),
-        );
-        record(
-            &format!("mechanism/snapped_d{d}"),
-            snapped_ns,
-            &format!(
-                "\"dim\": {d}, \"premium_vs_naive\": {:.2}",
-                snapped_ns / naive_ns.max(1e-9)
-            ),
         );
         for (name, mech) in [
             ("naive", &GaussianMechanism as &dyn RandomizedMechanism),
@@ -200,9 +146,6 @@ fn bench_budget_check_overhead(c: &mut Criterion) {
         "budget check: unmetered {unmetered_ns:.0} ns, metered-admit {admit_ns:.0} ns, \
          metered-reject {reject_ns:.0} ns (charge+refund pairs)"
     );
-    record("budget/unmetered_charge_refund", unmetered_ns, "");
-    record("budget/metered_admit_charge_refund", admit_ns, "");
-    record("budget/metered_reject", reject_ns, "");
 
     group.bench_function("unmetered_charge_refund", |b| {
         b.iter(|| {
@@ -220,7 +163,6 @@ fn bench_budget_check_overhead(c: &mut Criterion) {
         b.iter(|| black_box(exhausted.charge(7, 10.0).is_err()))
     });
     group.finish();
-    flush_bench_json();
 }
 
 criterion_group!(

@@ -4,15 +4,13 @@
 //!
 //! Two regimes over built-in scenarios:
 //! * `smoke` — 40 agents × 40 ticks, one listing, three re-price cycles;
-//!   the bounded CI configuration.
+//!   the bounded configuration.
 //! * `baseline` — 120 agents × 120 ticks, the default catalog scenario.
 //!
 //! Reported per scenario: ticks/second, committed sales/second, and the
 //! re-price latency (mean and max of the in-process re-optimization +
-//! hot re-publish). As with the server benches, a warm-up run prints the
-//! summary line before criterion measures, and when `NIMBUS_BENCH_JSON`
-//! names a path the summaries are persisted there as a JSON document
-//! (the CI step writes `BENCH_pr8.json`).
+//! hot re-publish). A warm-up run prints the summary line before
+//! criterion measures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nimbus_agents::engine::run_scenario;
@@ -20,8 +18,6 @@ use nimbus_agents::harness::SimHarness;
 use nimbus_agents::scenario::Scenario;
 use nimbus_agents::SimOutcome;
 use nimbus_market::clock::wall_clock;
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
 
 /// One full closed-loop run on a fresh harness (fresh marketplace, fresh
 /// server, fresh port): what a `nimbus sim run` costs end to end.
@@ -37,61 +33,6 @@ fn run_once(scenario: &Scenario, seed: u64) -> SimOutcome {
     .expect("run completes");
     harness.server.shutdown();
     outcome
-}
-
-/// Warm-up summaries collected for the optional JSON artifact.
-fn recorded() -> &'static Mutex<Vec<String>> {
-    static RECORDS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    RECORDS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn record(scenario: &Scenario, outcome: &SimOutcome) {
-    let elapsed = outcome.elapsed.as_secs_f64().max(1e-9);
-    let reprice_mean_us = if outcome.reprice_count > 0 {
-        outcome.reprice_total.as_secs_f64() * 1e6 / outcome.reprice_count as f64
-    } else {
-        0.0
-    };
-    let entry = format!(
-        "    {{\"label\": \"sim/{}\", \"agents\": {}, \"ticks\": {}, \"listings\": {}, \
-         \"commits\": {}, \"elapsed_secs\": {:.6}, \"ticks_per_sec\": {:.1}, \
-         \"commits_per_sec\": {:.1}, \"reprice_count\": {}, \
-         \"reprice_mean_us\": {:.1}, \"reprice_max_us\": {:.1}}}",
-        outcome.scenario,
-        scenario.agents,
-        scenario.ticks,
-        scenario.listings.len(),
-        outcome.acked_commits(),
-        elapsed,
-        outcome.records.len() as f64 / elapsed,
-        outcome.acked_commits() as f64 / elapsed,
-        outcome.reprice_count,
-        reprice_mean_us,
-        outcome.reprice_max.as_secs_f64() * 1e6,
-    );
-    recorded().lock().expect("records lock").push(entry);
-}
-
-/// Writes the collected summaries to `$NIMBUS_BENCH_JSON`, if set. A
-/// relative path is anchored at the workspace root (criterion runs with
-/// the package directory as CWD, which is not where CI looks).
-fn flush_bench_json() {
-    let Ok(path) = std::env::var("NIMBUS_BENCH_JSON") else {
-        return;
-    };
-    let mut target = PathBuf::from(&path);
-    if target.is_relative() {
-        target = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(target);
-    }
-    let entries = recorded().lock().expect("records lock");
-    let doc = format!(
-        "{{\n  \"bench\": \"sim_throughput\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write(&target, doc).expect("write bench json");
-    println!("bench summaries written to {}", target.display());
 }
 
 fn summarize(outcome: &SimOutcome) {
@@ -124,7 +65,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
         assert!(warmup.acked_commits() > 0, "closed loop must transact");
         assert!(warmup.reprice_count > 0, "re-pricer must fire");
         summarize(&warmup);
-        record(&scenario, &warmup);
         group.bench_with_input(
             BenchmarkId::new("closed_loop", name),
             &scenario,
@@ -138,7 +78,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
         );
     }
     group.finish();
-    flush_bench_json();
 }
 
 criterion_group!(benches, bench_sim_throughput);

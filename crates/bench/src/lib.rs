@@ -1,6 +1,7 @@
 //! Shared fixtures for the Nimbus criterion benches.
 //!
-//! Each bench target mirrors a runtime claim of the paper's §6.3:
+//! Each bench target mirrors a runtime claim of the paper's §6.3 or
+//! measures one layer of the serving path beneath it:
 //!
 //! * `optim` — Algorithm 1 DP vs Algorithm 2 brute force vs baselines, the
 //!   core of Figures 9/10/13/14;
@@ -9,7 +10,14 @@
 //! * `training` — the broker's one-time training cost across trainers;
 //! * `curves` — error-curve estimation (the Figure 6 inner loop) and the
 //!   price-interpolation solvers;
-//! * `market` — end-to-end market opening and purchase throughput.
+//! * `market` — end-to-end market opening and purchase throughput;
+//! * `market_throughput` — in-process quote + commit batches across
+//!   threads against the immutable market snapshot;
+//! * `journal_append` — the sale journal's append, compaction and replay
+//!   costs;
+//! * `sim_throughput` — the closed-loop agent simulator end to end.
+//!
+//! The served TCP path is measured by the separate `servebench/` package.
 
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_optim::{PricePoint, RevenueProblem};

@@ -436,8 +436,11 @@ impl NimbusClient {
             let budget_left = attempt < max_attempts;
             match self.call_once(request) {
                 Ok(Response::Busy { retry_after_ms }) => {
-                    // The server hangs up after a BUSY frame; reconnect on
-                    // the next attempt.
+                    // A queue-full BUSY leaves the connection open, but a
+                    // deadline shed sends the same frame and then closes.
+                    // The client cannot tell them apart, so it reconnects
+                    // on the next attempt rather than retry on a socket
+                    // the server may have closed.
                     self.stream = None;
                     if !budget_left {
                         return Err(ServerError::Busy { retry_after_ms });

@@ -35,12 +35,12 @@
 //!   [`PipelinedClient`] keeps many correlated requests in flight on one
 //!   connection; `buy_batch` amortizes commits over `BATCH_COMMIT`.
 //! * [`loadgen`] — the N-threads × M-requests loopback load generator
-//!   behind the `server_throughput` bench and `nimbus client load`,
-//!   with pipelined/batched modes and p50/p99 latency reporting.
+//!   behind `nimbus client load` and the end-to-end tests, with
+//!   pipelined/batched modes and p50/p99 latency reporting.
 //! * [`stats`] — [`StatsRegistry`]: lock-free counters and fixed-bucket
 //!   latency histograms (p50/p99) served by `STATS`.
-//! * [`sys`] — the raw `epoll`/`poll(2)`/`rlimit` syscall shim the event
-//!   loop runs on.
+//! * [`sys`] — the raw `epoll`/`poll(2)` syscall shim the event loop
+//!   runs on.
 //!
 //! ## Quickstart
 //!

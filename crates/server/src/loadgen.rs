@@ -1,11 +1,11 @@
 //! Loopback load generator: N client threads × M requests against one
 //! server, reporting throughput, latency quantiles and shed rate.
 //!
-//! Shared by the `server_throughput` bench, the `nimbus client load` CLI
-//! subcommand and the end-to-end tests. Each thread owns its own
-//! connection(s) and issues its requests; when a connection is shed
-//! (`BUSY`) or fails, the thread reconnects and keeps going, counting
-//! every outcome. With [`LoadConfig::busy_retries`] > 0, a shed request
+//! Shared by the `nimbus client load` CLI subcommand and the end-to-end
+//! tests. Each thread owns its own connection(s) and issues its
+//! requests; when a connection is shed (`BUSY`) or fails, the thread
+//! reconnects and keeps going, counting every outcome. With
+//! [`LoadConfig::busy_retries`] > 0, a shed request
 //! is retried after honoring the server's `retry_after_ms` hint; retried
 //! sheds are counted separately from final ones, and a request that is
 //! shed then succeeds counts **once** in `ok` and zero times in `busy`
@@ -44,9 +44,9 @@
 //! # Idle connections
 //!
 //! [`LoadConfig::idle_connections`] extra sockets are opened before the
-//! run and held silent until it ends — the 10k-connection regime of the
-//! `server_throughput` bench. [`LoadReport::open_connections`] reports
-//! how many sockets the run held open concurrently.
+//! run and held silent until it ends, so the event loop serves the load
+//! with a herd of parked sockets. [`LoadReport::open_connections`]
+//! reports how many sockets the run held open concurrently.
 //!
 //! # Per-listing traffic mix
 //!

@@ -79,17 +79,9 @@ pub struct ServerConfig {
     /// Pending-job bound per shard (`≥ 1`); beyond it, the frame is shed
     /// with a typed `BUSY`.
     pub queue_capacity: usize,
-    /// Legacy per-connection read timeout. The event loop's
-    /// [`ServerConfig::header_read_timeout`] and
-    /// [`ServerConfig::idle_timeout`] have superseded it on the serving
-    /// path; it is retained as a config-compat knob and still validated.
-    pub read_timeout: Duration,
     /// Write-stall bound: a connection whose buffered response bytes make
     /// no progress for this long is closed (the peer stopped reading).
     pub write_timeout: Duration,
-    /// Legacy accept-loop poll interval; retained for config compat. The
-    /// event loop sleeps on readiness instead of polling.
-    pub accept_poll: Duration,
     /// Artificial service time per request, for load and shedding tests.
     pub handle_delay: Option<Duration>,
     /// Back-off hint carried in `BUSY` frames: how long a shed client
@@ -112,9 +104,7 @@ impl Default for ServerConfig {
             shards: 2,
             workers_per_shard: 2,
             queue_capacity: 16,
-            read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            accept_poll: Duration::from_millis(2),
             handle_delay: None,
             retry_after_hint: Duration::from_millis(25),
             header_read_timeout: Duration::from_secs(2),
@@ -195,14 +185,12 @@ impl NimbusServer {
                 ),
             });
         }
-        if config.read_timeout.is_zero()
-            || config.write_timeout.is_zero()
-            || config.accept_poll.is_zero()
+        if config.write_timeout.is_zero()
             || config.header_read_timeout.is_zero()
             || config.idle_timeout.is_zero()
         {
             return Err(ServerError::InvalidConfig {
-                reason: "timeouts and the accept poll interval must be non-zero".to_string(),
+                reason: "timeouts must be non-zero".to_string(),
             });
         }
         let default_listing = default_listing.into();

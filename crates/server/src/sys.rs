@@ -20,7 +20,6 @@
 //! already links — no new dependency. Every `unsafe` block carries its
 //! proof obligation inline per the workspace `unsafe-safety` audit rule.
 
-use std::io;
 use std::time::Duration;
 
 /// One fd's readiness, as reported by [`Poller::wait`].
@@ -343,49 +342,6 @@ mod imp {
 
 pub use imp::Poller;
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct Rlimit {
-    cur: u64,
-    max: u64,
-}
-
-const RLIMIT_NOFILE: i32 = 7;
-
-extern "C" {
-    fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-}
-
-/// Raises the process's open-file soft limit toward `target` (clamped at
-/// the hard limit), returning the soft limit now in force. Needed by the
-/// 10k-connection load regimes, where the default soft limit of 1024
-/// would make `accept(2)` fail with `EMFILE` long before the event loop
-/// itself is stressed. Never *lowers* the limit.
-pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    // SAFETY: `lim` is a live, writable Rlimit; getrlimit fills both
-    // fields on success, which is checked before the values are read.
-    let rc = unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.cur >= target {
-        return Ok(lim.cur);
-    }
-    let wanted = Rlimit {
-        cur: target.min(lim.max),
-        max: lim.max,
-    };
-    // SAFETY: `wanted` is a live, initialized Rlimit; setrlimit only
-    // reads it.
-    let rc = unsafe { setrlimit(RLIMIT_NOFILE, &wanted) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(wanted.cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,12 +408,5 @@ mod tests {
             timeout_ms(Some(Duration::from_millis(10) + Duration::from_nanos(1))),
             11
         );
-    }
-
-    #[test]
-    fn nofile_limit_is_monotone() {
-        let before = raise_nofile_limit(0).unwrap();
-        let after = raise_nofile_limit(before).unwrap();
-        assert!(after >= before);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`run_scenario`] drives a [`crate::agent::BuyerAgent`] population
 //! against a live [`nimbus_server::NimbusServer`] over TCP using the
-//! pipelined wire-v4 client, closing the loop with a
+//! pipelined wire client, closing the loop with a
 //! [`crate::demand::DemandObserver`] and a [`crate::reprice::Repricer`].
 //!
 //! # Tick structure

@@ -1,5 +1,5 @@
 //! End-to-end closed-loop simulation: 2 listings, 200 adaptive agents,
-//! 300 ticks of live wire-v4 traffic with demand-fed re-pricing.
+//! 300 ticks of live wire traffic with demand-fed re-pricing.
 //!
 //! Three independent properties of one scenario family:
 //!

@@ -2,11 +2,9 @@
 //! and purchase throughput — the "low runtime cost" claim of the abstract.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::{Broker, BrokerConfig, PurchaseRequest, Seller};
-use nimbus_ml::LinearRegressionTrainer;
+use nimbus_market::{Broker, PurchaseRequest, Seller};
 use std::hint::black_box;
 
 fn make_broker(rows: usize, points: usize) -> Broker {
@@ -14,16 +12,12 @@ fn make_broker(rows: usize, points: usize) -> Broker {
         .materialize(5)
         .expect("dataset");
     let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-    Broker::new(
-        Seller::new("bench", dataset, curves),
-        Box::new(LinearRegressionTrainer::ridge(1e-6)),
-        Box::new(GaussianMechanism),
-        BrokerConfig {
-            n_price_points: points,
-            error_curve_samples: 50,
-            seed: 5,
-        },
-    )
+    Broker::builder(Seller::new("bench", dataset, curves))
+        .n_price_points(points)
+        .error_curve_samples(50)
+        .seed(5)
+        .build()
+        .expect("broker")
 }
 
 fn bench_market_open(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! Closed-loop simulator throughput: the full agent-ecology path (adaptive
-//! agents, pipelined v4 quote/commit traffic over real sockets, empirical
+//! agents, pipelined quote/commit traffic over real sockets, empirical
 //! demand aggregation, DP re-pricing with epoch-kill) measured end to end.
 //!
 //! Two regimes over built-in scenarios:

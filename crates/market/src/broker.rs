@@ -80,9 +80,13 @@ use std::time::Duration;
 /// Number of stripes in the sharded ledger.
 const LEDGER_SHARDS: usize = 16;
 
-/// Broker configuration.
+/// Largest menu a broker posts. A `MENU` reply of this many points is
+/// about 64 KiB, so a whole menu always fits one wire frame.
+pub const MAX_PRICE_POINTS: usize = 4096;
+
+/// Broker configuration, set through [`BrokerBuilder`].
 #[derive(Debug, Clone, Copy)]
-pub struct BrokerConfig {
+pub(crate) struct BrokerConfig {
     /// Number of versions (price points) on the posted menu.
     pub n_price_points: usize,
     /// Monte-Carlo samples per δ when estimating buyer-facing error curves.
@@ -349,9 +353,8 @@ impl MarketSnapshot {
 
 /// Validating builder for [`Broker`].
 ///
-/// Replaces the positional `Broker::new(seller, trainer, mechanism,
-/// config)` constructor: configuration is checked once at
-/// [`BrokerBuilder::build`] (`n_price_points ≥ 2`,
+/// Configuration is checked once at [`BrokerBuilder::build`]
+/// (`n_price_points` in `2..=`[`MAX_PRICE_POINTS`],
 /// `error_curve_samples ≥ 1`, commission in `[0, 1)`) instead of surfacing
 /// as panics or optimizer errors mid-session. Trainer and mechanism default
 /// to ridge regression and the Gaussian mechanism — the paper's square-loss
@@ -384,7 +387,8 @@ pub struct BrokerBuilder {
 impl BrokerBuilder {
     /// Starts a builder for a seller's listing with default trainer
     /// (ridge regression), mechanism (Gaussian), metric (square-loss
-    /// distance) and [`BrokerConfig`].
+    /// distance), 100 price points, 200 error-curve samples per δ and a
+    /// fixed seed.
     pub fn new(seller: Seller) -> Self {
         BrokerBuilder {
             seller,
@@ -468,15 +472,6 @@ impl BrokerBuilder {
         self
     }
 
-    /// Sets an already-boxed mechanism (for dynamic selection).
-    pub fn boxed_mechanism(
-        mut self,
-        mechanism: Box<dyn RandomizedMechanism + Send + Sync>,
-    ) -> Self {
-        self.mechanism = mechanism;
-        self
-    }
-
     /// Sets the buyer-facing error metric the market is denominated in.
     ///
     /// The default (square-loss distance to the optimum) prices off the
@@ -494,13 +489,8 @@ impl BrokerBuilder {
         self
     }
 
-    /// Replaces the whole configuration.
-    pub fn config(mut self, config: BrokerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the number of menu price points (validated `≥ 2` at build).
+    /// Sets the number of menu price points (validated in
+    /// `2..=`[`MAX_PRICE_POINTS`] at build).
     pub fn n_price_points(mut self, n: usize) -> Self {
         self.config.n_price_points = n;
         self
@@ -527,10 +517,10 @@ impl BrokerBuilder {
 
     /// Validates the configuration and constructs the broker.
     pub fn build(self) -> Result<Broker> {
-        if self.config.n_price_points < 2 {
+        if !(2..=MAX_PRICE_POINTS).contains(&self.config.n_price_points) {
             return Err(MarketError::InvalidConfig {
                 reason: format!(
-                    "n_price_points must be at least 2, got {}",
+                    "n_price_points must be in 2..={MAX_PRICE_POINTS}, got {}",
                     self.config.n_price_points
                 ),
             });
@@ -733,43 +723,9 @@ impl Broker {
         BrokerBuilder::new(seller)
     }
 
-    /// Creates a broker for a seller's listing.
-    ///
-    /// Legacy positional constructor; delegates to [`BrokerBuilder`] and
-    /// panics if `config` fails validation (`n_price_points ≥ 2`,
-    /// `error_curve_samples ≥ 1`). Prefer [`Broker::builder`], which
-    /// surfaces the problem as a [`MarketError::InvalidConfig`] instead.
-    #[allow(clippy::panic)] // the panic is this constructor's documented contract
-    pub fn new(
-        seller: Seller,
-        trainer: Box<dyn Trainer + Send + Sync>,
-        mechanism: Box<dyn RandomizedMechanism + Send + Sync>,
-        config: BrokerConfig,
-    ) -> Self {
-        BrokerBuilder::new(seller)
-            .boxed_trainer(trainer)
-            .boxed_mechanism(mechanism)
-            .config(config)
-            .build()
-            // nimbus-audit: allow(no-panic) — documented panicking legacy constructor
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The seller whose dataset this broker sells.
     pub fn seller(&self) -> &Seller {
         &self.seller
-    }
-
-    /// Sets the broker's commission rate (fraction of each sale kept by the
-    /// broker; the remainder is the seller's proceeds). Panics outside
-    /// `[0, 1)`; [`BrokerBuilder::commission`] is the non-panicking path.
-    pub fn with_commission(mut self, rate: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "commission rate must be in [0, 1)"
-        );
-        self.commission = rate;
-        self
     }
 
     /// The commission rate.
@@ -944,6 +900,14 @@ impl Broker {
     /// at commit time. Returns the expected revenue of the new table
     /// under the supplied demand.
     pub fn republish_with_problem(&self, problem: RevenueProblem) -> Result<f64> {
+        if problem.len() > MAX_PRICE_POINTS {
+            return Err(MarketError::InvalidConfig {
+                reason: format!(
+                    "a menu of {} points exceeds the cap of {MAX_PRICE_POINTS}",
+                    problem.len()
+                ),
+            });
+        }
         let current = self.published()?;
         let solution = solve_revenue_dp(&problem)?;
         let pricing = PiecewiseLinearPricing::new(
@@ -1331,11 +1295,6 @@ impl Broker {
         })
     }
 
-    /// Whether this broker journals its sales.
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// What the journal replayed when this broker was built (`None`
     /// without a journal; an empty recovery for a fresh journal).
     pub fn recovery(&self) -> Option<&Recovery> {
@@ -1467,7 +1426,7 @@ mod tests {
     use crate::curves::{DemandCurve, MarketCurves, ValueCurve};
     use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 
-    fn test_broker() -> Broker {
+    fn test_builder() -> BrokerBuilder {
         let (tt, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 600)
             .materialize(7)
             .unwrap();
@@ -1479,8 +1438,10 @@ mod tests {
             .n_price_points(50)
             .error_curve_samples(50)
             .seed(42)
-            .build()
-            .unwrap()
+    }
+
+    fn test_broker() -> Broker {
+        test_builder().build().unwrap()
     }
 
     /// An unkeyed commit item by `(x, epoch)` identity, as the wire sends it.
@@ -1508,6 +1469,10 @@ mod tests {
             Err(MarketError::InvalidConfig { .. })
         ));
         assert!(matches!(
+            build(|b| b.n_price_points(MAX_PRICE_POINTS + 1)),
+            Err(MarketError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
             build(|b| b.error_curve_samples(0)),
             Err(MarketError::InvalidConfig { .. })
         ));
@@ -1523,22 +1488,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid broker configuration")]
-    fn legacy_new_panics_on_invalid_config() {
-        let (tt, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 100)
-            .materialize(7)
+    fn republish_rejects_a_menu_over_the_cap() {
+        let broker = test_broker();
+        broker.open_market().unwrap();
+        let epoch = broker.snapshot().unwrap().epoch();
+        let problem = broker
+            .seller()
+            .curves()
+            .build_problem(MAX_PRICE_POINTS + 1)
             .unwrap();
-        let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-        let _ = Broker::new(
-            Seller::new("bad", tt, curves),
-            Box::new(LinearRegressionTrainer::ridge(1e-6)),
-            Box::new(GaussianMechanism),
-            BrokerConfig {
-                n_price_points: 0,
-                error_curve_samples: 50,
-                seed: 1,
-            },
-        );
+        assert!(matches!(
+            broker.republish_with_problem(problem),
+            Err(MarketError::InvalidConfig { .. })
+        ));
+        assert_eq!(broker.snapshot().unwrap().epoch(), epoch);
     }
 
     #[test]
@@ -2101,7 +2064,7 @@ mod tests {
 
     #[test]
     fn commission_splits_revenue() {
-        let broker = test_broker().with_commission(0.2);
+        let broker = test_builder().commission(0.2).build().unwrap();
         broker.open_market().unwrap();
         for x in [30.0, 60.0] {
             let q = broker
@@ -2114,12 +2077,6 @@ mod tests {
         assert!((broker.broker_cut() - 0.2 * total).abs() < 1e-12);
         assert!((broker.seller_proceeds() - 0.8 * total).abs() < 1e-12);
         assert!((broker.broker_cut() + broker.seller_proceeds() - total).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "commission rate")]
-    fn commission_out_of_range_panics() {
-        let _ = test_broker().with_commission(1.0);
     }
 
     fn classification_broker(

@@ -83,8 +83,8 @@ pub mod transform;
 
 pub use account::BuyerAccounts;
 pub use broker::{
-    BatchCommitItem, Broker, BrokerBuilder, BrokerConfig, MarketSnapshot, MarketStats,
-    PurchaseRequest, Quote, Sale,
+    BatchCommitItem, Broker, BrokerBuilder, MarketSnapshot, MarketStats, PurchaseRequest, Quote,
+    Sale, MAX_PRICE_POINTS,
 };
 pub use buyer::{Buyer, BuyerPopulation};
 pub use curves::{DemandCurve, MarketCurves, ValueCurve};

@@ -55,7 +55,7 @@
 //! on startup (journal replay and the one-time model training both
 //! parallelize across listings).
 
-use crate::broker::{Broker, BrokerBuilder, BrokerConfig, PurchaseRequest, Quote};
+use crate::broker::{Broker, BrokerBuilder, PurchaseRequest, Quote};
 use crate::journal::FaultPlan;
 use crate::parallel::parallel_map;
 use crate::seller::Seller;
@@ -281,11 +281,6 @@ impl ListingBuilder {
         self.map_builder(|b| b.mechanism(mechanism))
     }
 
-    /// Sets an already-boxed mechanism (for dynamic selection).
-    pub fn boxed_mechanism(self, mechanism: Box<dyn RandomizedMechanism + Send + Sync>) -> Self {
-        self.map_builder(|b| b.boxed_mechanism(mechanism))
-    }
-
     /// Sets the buyer-facing error metric the market is denominated in.
     pub fn error_metric(self, metric: impl ErrorMetric + 'static) -> Self {
         self.map_builder(|b| b.error_metric(metric))
@@ -294,11 +289,6 @@ impl ListingBuilder {
     /// Sets an already-boxed error metric (for dynamic selection).
     pub fn boxed_error_metric(self, metric: Box<dyn ErrorMetric>) -> Self {
         self.map_builder(|b| b.boxed_error_metric(metric))
-    }
-
-    /// Replaces the whole broker configuration.
-    pub fn config(self, config: BrokerConfig) -> Self {
-        self.map_builder(|b| b.config(config))
     }
 
     /// Sets the number of menu price points.

@@ -4,13 +4,9 @@
 
 //! Property-based tests for the marketplace layer.
 
-use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::{
-    BatchCommitItem, Broker, BrokerConfig, BuyerPopulation, PurchaseRequest, Seller,
-};
-use nimbus_ml::LinearRegressionTrainer;
+use nimbus_market::{BatchCommitItem, Broker, BuyerPopulation, PurchaseRequest, Seller};
 use nimbus_randkit::seeded_rng;
 use proptest::prelude::*;
 
@@ -125,16 +121,12 @@ fn broker_resolve_is_consistent_with_quote_across_the_menu() {
         .materialize(3)
         .unwrap();
     let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-    let broker = Broker::new(
-        Seller::new("prop", tt, curves),
-        Box::new(LinearRegressionTrainer::ridge(1e-6)),
-        Box::new(GaussianMechanism),
-        BrokerConfig {
-            n_price_points: 30,
-            error_curve_samples: 20,
-            seed: 9,
-        },
-    );
+    let broker = Broker::builder(Seller::new("prop", tt, curves))
+        .n_price_points(30)
+        .error_curve_samples(20)
+        .seed(9)
+        .build()
+        .unwrap();
     broker.open_market().unwrap();
     for i in 1..=30 {
         let x = 1.0 + (i as f64 / 30.0) * 99.0;
@@ -169,16 +161,12 @@ fn shared_metered_broker() -> &'static Broker {
             .materialize(3)
             .unwrap();
         let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-        let broker = Broker::new(
-            Seller::new("prop-budget", tt, curves),
-            Box::new(LinearRegressionTrainer::ridge(1e-6)),
-            Box::new(GaussianMechanism),
-            BrokerConfig {
-                n_price_points: 30,
-                error_curve_samples: 20,
-                seed: 9,
-            },
-        );
+        let broker = Broker::builder(Seller::new("prop-budget", tt, curves))
+            .n_price_points(30)
+            .error_curve_samples(20)
+            .seed(9)
+            .build()
+            .unwrap();
         broker.open_market().unwrap();
         broker
     })

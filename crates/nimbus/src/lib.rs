@@ -103,10 +103,9 @@ pub mod prelude {
     pub use nimbus_market::{
         curves::{DemandCurve, MarketCurves, ValueCurve},
         simulation::{compare_strategies, price_with, PricingStrategy},
-        BatchCommitItem, Broker, BrokerBuilder, BrokerConfig, Buyer, BuyerPopulation, FaultPlan,
-        Journal, JournalError, ListingBuilder, ListingMeta, ListingState, ListingStats,
-        MarketSnapshot, Marketplace, MarketplaceStats, MenuEntry, PurchaseRequest, Quote, Recovery,
-        Sale, Seller,
+        BatchCommitItem, Broker, BrokerBuilder, Buyer, BuyerPopulation, FaultPlan, Journal,
+        JournalError, ListingBuilder, ListingMeta, ListingState, ListingStats, MarketSnapshot,
+        Marketplace, MarketplaceStats, MenuEntry, PurchaseRequest, Quote, Recovery, Sale, Seller,
     };
     pub use nimbus_ml::{
         metrics, ErrorMetric, LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer,

@@ -397,35 +397,6 @@ impl NimbusClient {
         self.commit_batch(None, items)
     }
 
-    /// Fetches the default listing's menu as a `MENU_STREAM` chunk
-    /// sequence and reassembles it. Mid-stream failures are not
-    /// retried (the remainder of a half-read stream cannot be resumed);
-    /// callers can simply re-issue the call.
-    pub fn menu_stream(&mut self, chunk: u32) -> Result<MenuMsg> {
-        self.menu_stream_on_opt(None, chunk)
-    }
-
-    /// Fetches the named listing's menu as a chunk stream.
-    pub fn menu_stream_on(&mut self, listing: &str, chunk: u32) -> Result<MenuMsg> {
-        self.menu_stream_on_opt(Some(listing.to_string()), chunk)
-    }
-
-    fn menu_stream_on_opt(&mut self, listing: Option<String>, chunk: u32) -> Result<MenuMsg> {
-        self.ensure_connected().map_err(Failure::into_error)?;
-        let Some(mut stream) = self.stream.take() else {
-            return Err(ServerError::ConnectionClosed);
-        };
-        let request = Request::MenuStream { listing, chunk };
-        let result = menu_stream_io(&mut stream, &request);
-        // A typed server error is a single well-framed reply — the
-        // connection stays usable. Anything else may have died
-        // mid-stream, so the framing state is unknown: reconnect later.
-        if matches!(result, Ok(_) | Err(ServerError::Remote { .. })) {
-            self.stream = Some(stream);
-        }
-        result
-    }
-
     /// One request with bounded retries. `idempotent` gates whether
     /// attempts that may have reached the server can be retried.
     fn call(&mut self, request: &Request, idempotent: bool) -> Result<Response> {
@@ -541,39 +512,6 @@ impl NimbusClient {
     }
 }
 
-/// Drives one `MENU_STREAM` exchange on a connected socket: write the
-/// request, reassemble chunk frames until `done`.
-fn menu_stream_io(stream: &mut TcpStream, request: &Request) -> Result<MenuMsg> {
-    wire::write_frame(stream, &request.encode())?;
-    let mut menu: Option<MenuMsg> = None;
-    loop {
-        let payload = wire::read_frame(stream)?;
-        let (_corr, response) = Response::decode_framed(&payload)?;
-        let part = match response {
-            Response::MenuChunk(part) => part,
-            Response::Error { code, message } => {
-                return Err(ServerError::Remote { code, message });
-            }
-            Response::Busy { retry_after_ms } => {
-                return Err(ServerError::Busy { retry_after_ms });
-            }
-            other => return Err(unexpected(&other)),
-        };
-        let done = part.done;
-        let assembled = menu.get_or_insert_with(|| MenuMsg {
-            epoch: part.epoch,
-            metric: part.metric.clone(),
-            points: Vec::new(),
-        });
-        assembled.points.extend_from_slice(&part.points);
-        if done {
-            return menu.ok_or(ServerError::Protocol {
-                reason: "menu stream ended with no chunks".to_string(),
-            });
-        }
-    }
-}
-
 /// A pipelined connection: many requests in flight at once,
 /// responses matched by correlation id rather than order.
 ///
@@ -586,13 +524,6 @@ fn menu_stream_io(stream: &mut TcpStream, request: &Request) -> Result<MenuMsg> 
 /// its own (in-flight requests cannot be transparently replayed), so a
 /// transport error poisons the connection and the caller starts a new
 /// one.
-///
-/// A `MENU_STREAM` request answers with *several* frames sharing one id
-/// (the last marked done); [`PipelinedClient::in_flight`] counts
-/// request frames sent minus response frames received and therefore
-/// over-counts an in-progress stream's remaining chunks as separate
-/// responses — callers mixing streams into a pipeline should track the
-/// `done` flag themselves.
 pub struct PipelinedClient {
     stream: TcpStream,
     next_corr: u64,

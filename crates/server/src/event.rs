@@ -42,7 +42,7 @@
 //!
 //! Completions flow back from the workers through
 //! [`crate::server::Inner::completions`] plus one byte on the wake pipe;
-//! the loop appends the encoded frames to the connection's write buffer
+//! the loop appends each encoded frame to the connection's write buffer
 //! and flushes as the socket drains.
 
 use crate::server::{Inner, Job};
@@ -416,9 +416,7 @@ impl EventLoop {
                 continue;
             }
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            for frame in &completion.frames {
-                conn.queue_frame(frame);
-            }
+            conn.queue_frame(&completion.frame);
             if completion.close {
                 // Protocol violation: the framing is untrustworthy past
                 // this frame. Answer, then hang up.

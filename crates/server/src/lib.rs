@@ -17,8 +17,9 @@
 //!   `PUBLISH`/`RETIRE` drive the listing lifecycle live; an empty name
 //!   means the server's default listing) and carries a correlation id
 //!   for pipelining; `BATCH_COMMIT` (many sales, one frame, per-item
-//!   status) and a streaming `MENU_STREAM` round it out. One protocol
-//!   version is spoken; any other is refused with a typed error.
+//!   status) rounds it out. Every request gets exactly one response
+//!   frame. One protocol version is spoken; any other is refused with a
+//!   typed error.
 //! * [`server`] — [`NimbusServer`]: a single readiness event loop
 //!   (`epoll`/`poll(2)` via [`sys`], no async runtime) multiplexing every
 //!   connection, dispatching complete frames onto sharded bounded job
@@ -87,8 +88,8 @@ pub use server::{NimbusServer, ServerConfig};
 pub use stats::{render_prometheus, LatencyHistogram, Op, StatsRegistry};
 pub use wire::{
     AccountMsg, BatchCommitMsg, BatchItemMsg, BatchOutcomeMsg, ErrorCode, InfoMsg, ListingMsg,
-    ListingStatsMsg, ListingsMsg, MenuChunkMsg, MenuMsg, OpStatsMsg, QuoteMsg, Request, Response,
-    SaleMsg, StatsMsg,
+    ListingStatsMsg, ListingsMsg, MenuMsg, OpStatsMsg, QuoteMsg, Request, Response, SaleMsg,
+    StatsMsg,
 };
 
 /// Convenience result alias for this crate.

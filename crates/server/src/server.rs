@@ -56,7 +56,7 @@ use crate::error::ServerError;
 use crate::stats::{Op, StatsRegistry};
 use crate::wire::{
     self, BatchCommitMsg, BatchOutcomeMsg, ErrorCode, InfoMsg, ListingMsg, ListingStatsMsg,
-    ListingsMsg, MenuChunkMsg, MenuMsg, QuoteMsg, Request, Response, SaleMsg,
+    ListingsMsg, MenuMsg, QuoteMsg, Request, Response, SaleMsg,
 };
 use crate::Result;
 use nimbus_market::{BatchCommitItem, Marketplace, Quote};
@@ -119,19 +119,19 @@ pub(crate) struct Job {
     pub(crate) slot: u32,
     /// Slot generation at dispatch time (guards slot reuse).
     pub(crate) gen: u32,
-    /// Sniffed correlation id, echoed by the response frames.
+    /// Sniffed correlation id, echoed by the response frame.
     pub(crate) corr: u64,
     /// The undecoded frame payload.
     pub(crate) payload: Vec<u8>,
 }
 
-/// A worker's answer to one [`Job`]: encoded response frame(s) for the
-/// event loop to flush, and whether the connection must close after them
+/// A worker's answer to one [`Job`]: the encoded response frame for the
+/// event loop to flush, and whether the connection must close after it
 /// (protocol violations poison the framing).
 pub(crate) struct Completion {
     pub(crate) slot: u32,
     pub(crate) gen: u32,
-    pub(crate) frames: Vec<Vec<u8>>,
+    pub(crate) frame: Vec<u8>,
     pub(crate) close: bool,
 }
 
@@ -372,8 +372,8 @@ pub(crate) fn worker_loop(inner: &Arc<Inner>, shard_idx: usize) {
     }
 }
 
-/// Decodes and executes one job, producing the encoded response frame(s),
-/// each carrying the request's correlation id. A frame that fails to
+/// Decodes and executes one job, producing the encoded response frame,
+/// which carries the request's correlation id. A frame that fails to
 /// decode — including one at another protocol version — is answered with
 /// a typed error and closes the connection.
 fn execute_job(inner: &Inner, job: &Job) -> Completion {
@@ -393,7 +393,7 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
             return Completion {
                 slot: job.slot,
                 gen: job.gen,
-                frames: vec![frame],
+                frame,
                 close: true,
             };
         }
@@ -406,7 +406,6 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
         Request::Quote { .. } => Op::Quote,
         Request::Commit { .. } => Op::Commit,
         Request::BatchCommit { .. } => Op::BatchCommit,
-        Request::MenuStream { .. } => Op::MenuStream,
         Request::Info { .. } => Op::Info,
         Request::Account { .. } => Op::Account,
         Request::Listings => Op::Listings,
@@ -414,28 +413,22 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
         Request::Publish { .. } => Op::Publish,
         Request::Retire { .. } => Op::Retire,
     };
-    let (frames, ok) = match execute(inner, request) {
-        Ok(responses) => (
-            responses
-                .iter()
-                .map(|r| r.encode_with_corr(job.corr))
-                .collect(),
-            true,
-        ),
+    let (response, ok) = match execute(inner, request) {
+        Ok(response) => (response, true),
         Err(e) => (
-            vec![Response::Error {
+            Response::Error {
                 code: ErrorCode::for_market_error(&e),
                 message: e.to_string(),
-            }
-            .encode_with_corr(job.corr)],
+            },
             false,
         ),
     };
+    let frame = response.encode_with_corr(job.corr);
     inner.stats.record(op, ok, started.elapsed());
     Completion {
         slot: job.slot,
         gen: job.gen,
-        frames,
+        frame,
         close: false,
     }
 }
@@ -458,10 +451,9 @@ fn sale_msg(sale: &nimbus_market::Sale) -> SaleMsg {
     }
 }
 
-/// Executes one request against the marketplace. Most requests produce
-/// exactly one response frame; `MENU_STREAM` produces a chunk sequence
-/// (all sharing the request's correlation id, last one marked `done`).
-fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Response>> {
+/// Executes one request against the marketplace, producing its one
+/// response.
+fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Response> {
     let marketplace = &inner.marketplace;
     match request {
         Request::Menu { listing } => {
@@ -469,11 +461,11 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
             let snapshot = broker
                 .snapshot()
                 .ok_or(nimbus_market::MarketError::MarketNotOpen)?;
-            Ok(vec![Response::Menu(MenuMsg {
+            Ok(Response::Menu(MenuMsg {
                 epoch: snapshot.epoch(),
                 metric: snapshot.metric_name().to_string(),
                 points: snapshot.menu(),
-            })])
+            }))
         }
         Request::Quote {
             listing,
@@ -481,7 +473,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
         } => {
             let name = resolve(inner, &listing);
             let quote: Quote = marketplace.route(name)?.quote_request(purchase)?;
-            Ok(vec![Response::Quote(QuoteMsg {
+            Ok(Response::Quote(QuoteMsg {
                 x: quote.x,
                 delta: quote.delta,
                 price: quote.price,
@@ -489,7 +481,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                 metric: quote.metric.to_string(),
                 snapshot_epoch: quote.snapshot_epoch,
                 listing: name.to_string(),
-            })])
+            }))
         }
         Request::Commit {
             listing,
@@ -516,7 +508,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                     reason: "batch commit slot left unresolved".to_string(),
                 },
             )??;
-            Ok(vec![Response::Commit(sale_msg(&sale))])
+            Ok(Response::Commit(sale_msg(&sale)))
         }
         Request::BatchCommit { listing, items } => {
             let broker = marketplace.route(resolve(inner, &listing))?;
@@ -544,50 +536,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                     },
                 })
                 .collect();
-            Ok(vec![Response::BatchCommit(BatchCommitMsg {
-                items: outcomes,
-            })])
-        }
-        Request::MenuStream { listing, chunk } => {
-            let broker = marketplace.route(resolve(inner, &listing))?;
-            let snapshot = broker
-                .snapshot()
-                .ok_or(nimbus_market::MarketError::MarketNotOpen)?;
-            let points = snapshot.menu();
-            let chunk = if chunk == 0 || chunk as usize > wire::MENU_STREAM_CHUNK {
-                wire::MENU_STREAM_CHUNK
-            } else {
-                chunk as usize
-            };
-            let epoch = snapshot.epoch();
-            let metric = snapshot.metric_name().to_string();
-            let total = points.len() as u64;
-            if points.is_empty() {
-                // An empty menu still answers: one empty, done chunk.
-                return Ok(vec![Response::MenuChunk(MenuChunkMsg {
-                    epoch,
-                    metric,
-                    offset: 0,
-                    total: 0,
-                    points: Vec::new(),
-                    done: true,
-                })]);
-            }
-            let n_chunks = points.len().div_ceil(chunk);
-            Ok(points
-                .chunks(chunk)
-                .enumerate()
-                .map(|(i, part)| {
-                    Response::MenuChunk(MenuChunkMsg {
-                        epoch,
-                        metric: metric.clone(),
-                        offset: (i * chunk) as u64,
-                        total,
-                        points: part.to_vec(),
-                        done: i + 1 == n_chunks,
-                    })
-                })
-                .collect())
+            Ok(Response::BatchCommit(BatchCommitMsg { items: outcomes }))
         }
         Request::Info { listing } => {
             let name = resolve(inner, &listing);
@@ -597,7 +546,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                 .ok_or(nimbus_market::MarketError::MarketNotOpen)?;
             let stats = broker.market_stats();
             let (x_lo, x_hi) = snapshot.support();
-            Ok(vec![Response::Info(InfoMsg {
+            Ok(Response::Info(InfoMsg {
                 listing: name.to_string(),
                 metric: snapshot.metric_name().to_string(),
                 epoch: snapshot.epoch(),
@@ -607,19 +556,19 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                 expected_revenue: stats.expected_revenue.unwrap_or(0.0),
                 sales: stats.sales as u64,
                 revenue: stats.revenue,
-            })])
+            }))
         }
         Request::Account { listing, buyer } => {
             let name = resolve(inner, &listing);
             let broker = marketplace.route(name)?;
             let accounts = broker.accounts();
-            Ok(vec![Response::Account(wire::AccountMsg {
+            Ok(Response::Account(wire::AccountMsg {
                 listing: name.to_string(),
                 buyer,
                 spent: accounts.spent(buyer),
                 budget: accounts.budget(),
                 remaining: accounts.remaining(buyer),
-            })])
+            }))
         }
         Request::Listings => {
             let listings = marketplace
@@ -634,10 +583,10 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                     expected_revenue: e.expected_revenue,
                 })
                 .collect();
-            Ok(vec![Response::Listings(ListingsMsg {
+            Ok(Response::Listings(ListingsMsg {
                 default_listing: inner.default_listing.clone(),
                 listings,
-            })])
+            }))
         }
         Request::Stats => {
             let mut msg = inner.stats.snapshot();
@@ -663,7 +612,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                     exhausted_buyers: row.exhausted_buyers,
                 })
                 .collect();
-            Ok(vec![Response::Stats(msg)])
+            Ok(Response::Stats(msg))
         }
         Request::Publish { listing } => {
             let expected_revenue = marketplace.publish(&listing)?;
@@ -671,11 +620,11 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                 Some(snapshot) => snapshot.epoch(),
                 None => 0,
             };
-            Ok(vec![Response::Publish {
+            Ok(Response::Publish {
                 listing,
                 epoch,
                 expected_revenue,
-            }])
+            })
         }
         Request::Retire { listing } => {
             if listing == inner.default_listing {
@@ -688,7 +637,7 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Vec<Respons
                 });
             }
             marketplace.retire(&listing)?;
-            Ok(vec![Response::Retire { listing }])
+            Ok(Response::Retire { listing })
         }
     }
 }

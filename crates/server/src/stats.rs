@@ -41,14 +41,12 @@ pub enum Op {
     Retire = 7,
     /// `BATCH_COMMIT`.
     BatchCommit = 8,
-    /// `MENU_STREAM`.
-    MenuStream = 9,
     /// `ACCOUNT`.
-    Account = 10,
+    Account = 9,
 }
 
 /// Number of wire operations in the registry.
-pub const N_OPS: usize = 11;
+pub const N_OPS: usize = 10;
 
 impl Op {
     /// All operations, in registry order.
@@ -62,7 +60,6 @@ impl Op {
         Op::Publish,
         Op::Retire,
         Op::BatchCommit,
-        Op::MenuStream,
         Op::Account,
     ];
 
@@ -78,7 +75,6 @@ impl Op {
             Op::Publish => "publish",
             Op::Retire => "retire",
             Op::BatchCommit => "batch_commit",
-            Op::MenuStream => "menu_stream",
             Op::Account => "account",
         }
     }

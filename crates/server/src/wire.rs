@@ -25,7 +25,6 @@
 //! | `0x05` / `0x85` | `STATS` | per-op request/error counters + latency + per-listing accounting |
 //! | `0x06` / `0x86` | `LISTINGS` | the marketplace's listing directory, states included |
 //! | `0x07` / `0x87` | `BATCH_COMMIT` (many sales, one frame) | per-item status: [`SaleMsg`] or typed error |
-//! | `0x08` / `0x88` | `MENU_STREAM` (chunked menu read) | a run of [`MenuChunkMsg`] frames sharing the request's correlation id; the last sets `done` |
 //! | `0x10` / `0x90` | `PUBLISH` (admin) | listing (re-)published: new epoch + expected revenue |
 //! | `0x11` / `0x91` | `RETIRE` (admin) | listing retired, name echoed |
 //! | `0x12` / `0x92` | `ACCOUNT` (buyer budget query) | [`AccountMsg`]: spent precision + budget + remaining |
@@ -63,8 +62,6 @@ pub const MAGIC: [u8; 2] = *b"NB";
 pub const VERSION: u8 = 5;
 /// Cap on the number of items in one `BATCH_COMMIT` frame.
 pub const MAX_BATCH_ITEMS: usize = 256;
-/// Default (and maximum) points per `MENU_STREAM` chunk.
-pub const MENU_STREAM_CHUNK: usize = 64;
 /// Hard cap on a frame's payload length (framing limit: a peer cannot make
 /// the other side allocate more than this per frame).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
@@ -81,7 +78,6 @@ const OP_INFO: u8 = 0x04;
 const OP_STATS: u8 = 0x05;
 const OP_LISTINGS: u8 = 0x06;
 const OP_BATCH_COMMIT: u8 = 0x07;
-const OP_MENU_STREAM: u8 = 0x08;
 const OP_PUBLISH: u8 = 0x10;
 const OP_RETIRE: u8 = 0x11;
 const OP_ACCOUNT: u8 = 0x12;
@@ -93,7 +89,6 @@ const OP_R_INFO: u8 = 0x84;
 const OP_R_STATS: u8 = 0x85;
 const OP_R_LISTINGS: u8 = 0x86;
 const OP_R_BATCH_COMMIT: u8 = 0x87;
-const OP_R_MENU_CHUNK: u8 = 0x88;
 const OP_R_PUBLISH: u8 = 0x90;
 const OP_R_RETIRE: u8 = 0x91;
 const OP_R_ACCOUNT: u8 = 0x92;
@@ -229,16 +224,6 @@ pub enum Request {
         /// The commits, at most [`MAX_BATCH_ITEMS`].
         items: Vec<BatchItemMsg>,
     },
-    /// Fetch a listing's posted menu as a stream of chunk frames.
-    /// Every chunk shares the request's correlation id; the last chunk
-    /// sets [`MenuChunkMsg::done`].
-    MenuStream {
-        /// Listing to read; `None` = the server's default listing.
-        listing: Option<String>,
-        /// Requested points per chunk; `0` (and anything above the cap)
-        /// means the server default of [`MENU_STREAM_CHUNK`].
-        chunk: u32,
-    },
     /// Fetch a listing's metadata and ledger accounting.
     Info {
         /// Listing to describe; `None` = the server's default listing.
@@ -266,25 +251,6 @@ pub enum Request {
         /// Listing to retire.
         listing: String,
     },
-}
-
-impl Request {
-    /// Stable lowercase operation name (stats registry key).
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Menu { .. } => "menu",
-            Request::Quote { .. } => "quote",
-            Request::Commit { .. } => "commit",
-            Request::BatchCommit { .. } => "batch_commit",
-            Request::MenuStream { .. } => "menu_stream",
-            Request::Info { .. } => "info",
-            Request::Account { .. } => "account",
-            Request::Listings => "listings",
-            Request::Stats => "stats",
-            Request::Publish { .. } => "publish",
-            Request::Retire { .. } => "retire",
-        }
-    }
 }
 
 /// `MENU` response body.
@@ -336,24 +302,6 @@ pub enum BatchOutcomeMsg {
 pub struct BatchCommitMsg {
     /// Per-item outcomes, index-aligned with the request's items.
     pub items: Vec<BatchOutcomeMsg>,
-}
-
-/// One `MENU_STREAM` chunk. All chunks of one stream share the
-/// request's correlation id and a single snapshot epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MenuChunkMsg {
-    /// Epoch of the snapshot the menu was read from.
-    pub epoch: u64,
-    /// Metric the market is denominated in.
-    pub metric: String,
-    /// Index of this chunk's first point in the full menu.
-    pub offset: u64,
-    /// Total number of points in the full menu.
-    pub total: u64,
-    /// This chunk's `(inverse NCP, price)` points.
-    pub points: Vec<(f64, f64)>,
-    /// True on the final chunk of the stream.
-    pub done: bool,
 }
 
 /// `QUOTE` response body — the wire image of a broker `Quote`.
@@ -523,8 +471,6 @@ pub enum Response {
     Commit(SaleMsg),
     /// Per-item outcomes of a `BATCH_COMMIT`.
     BatchCommit(BatchCommitMsg),
-    /// One chunk of a streamed menu.
-    MenuChunk(MenuChunkMsg),
     /// Listing metadata.
     Info(InfoMsg),
     /// A buyer's noise-budget account.
@@ -601,10 +547,15 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
+    /// Writes `s`, cut at the last char boundary within
+    /// [`MAX_STRING_LEN`]: an error message may echo a client's name.
     fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= MAX_STRING_LEN);
-        // nimbus-audit: allow(no-panic) — upper bound is min(len, cap), always ≤ len
-        let bytes = &s.as_bytes()[..s.len().min(MAX_STRING_LEN)];
+        let mut len = s.len().min(MAX_STRING_LEN);
+        while !s.is_char_boundary(len) {
+            len -= 1;
+        }
+        // nimbus-audit: allow(no-panic) — len ≤ s.len(), on a char boundary
+        let bytes = &s.as_bytes()[..len];
         self.u16(bytes.len() as u16);
         self.buf.extend_from_slice(bytes);
     }
@@ -906,12 +857,6 @@ impl Request {
                 }
                 e.finish()
             }
-            Request::MenuStream { listing, chunk } => {
-                let mut e = Enc::header(OP_MENU_STREAM, corr);
-                enc_listing(&mut e, listing);
-                e.u32(*chunk);
-                e.finish()
-            }
             Request::Info { listing } => {
                 let mut e = Enc::header(OP_INFO, corr);
                 enc_listing(&mut e, listing);
@@ -1017,10 +962,6 @@ impl Request {
                     .collect::<Result<Vec<_>>>()?;
                 Request::BatchCommit { listing, items }
             }
-            OP_MENU_STREAM => Request::MenuStream {
-                listing: dec_listing(&mut d)?,
-                chunk: d.u32()?,
-            },
             OP_INFO => Request::Info {
                 listing: dec_listing(&mut d)?,
             },
@@ -1119,20 +1060,6 @@ impl Response {
                         }
                     }
                 }
-                e.finish()
-            }
-            Response::MenuChunk(c) => {
-                let mut e = enc(OP_R_MENU_CHUNK);
-                e.u64(c.epoch);
-                e.str(&c.metric);
-                e.u64(c.offset);
-                e.u64(c.total);
-                e.u32(c.points.len() as u32);
-                for &(x, p) in &c.points {
-                    e.f64(x);
-                    e.f64(p);
-                }
-                e.u8(u8::from(c.done));
                 e.finish()
             }
             Response::Account(a) => {
@@ -1312,28 +1239,6 @@ impl Response {
                     .collect::<Result<Vec<_>>>()?;
                 Response::BatchCommit(BatchCommitMsg { items })
             }
-            OP_R_MENU_CHUNK => {
-                let epoch = d.u64()?;
-                let metric = d.str()?;
-                let offset = d.u64()?;
-                let total = d.u64()?;
-                let len = d.u32()? as usize;
-                if len > MAX_VEC_LEN {
-                    return Err(Dec::bad(format!("menu chunk of {len} points exceeds cap")));
-                }
-                let points = (0..len)
-                    .map(|_| Ok((d.f64()?, d.f64()?)))
-                    .collect::<Result<Vec<_>>>()?;
-                let done = d.u8()? != 0;
-                Response::MenuChunk(MenuChunkMsg {
-                    epoch,
-                    metric,
-                    offset,
-                    total,
-                    points,
-                    done,
-                })
-            }
             OP_R_ACCOUNT => {
                 let listing = d.str()?;
                 let buyer = d.u64()?;
@@ -1456,6 +1361,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimbus_market::MAX_PRICE_POINTS;
 
     fn roundtrip_request(req: Request) {
         let decoded = Request::decode(&req.encode()).unwrap();
@@ -1666,12 +1572,58 @@ mod tests {
             Err(ServerError::UnsupportedVersion { got }) if got == VERSION + 1
         ));
 
-        let mut payload = Request::Menu { listing: None }.encode();
-        payload[3] = 0x7F;
+        // 0x08/0x88 were the retired chunked menu read.
+        for opcode in [0x7F, 0x08, 0x88] {
+            let mut payload = Request::Menu { listing: None }.encode();
+            payload[3] = opcode;
+            assert!(matches!(
+                Request::decode(&payload),
+                Err(ServerError::Protocol { .. })
+            ));
+        }
+        let mut payload = Response::Retire {
+            listing: String::new(),
+        }
+        .encode();
+        payload[3] = 0x88;
         assert!(matches!(
-            Request::decode(&payload),
+            Response::decode(&payload),
             Err(ServerError::Protocol { .. })
         ));
+    }
+
+    #[test]
+    fn over_long_strings_are_cut_on_a_char_boundary() {
+        let message = format!("a{}", "é".repeat(600));
+        let payload = Response::Error {
+            code: ErrorCode::InvalidRequest,
+            message: message.clone(),
+        }
+        .encode();
+        match Response::decode(&payload).unwrap() {
+            Response::Error { code, message: got } => {
+                assert_eq!(code, ErrorCode::InvalidRequest);
+                assert!(got.len() <= MAX_STRING_LEN);
+                assert!(got.len() >= MAX_STRING_LEN - 1);
+                assert!(message.starts_with(&got));
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_menu_at_the_price_point_cap_fits_one_frame() {
+        let menu = Response::Menu(MenuMsg {
+            epoch: 3,
+            metric: "m".repeat(MAX_STRING_LEN),
+            points: (0..MAX_PRICE_POINTS)
+                .map(|i| (i as f64 + 1.0, 0.5 * i as f64))
+                .collect(),
+        });
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &menu.encode()).unwrap();
+        let payload = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(Response::decode(&payload).unwrap(), menu);
     }
 
     #[test]
@@ -1799,7 +1751,7 @@ mod tests {
     }
 
     #[test]
-    fn correlation_ids_round_trip_at_v4() {
+    fn correlation_ids_round_trip() {
         let req = Request::Quote {
             listing: Some("acme-data".into()),
             request: PurchaseRequest::AtInverseNcp(42.5),
@@ -1885,26 +1837,6 @@ mod tests {
             Request::decode(&v3),
             Err(ServerError::UnsupportedVersion { got: 3 })
         ));
-    }
-
-    #[test]
-    fn menu_stream_round_trips() {
-        roundtrip_request(Request::MenuStream {
-            listing: None,
-            chunk: 0,
-        });
-        roundtrip_request(Request::MenuStream {
-            listing: Some("acme-data".into()),
-            chunk: 16,
-        });
-        roundtrip_response(Response::MenuChunk(MenuChunkMsg {
-            epoch: 5,
-            metric: "square".into(),
-            offset: 64,
-            total: 100,
-            points: vec![(65.0, 20.5), (66.0, 20.75)],
-            done: true,
-        }));
     }
 
     #[test]

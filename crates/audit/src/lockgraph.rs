@@ -57,6 +57,51 @@ fn resolvable(c: &crate::facts::CallSite) -> bool {
     c.chain.is_empty() || c.chain == ["self"]
 }
 
+/// Prelude functions: a bare call to one of these names the prelude's
+/// item unless a free fn of the same name shadows it. `drop(guard)` is
+/// `std::mem::drop`, never the `fn drop` of some local `impl Drop` —
+/// resolving it there would charge the caller that impl's locks.
+const PRELUDE_FNS: &[&str] = &["drop"];
+
+/// Workspace fns by name, for interprocedural call resolution.
+struct FnIndex<'m> {
+    /// Every fn: name → `(model, fn)` indices.
+    all: BTreeMap<&'m str, Vec<(usize, usize)>>,
+    /// Free fns only (no `impl` owner).
+    free: BTreeMap<&'m str, Vec<(usize, usize)>>,
+}
+
+impl<'m> FnIndex<'m> {
+    fn new(models: &'m [FileModel]) -> Self {
+        let mut index = FnIndex {
+            all: BTreeMap::new(),
+            free: BTreeMap::new(),
+        };
+        for (mi, m) in models.iter().enumerate() {
+            for (fi, f) in m.ast.fns.iter().enumerate() {
+                index.all.entry(&f.name).or_default().push((mi, fi));
+                if f.owner.is_none() {
+                    index.free.entry(&f.name).or_default().push((mi, fi));
+                }
+            }
+        }
+        index
+    }
+
+    /// The local fns call site `c` may reach (empty when unresolvable).
+    fn callees(&self, c: &crate::facts::CallSite) -> &[(usize, usize)] {
+        if !resolvable(c) {
+            return &[];
+        }
+        let names = if c.chain.is_empty() && PRELUDE_FNS.contains(&c.method.as_str()) {
+            &self.free
+        } else {
+            &self.all
+        };
+        names.get(c.method.as_str()).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// One analyzed file.
 struct FileModel {
     path: String,
@@ -170,12 +215,7 @@ fn analyze(models: &[FileModel]) -> Vec<Finding> {
 
     // 3. Per-function acquisitions with guard scopes, plus the local-fn
     //    call graph for transitive lock sets and durability.
-    let mut fn_names: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new(); // name → (model, fn) indices
-    for (mi, m) in models.iter().enumerate() {
-        for (fi, f) in m.ast.fns.iter().enumerate() {
-            fn_names.entry(&f.name).or_default().push((mi, fi));
-        }
-    }
+    let fn_index = FnIndex::new(models);
     let acquires: Vec<Vec<Vec<Acquire>>> = models
         .iter()
         .map(|m| {
@@ -245,13 +285,7 @@ fn analyze(models: &[FileModel]) -> Vec<Finding> {
         for (mi, m) in models.iter().enumerate() {
             for (fi, facts) in m.facts.iter().enumerate() {
                 for c in &facts.calls {
-                    if !resolvable(c) {
-                        continue;
-                    }
-                    let Some(callees) = fn_names.get(c.method.as_str()) else {
-                        continue;
-                    };
-                    for &(cm, cf) in callees {
+                    for &(cm, cf) in fn_index.callees(c) {
                         if (cm, cf) == (mi, fi) {
                             continue;
                         }
@@ -294,12 +328,10 @@ fn analyze(models: &[FileModel]) -> Vec<Finding> {
                         continue;
                     }
                     let call_durable = DURABLE_NAMES.contains(&c.method.as_str())
-                        || (resolvable(c)
-                            && fn_names.get(c.method.as_str()).is_some_and(|callees| {
-                                callees
-                                    .iter()
-                                    .any(|k| durable.get(k).copied().unwrap_or(false))
-                            }));
+                        || fn_index
+                            .callees(c)
+                            .iter()
+                            .any(|k| durable.get(k).copied().unwrap_or(false));
                     if call_durable {
                         findings.push(Finding::new(
                             "lock-order",
@@ -326,17 +358,15 @@ fn analyze(models: &[FileModel]) -> Vec<Finding> {
                     }
                 }
                 for c in &facts.calls {
-                    if c.idx <= a.idx || c.idx > a.scope_end || !resolvable(c) {
+                    if c.idx <= a.idx || c.idx > a.scope_end {
                         continue;
                     }
-                    if let Some(callees) = fn_names.get(c.method.as_str()) {
-                        for &(cm, cf) in callees {
-                            if (cm, cf) == (mi, fi) {
-                                continue;
-                            }
-                            for dst in lockset.get(&(cm, cf)).into_iter().flatten() {
-                                record_edge(&mut edges, src, dst, &m.path, c.line, c.col, &via);
-                            }
+                    for &(cm, cf) in fn_index.callees(c) {
+                        if (cm, cf) == (mi, fi) {
+                            continue;
+                        }
+                        for dst in lockset.get(&(cm, cf)).into_iter().flatten() {
+                            record_edge(&mut edges, src, dst, &m.path, c.line, c.col, &via);
                         }
                     }
                 }

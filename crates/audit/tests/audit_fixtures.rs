@@ -294,6 +294,24 @@ fn lock_order_suppression_fires() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
+#[test]
+fn lock_order_resolves_bare_drop_to_the_prelude() {
+    let src = fixture("lock_order/drop_guard.rs");
+    let (findings, used) =
+        nimbus_audit::lockgraph::check_files(&[("crates/market/src/fixture.rs", &src)]);
+    assert_eq!(used, 0);
+    // Only the re-lock through `queued()` under a live guard is flagged;
+    // neither `drop(shared)` reaches `Ticket`'s `fn drop`.
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let msg = &findings[0].message;
+    assert!(
+        msg.contains("self-deadlock")
+            && msg.contains("Queue.shared")
+            && msg.contains("push_while_counting"),
+        "{msg}"
+    );
+}
+
 // ------------------------------------------------------- durability-order
 
 #[test]

@@ -543,7 +543,10 @@ pub(crate) fn start_marketplace_server(
         if default_listing.is_empty() {
             default_listing = dataset.name().to_string();
         }
-        let mut builder = listing_builder(dataset, metric, seed)?;
+        // The gathering window is only an upper bound: a lone commit
+        // never waits for it, concurrent ones share one fsync.
+        let mut builder = listing_builder(dataset, metric, seed)?
+            .journal_group_commit_window(nimbus::market::MAX_GROUP_COMMIT_WINDOW);
         if let Some(path) = journal {
             builder = builder.journal(path);
         }
@@ -762,19 +765,30 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
             if !stats.listings.is_empty() {
                 let _ = writeln!(
                     out,
-                    "  {:<16} {:<10} {:>8} {:>10} {:>14} {:>10}",
-                    "listing", "state", "sales", "revenue", "budget-rejects", "exhausted"
+                    "  {:<16} {:<10} {:>8} {:>10} {:>14} {:>10} {:>8} {:>8} {:>6}",
+                    "listing",
+                    "state",
+                    "sales",
+                    "revenue",
+                    "budget-rejects",
+                    "exhausted",
+                    "flushes",
+                    "records",
+                    "waits"
                 );
                 for l in &stats.listings {
                     let _ = writeln!(
                         out,
-                        "  {:<16} {:<10} {:>8} {:>10.2} {:>14} {:>10}",
+                        "  {:<16} {:<10} {:>8} {:>10.2} {:>14} {:>10} {:>8} {:>8} {:>6}",
                         l.listing,
                         l.state,
                         l.sales,
                         l.revenue,
                         l.budget_rejects,
-                        l.exhausted_buyers
+                        l.exhausted_buyers,
+                        l.journal_flushes,
+                        l.journal_records,
+                        l.journal_window_waits
                     );
                 }
             }
@@ -1335,6 +1349,45 @@ mod tests {
             "{text}"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn journalled_serve_reports_group_commit_counters() {
+        let path =
+            std::env::temp_dir().join(format!("nimbus-cli-serve-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let datasets = vec!["Simulated1".to_string()];
+        let server = start_marketplace_server(
+            "127.0.0.1:0",
+            &datasets,
+            "square",
+            3,
+            1,
+            2,
+            32,
+            path.to_str(),
+            None,
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        for _ in 0..2 {
+            let bought = run(&["client", "buy", "--at", "25", "--addr", &addr]).unwrap();
+            assert!(bought.contains("purchased over the wire"), "{bought}");
+        }
+        // Two lone commits: two flushes of one record, neither gathering.
+        let text = run(&["client", "stats", "--text", "--addr", &addr]).unwrap();
+        for series in [
+            "nimbus_listing_journal_flushes_total{listing=\"Simulated1\"} 2",
+            "nimbus_listing_journal_records_total{listing=\"Simulated1\"} 2",
+            "nimbus_listing_journal_window_waits_total{listing=\"Simulated1\"} 0",
+        ] {
+            assert!(text.contains(series), "{text}");
+        }
+        let table = run(&["client", "stats", "--addr", &addr]).unwrap();
+        assert!(table.contains("flushes"), "{table}");
+        server.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //!   to a sequential one and the broker holds no RNG state at all.
 
 use crate::account::BuyerAccounts;
-use crate::journal::{FaultPlan, GroupCommit, Journal, Recovery, SaleRecord};
+use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, Recovery, SaleRecord};
 use crate::ledger::{Ledger, LedgerShard, Transaction};
 use crate::seller::Seller;
 use crate::{MarketError, Result};
@@ -441,11 +441,12 @@ impl BrokerBuilder {
         self
     }
 
-    /// Group-commit gathering window: a flush leader waits up to this long
-    /// for concurrent commits to join its batch before the shared fsync
-    /// (clamped to [`crate::journal::MAX_GROUP_COMMIT_WINDOW`], 500µs).
-    /// `Duration::ZERO` (the default) disables gathering; commits still
-    /// coalesce behind an in-flight fsync, which adds no latency at all.
+    /// Upper bound on the group-commit gathering wait (clamped to
+    /// [`crate::journal::MAX_GROUP_COMMIT_WINDOW`], 500µs). A flush leader
+    /// waits only while a concurrent commit has announced a record it has
+    /// not enqueued yet, and at most this long, so a lone commit never
+    /// waits. `Duration::ZERO` (the default) never gathers; commits still
+    /// coalesce behind an in-flight fsync either way.
     pub fn journal_group_commit_window(mut self, window: Duration) -> Self {
         self.journal_group_commit_window = window;
         self
@@ -1183,6 +1184,10 @@ impl Broker {
             .into_iter()
             .map(|key| (key, self.dedup.claim(key)))
             .collect();
+        // Announce to the group-commit batcher only once every claim is
+        // held: a flush leader then waits for this batch's records, but
+        // never for a retry still parked on a key above.
+        let announced = self.journal.as_ref().map(GroupCommit::announce);
         let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut results: Vec<Option<Result<Sale>>> = Vec::with_capacity(items.len());
         let mut prepared: Vec<(usize, PreparedSale)> = Vec::with_capacity(items.len());
@@ -1220,8 +1225,7 @@ impl Broker {
                 }
             }
         }
-        let journaled: Vec<std::result::Result<(), crate::journal::JournalError>> = match &self
-            .journal
+        let journaled: Vec<std::result::Result<(), crate::journal::JournalError>> = match announced
         {
             Some(journal) => journal.append_sales(prepared.iter().map(|(_, p)| p.record).collect()),
             None => prepared.iter().map(|_| Ok(())).collect(),
@@ -1389,6 +1393,11 @@ impl Broker {
             revenue: self.collected_revenue(),
             budget_rejects: self.accounts.budget_rejects(),
             exhausted_buyers: self.accounts.exhausted_buyers(),
+            journal: self
+                .journal
+                .as_ref()
+                .map(GroupCommit::stats)
+                .unwrap_or_default(),
         }
     }
 
@@ -1418,6 +1427,8 @@ pub struct MarketStats {
     pub budget_rejects: u64,
     /// Buyers whose remaining noise budget is zero (0 when unmetered).
     pub exhausted_buyers: u64,
+    /// Group-commit counters of the journal (all zero without one).
+    pub journal: GroupCommitStats,
 }
 
 #[cfg(test)]
@@ -1778,6 +1789,55 @@ mod tests {
         broker
             .commit_one(at(quote.x, epoch, quote.price, Some(3)))
             .unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_and_replayed_commits_leave_no_announcement_behind() {
+        let path = std::env::temp_dir().join(format!(
+            "nimbus-broker-announce-{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let broker = test_builder()
+            .journal(path.clone())
+            .journal_group_commit_window(crate::journal::MAX_GROUP_COMMIT_WINDOW)
+            .build()
+            .unwrap();
+        broker.open_market().unwrap();
+        let journal = broker.journal.as_ref().unwrap();
+        let quote = broker
+            .quote_request(PurchaseRequest::AtInverseNcp(25.0))
+            .unwrap();
+        // A stale epoch fails before the journal: its announcement is
+        // withdrawn.
+        assert!(matches!(
+            broker.commit_one(at(quote.x, quote.snapshot_epoch + 1, quote.price, None)),
+            Err(MarketError::QuoteExpired { .. })
+        ));
+        assert_eq!(journal.preparing(), 0);
+        // A keyed replay journals nothing either.
+        let keyed = BatchCommitItem {
+            nonce: Some(9),
+            ..at(quote.x, quote.snapshot_epoch, quote.price, None)
+        };
+        let first = broker.commit_one(keyed).unwrap();
+        let replay = broker.commit_one(keyed).unwrap();
+        assert_eq!(replay.transaction.sequence, first.transaction.sequence);
+        assert_eq!(journal.preparing(), 0);
+        // So the next lone commit flushes without gathering.
+        broker
+            .commit_one(at(quote.x, quote.snapshot_epoch, quote.price, None))
+            .unwrap();
+        assert_eq!(
+            broker.market_stats().journal,
+            GroupCommitStats {
+                flushes: 2,
+                records: 2,
+                window_waits: 0,
+            }
+        );
+        drop(broker);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1027,6 +1027,21 @@ struct GroupQueue {
     next_ticket: u64,
     /// Whether some thread is currently leading a flush.
     flushing: bool,
+    /// Committers that hold an [`Announcement`] but have not enqueued
+    /// through it yet — the only siblings a gathering leader waits for.
+    preparing: usize,
+}
+
+/// Monotone group-commit counters of one journal, for monitoring.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupCommitStats {
+    /// `write + fsync` flushes performed.
+    pub flushes: u64,
+    /// Records those flushes carried (failed ones included).
+    pub records: u64,
+    /// Flush leaders that waited in the gathering window because a
+    /// sibling had announced a record; a lone leader never counts here.
+    pub window_waits: u64,
 }
 
 /// A commit batcher that coalesces concurrent [`Journal::append_sale`]
@@ -1036,31 +1051,69 @@ struct GroupQueue {
 /// progress becomes the **leader**: it drains the whole queue, appends it
 /// with [`Journal::append_sales`] (one fsync for the batch) and deposits
 /// the per-record results for the other committers to pick up. Arrivals
-/// during a flush simply queue behind the running fsync and are absorbed
-/// by the next leader, so batching emerges from contention with **zero
-/// added latency** for an uncontended committer.
+/// during a flush queue behind the running fsync and are absorbed by the
+/// next leader, so batching emerges from contention.
 ///
-/// An optional gathering `window` (default zero = disabled) makes the
-/// leader wait up to that long for stragglers before flushing — bounded
-/// extra latency traded for bigger batches. The ACK barrier is preserved
-/// either way: `append_sale` only returns `Ok` after the record's fsync
-/// completed, so everything the PR 4 recovery corpus guarantees about
-/// single appends holds verbatim for batched ones.
+/// The gathering `window` is an upper bound, not a fixed delay. A
+/// committer first [`announce`](GroupCommit::announce)s itself, does its
+/// pre-durability work, then enqueues through the returned
+/// [`Announcement`]. A leader waits only while some announced sibling has
+/// not enqueued yet (PostgreSQL's `commit_delay` gated on
+/// `commit_siblings`), and never longer than `window`: a lone commit
+/// flushes at once. The ACK barrier is preserved either way:
+/// `append_sale` only returns `Ok` after the record's fsync completed, so
+/// everything the recovery corpus guarantees about single appends holds
+/// verbatim for batched ones.
 #[derive(Debug)]
 pub struct GroupCommit {
     /// The journal, locked only by the flush leader (and checkpoints).
     journal: StdMutex<Journal>,
     shared: StdMutex<GroupQueue>,
-    /// Signals a windowing leader that another record arrived.
+    /// Signals a gathering leader that a sibling enqueued or withdrew.
     arrived: Condvar,
     /// Signals waiters that a flush deposited results.
     done: Condvar,
     window: Duration,
+    flushes: AtomicU64,
+    flushed_records: AtomicU64,
+    window_waits: AtomicU64,
+}
+
+/// A committer's promise to enqueue records with a [`GroupCommit`] soon,
+/// from [`GroupCommit::announce`]. While it is held, a flush leader may
+/// wait (up to the window) for it; consuming it with
+/// [`Announcement::append_sales`] enqueues, and dropping it unconsumed —
+/// every slot failed, or a panic unwound — withdraws it.
+#[derive(Debug)]
+#[must_use = "an announcement keeps flush leaders waiting until it is consumed or dropped"]
+pub struct Announcement<'a> {
+    group: Option<&'a GroupCommit>,
+}
+
+impl Announcement<'_> {
+    /// Enqueues `records` and returns once they are durable or failed,
+    /// one result per record in order (see [`GroupCommit::append_sales`]).
+    /// An empty `records` just withdraws the announcement.
+    pub fn append_sales(mut self, records: Vec<SaleRecord>) -> Vec<Result<(), JournalError>> {
+        match self.group.take() {
+            Some(group) => group.enqueue(records),
+            None => Vec::new(),
+        }
+    }
+}
+
+impl Drop for Announcement<'_> {
+    fn drop(&mut self) {
+        if let Some(group) = self.group.take() {
+            group.enqueue(Vec::new());
+        }
+    }
 }
 
 impl GroupCommit {
-    /// Wraps `journal` in a batcher with the given gathering `window`
-    /// (clamped to 500µs; `Duration::ZERO` disables gathering).
+    /// Wraps `journal` in a batcher whose leaders gather for at most
+    /// `window` (clamped to [`MAX_GROUP_COMMIT_WINDOW`]; `Duration::ZERO`
+    /// never gathers).
     pub fn new(journal: Journal, window: Duration) -> Self {
         GroupCommit {
             journal: StdMutex::new(journal),
@@ -1068,12 +1121,24 @@ impl GroupCommit {
             arrived: Condvar::new(),
             done: Condvar::new(),
             window: window.min(MAX_GROUP_COMMIT_WINDOW),
+            flushes: AtomicU64::new(0),
+            flushed_records: AtomicU64::new(0),
+            window_waits: AtomicU64::new(0),
         }
     }
 
-    /// The configured gathering window.
+    /// The configured upper bound on a leader's gathering wait.
     pub fn window(&self) -> Duration {
         self.window
+    }
+
+    /// The flush, record and window-wait counters so far.
+    pub fn stats(&self) -> GroupCommitStats {
+        GroupCommitStats {
+            flushes: self.flushes.load(Ordering::Relaxed),
+            records: self.flushed_records.load(Ordering::Relaxed),
+            window_waits: self.window_waits.load(Ordering::Relaxed),
+        }
     }
 
     fn lock_shared(&self) -> StdMutexGuard<'_, GroupQueue> {
@@ -1098,6 +1163,20 @@ impl GroupCommit {
         self.lock_journal().checkpoint()
     }
 
+    /// Announced committers that have not enqueued yet.
+    #[cfg(test)]
+    pub(crate) fn preparing(&self) -> usize {
+        self.lock_shared().preparing
+    }
+
+    /// Announces that the caller will enqueue records soon. Call it before
+    /// the work that produces the records, so a leader flushing meanwhile
+    /// waits for them instead of flushing without them.
+    pub fn announce(&self) -> Announcement<'_> {
+        self.lock_shared().preparing += 1;
+        Announcement { group: Some(self) }
+    }
+
     /// Appends one sale through the batcher, returning once the record is
     /// durable (its fsync — possibly shared with concurrent committers —
     /// has completed) or failed.
@@ -1110,20 +1189,31 @@ impl GroupCommit {
     /// Appends many sales through the batcher with one enqueue, returning
     /// one result per record in order. The records share a flush with any
     /// concurrent committers, so `BATCH_COMMIT` and group commit compound:
-    /// one fsync can cover many batches.
+    /// one fsync can cover many batches. Equivalent to announcing and
+    /// enqueueing at once.
     pub fn append_sales(&self, records: Vec<SaleRecord>) -> Vec<Result<(), JournalError>> {
+        self.announce().append_sales(records)
+    }
+
+    /// The one enqueue path: retires one announcement and queues its
+    /// `records` in the same critical section — a gathering leader never
+    /// sees the announcement gone before the records are queued — then
+    /// waits for (or leads) their flush.
+    fn enqueue(&self, records: Vec<SaleRecord>) -> Vec<Result<(), JournalError>> {
         let n = records.len() as u64;
-        if n == 0 {
-            return Vec::new();
-        }
         let mut shared = self.lock_shared();
+        shared.preparing = shared.preparing.saturating_sub(1);
         let first = shared.next_ticket;
         shared.next_ticket += n;
         for (k, record) in records.into_iter().enumerate() {
             shared.queue.push((first + k as u64, record));
         }
-        // Wake a leader gathering inside its window: work has arrived.
+        // Wake a leader gathering inside its window: a sibling it waits
+        // for has enqueued (or withdrawn).
         self.arrived.notify_one();
+        if n == 0 {
+            return Vec::new();
+        }
         loop {
             let mine = first..first + n;
             if mine.clone().all(|t| shared.results.contains_key(&t)) {
@@ -1139,12 +1229,13 @@ impl GroupCommit {
             if !shared.flushing {
                 // Become the leader for the next flush.
                 shared.flushing = true;
-                if !self.window.is_zero() {
-                    // Bounded gathering: wait up to `window` for stragglers
-                    // (or until one arrives and wakes us).
+                if shared.preparing > 0 && !self.window.is_zero() {
+                    // Gather only the announced siblings, for at most
+                    // `window`; the predicate needs no clock read.
+                    self.window_waits.fetch_add(1, Ordering::Relaxed);
                     let (guard, _) = self
                         .arrived
-                        .wait_timeout(shared, self.window)
+                        .wait_timeout_while(shared, self.window, |q| q.preparing > 0)
                         .unwrap_or_else(|p| p.into_inner());
                     shared = guard;
                 }
@@ -1153,6 +1244,9 @@ impl GroupCommit {
                 let records: Vec<SaleRecord> = batch.iter().map(|(_, r)| *r).collect();
                 // nimbus-audit: allow(lock-order) — by design: the leader holds the journal mutex exactly for the group fsync; followers park on the condvar, not the disk
                 let results = self.lock_journal().append_sales(&records);
+                self.flushes.fetch_add(1, Ordering::Relaxed);
+                self.flushed_records
+                    .fetch_add(records.len() as u64, Ordering::Relaxed);
                 shared = self.lock_shared();
                 for ((ticket, _), result) in batch.into_iter().zip(results) {
                     shared.results.insert(ticket, result);
@@ -1594,6 +1688,75 @@ mod tests {
             "flushes {} > records",
             plan.writes_observed()
         );
+        let stats = gc.stats();
+        assert_eq!(stats.records, (threads * per_thread) as u64);
+        assert_eq!(stats.flushes, plan.writes_observed());
+        assert!(stats.window_waits <= stats.flushes);
+        assert_eq!(gc.preparing(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn group_commit_lone_appends_never_wait() {
+        let path = temp_path("groupcommit-lone");
+        let (j, _) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+        let gc = GroupCommit::new(j, MAX_GROUP_COMMIT_WINDOW);
+        for id in 0..200 {
+            gc.append_sale(sale(id, 1, None)).unwrap();
+        }
+        assert_eq!(
+            gc.stats(),
+            GroupCommitStats {
+                flushes: 200,
+                records: 200,
+                window_waits: 0,
+            }
+        );
+        assert_eq!(gc.preparing(), 0);
+        drop(gc);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn group_commit_held_announcement_gathers_until_the_window_closes() {
+        let path = temp_path("groupcommit-held");
+        let (j, _) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+        let gc = GroupCommit::new(j, MAX_GROUP_COMMIT_WINDOW);
+        let held = gc.announce();
+        // The sibling never enqueues, so the leader can only return by
+        // running out its window — and then it flushes without it.
+        gc.append_sale(sale(0, 1, None)).unwrap();
+        assert_eq!(gc.stats().window_waits, 1);
+        assert_eq!(gc.stats().flushes, 1);
+        assert_eq!(gc.preparing(), 1);
+        // Dropping the announcement unconsumed withdraws it.
+        drop(held);
+        assert_eq!(gc.preparing(), 0);
+        gc.append_sale(sale(1, 1, None)).unwrap();
+        assert_eq!(gc.stats().window_waits, 1, "lone again: no wait");
+        // An announcement consumed with no records withdraws as well.
+        assert!(gc.announce().append_sales(Vec::new()).is_empty());
+        assert_eq!(gc.preparing(), 0);
+        drop(gc);
+        let (_, rec) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+        assert_eq!(rec.transactions.len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn group_commit_announcement_withdraws_on_panic() {
+        let path = temp_path("groupcommit-panic");
+        let (j, _) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+        let gc = GroupCommit::new(j, MAX_GROUP_COMMIT_WINDOW);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _announced = gc.announce();
+            panic!("committer died between announce and enqueue");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(gc.preparing(), 0);
+        gc.append_sale(sale(0, 1, None)).unwrap();
+        assert_eq!(gc.stats().window_waits, 0);
+        drop(gc);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -90,8 +90,8 @@ pub use buyer::{Buyer, BuyerPopulation};
 pub use curves::{DemandCurve, MarketCurves, ValueCurve};
 pub use error::MarketError;
 pub use journal::{
-    FaultPlan, FaultyFile, GroupCommit, Journal, JournalError, Recovery, SaleRecord,
-    MAX_GROUP_COMMIT_WINDOW,
+    Announcement, FaultPlan, FaultyFile, GroupCommit, GroupCommitStats, Journal, JournalError,
+    Recovery, SaleRecord, MAX_GROUP_COMMIT_WINDOW,
 };
 pub use ledger::{Ledger, LedgerShard, Transaction};
 pub use marketplace::{

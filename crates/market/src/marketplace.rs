@@ -56,7 +56,7 @@
 //! parallelize across listings).
 
 use crate::broker::{Broker, BrokerBuilder, PurchaseRequest, Quote};
-use crate::journal::FaultPlan;
+use crate::journal::{FaultPlan, GroupCommitStats};
 use crate::parallel::parallel_map;
 use crate::seller::Seller;
 use crate::{MarketError, Result};
@@ -141,6 +141,8 @@ pub struct ListingStats {
     pub budget_rejects: u64,
     /// Buyers whose remaining noise budget is zero (0 when unmetered).
     pub exhausted_buyers: u64,
+    /// Group-commit counters of the listing's journal (zero without one).
+    pub journal: GroupCommitStats,
 }
 
 /// One consistent accounting snapshot over the whole marketplace:
@@ -329,9 +331,10 @@ impl ListingBuilder {
         self.map_builder(|b| b.journal_checkpoint_every(every))
     }
 
-    /// Coalesces concurrent journal appends into one write + fsync per
-    /// `window` (clamped to [`crate::journal::MAX_GROUP_COMMIT_WINDOW`]).
-    /// Zero (the default) fsyncs every sale individually.
+    /// Upper bound on the group-commit gathering wait (see
+    /// [`BrokerBuilder::journal_group_commit_window`]): a flush leader
+    /// waits only for announced concurrent commits, so a lone commit
+    /// never waits. Zero (the default) never gathers.
     pub fn journal_group_commit_window(self, window: std::time::Duration) -> Self {
         self.map_builder(|b| b.journal_group_commit_window(window))
     }
@@ -695,6 +698,7 @@ impl Marketplace {
                 revenue: stats.revenue,
                 budget_rejects: stats.budget_rejects,
                 exhausted_buyers: stats.exhausted_buyers,
+                journal: stats.journal,
             };
             out.total_sales += row.sales;
             // nimbus-audit: allow(money-safety) — per-listing revenue aggregates sales already validated at commit

@@ -10,7 +10,7 @@
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::journal::{self, FaultPlan, Journal, JournalError, SaleRecord};
+use nimbus_market::journal::{self, FaultPlan, GroupCommit, Journal, JournalError, SaleRecord};
 use nimbus_market::{
     BatchCommitItem, Broker, BrokerBuilder, MarketError, PurchaseRequest, Seller, Transaction,
 };
@@ -271,6 +271,33 @@ fn concurrent_journaled_commits_replay_in_commit_order() {
         seqs,
         (0..(threads * per_thread) as u64).collect::<Vec<u64>>()
     );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn held_announcement_keeps_a_leader_gathering_for_the_window() {
+    let path = temp_path("held-announcement");
+    let (j, _) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+    let gc = GroupCommit::new(j, journal::MAX_GROUP_COMMIT_WINDOW);
+    let held = gc.announce();
+    let started = std::time::Instant::now();
+    gc.append_sale(SaleRecord {
+        transaction: Transaction {
+            sequence: 0,
+            inverse_ncp: 10.0,
+            price: 3.0,
+            expected_error: 0.1,
+        },
+        snapshot_epoch: 1,
+        nonce: None,
+        buyer: None,
+    })
+    .unwrap();
+    // Lower bound only: a loaded host may add any delay on top.
+    assert!(started.elapsed() >= gc.window(), "{:?}", started.elapsed());
+    assert_eq!(gc.stats().window_waits, 1);
+    drop(held);
+    drop(gc);
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -38,7 +38,7 @@
 //! * [`loadgen`] — the N-threads × M-requests loopback load generator
 //!   behind `nimbus client load` and the end-to-end tests, with
 //!   pipelined/batched modes and p50/p99 latency reporting.
-//! * [`stats`] — [`StatsRegistry`]: lock-free counters and fixed-bucket
+//! * [`stats`] — [`StatsRegistry`]: lock-free counters and log-linear
 //!   latency histograms (p50/p99) served by `STATS`.
 //! * [`sys`] — the raw `epoll`/`poll(2)` syscall shim the event loop
 //!   runs on.

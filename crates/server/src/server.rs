@@ -34,7 +34,7 @@
 //!   dispatched job's response has been written; workers drain their
 //!   queues and join. Responses are never truncated.
 //! * **Stats.** Every handled request lands in the shared
-//!   [`StatsRegistry`] (atomic counters + fixed-bucket latency
+//!   [`StatsRegistry`] (atomic counters + log-linear latency
 //!   histograms), served back over the wire by `STATS`.
 //!
 //! The market side is exactly the in-process API: requests resolve their
@@ -610,6 +610,9 @@ fn execute(inner: &Inner, request: Request) -> nimbus_market::Result<Response> {
                     revenue: row.revenue,
                     budget_rejects: row.budget_rejects,
                     exhausted_buyers: row.exhausted_buyers,
+                    journal_flushes: row.journal.flushes,
+                    journal_records: row.journal.records,
+                    journal_window_waits: row.journal.window_waits,
                 })
                 .collect();
             Ok(Response::Stats(msg))

@@ -22,7 +22,7 @@
 //! | `0x02` / `0x82` | `QUOTE` (listing + one of the three §3.2 purchase options) | priced [`QuoteMsg`] pinned to a snapshot epoch |
 //! | `0x03` / `0x83` | `COMMIT` (listing, quoted x, epoch, payment, optional idempotency nonce) | [`SaleMsg`] **including the noisy weight vector** |
 //! | `0x04` / `0x84` | `INFO` (listing-scoped) | listing metadata + ledger accounting |
-//! | `0x05` / `0x85` | `STATS` | per-op request/error counters + latency + per-listing accounting |
+//! | `0x05` / `0x85` | `STATS` | per-op request/error counters + latency + per-listing accounting and group-commit counters |
 //! | `0x06` / `0x86` | `LISTINGS` | the marketplace's listing directory, states included |
 //! | `0x07` / `0x87` | `BATCH_COMMIT` (many sales, one frame) | per-item status: [`SaleMsg`] or typed error |
 //! | `0x10` / `0x90` | `PUBLISH` (admin) | listing (re-)published: new epoch + expected revenue |
@@ -368,6 +368,14 @@ pub struct ListingStatsMsg {
     pub budget_rejects: u64,
     /// Buyers whose remaining noise budget is zero.
     pub exhausted_buyers: u64,
+    /// Group-commit flushes (one `write + fsync` each) of the listing's
+    /// journal; 0 without a journal.
+    pub journal_flushes: u64,
+    /// Sale records those flushes carried.
+    pub journal_records: u64,
+    /// Flush leaders that waited in the gathering window for an announced
+    /// sibling commit.
+    pub journal_window_waits: u64,
 }
 
 /// `ACCOUNT` response body — one buyer's noise-budget account
@@ -1128,6 +1136,9 @@ impl Response {
                     e.f64(row.revenue);
                     e.u64(row.budget_rejects);
                     e.u64(row.exhausted_buyers);
+                    e.u64(row.journal_flushes);
+                    e.u64(row.journal_records);
+                    e.u64(row.journal_window_waits);
                 }
                 e.finish()
             }
@@ -1319,6 +1330,9 @@ impl Response {
                             revenue: d.f64()?,
                             budget_rejects: d.u64()?,
                             exhausted_buyers: d.u64()?,
+                            journal_flushes: d.u64()?,
+                            journal_records: d.u64()?,
+                            journal_window_waits: d.u64()?,
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
@@ -1518,6 +1532,9 @@ mod tests {
                 revenue: 340.0,
                 budget_rejects: 5,
                 exhausted_buyers: 2,
+                journal_flushes: 9,
+                journal_records: 12,
+                journal_window_waits: 3,
             }],
         }));
         roundtrip_response(Response::Account(AccountMsg {
@@ -1533,6 +1550,30 @@ mod tests {
             spent: 320.0,
             budget: None,
             remaining: None,
+        }));
+    }
+
+    #[test]
+    fn stats_rows_round_trip_group_commit_counters() {
+        let row = |listing: &str, flushes, records, waits| ListingStatsMsg {
+            listing: listing.into(),
+            state: "published".into(),
+            epoch: 1,
+            sales: records,
+            revenue: 10.0,
+            budget_rejects: 0,
+            exhausted_buyers: 0,
+            journal_flushes: flushes,
+            journal_records: records,
+            journal_window_waits: waits,
+        };
+        roundtrip_response(Response::Stats(StatsMsg {
+            connections: 1,
+            busy_rejections: 0,
+            protocol_errors: 0,
+            queue_depth: 0,
+            ops: Vec::new(),
+            listings: vec![row("journalled", 40, 57, 11), row("in-memory", 0, 0, 0)],
         }));
     }
 

@@ -679,30 +679,40 @@ mod tests {
 
     #[test]
     fn smoke_scenario_closes_the_loop() {
-        let scenario = Scenario::builtin("smoke").expect("catalog");
-        let h = SimHarness::start(&scenario, 42).expect("harness");
-        let outcome = run_scenario(
-            &scenario,
-            42,
-            h.server.local_addr(),
-            &h.marketplace,
-            &null_clock(),
-        )
-        .expect("run completes");
-        h.server.shutdown();
-        assert_eq!(outcome.records.len() as u64, scenario.ticks);
-        let quotes: u64 = outcome.records.iter().map(|r| r.quotes).sum();
-        assert_eq!(quotes, scenario.ticks * scenario.agents as u64);
-        // The population actually buys, and the loop actually re-prices.
-        assert!(outcome.acked_commits() > 0, "no commits ACKed");
-        assert!(outcome.reprice_count > 0, "the re-pricer never fired");
-        // Every re-price kills that tick's accepted in-flight quotes.
-        let expired: u64 = outcome.records.iter().map(|r| r.expired).sum();
-        assert!(expired > 0, "epoch-kill path never exercised");
-        // Journal revenue matches the ACK stream (summation order
-        // differs — per tick vs per listing — so compare to rounding).
-        let journal_revenue: f64 = outcome.records.iter().map(|r| r.revenue).sum();
-        let acked = outcome.acked_revenue();
-        assert!((journal_revenue - acked).abs() <= 1e-9 * acked.max(1.0));
+        // `baseline` is the default catalog scenario, at 3x the agents and
+        // ticks of `smoke`.
+        for name in ["smoke", "baseline"] {
+            let scenario = Scenario::builtin(name).expect("catalog");
+            let h = SimHarness::start(&scenario, 42).expect("harness");
+            let outcome = run_scenario(
+                &scenario,
+                42,
+                h.server.local_addr(),
+                &h.marketplace,
+                &null_clock(),
+            )
+            .expect("run completes");
+            h.server.shutdown();
+            assert_eq!(outcome.records.len() as u64, scenario.ticks, "{name}");
+            let quotes: u64 = outcome.records.iter().map(|r| r.quotes).sum();
+            assert_eq!(quotes, scenario.ticks * scenario.agents as u64, "{name}");
+            // The population actually buys, and the loop actually re-prices.
+            assert!(outcome.acked_commits() > 0, "{name}: no commits ACKed");
+            assert!(
+                outcome.reprice_count > 0,
+                "{name}: the re-pricer never fired"
+            );
+            // Every re-price kills that tick's accepted in-flight quotes.
+            let expired: u64 = outcome.records.iter().map(|r| r.expired).sum();
+            assert!(expired > 0, "{name}: epoch-kill path never exercised");
+            // Journal revenue matches the ACK stream (summation order
+            // differs — per tick vs per listing — so compare to rounding).
+            let journal_revenue: f64 = outcome.records.iter().map(|r| r.revenue).sum();
+            let acked = outcome.acked_revenue();
+            assert!(
+                (journal_revenue - acked).abs() <= 1e-9 * acked.max(1.0),
+                "{name}"
+            );
+        }
     }
 }

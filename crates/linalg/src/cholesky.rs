@@ -89,11 +89,6 @@ impl Cholesky {
         })
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor_matrix(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Solves `A x = b` via the two triangular solves `L y = b`, `Lᵀ x = y`.
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
         let y = solve_lower(&self.l, b)?;

@@ -48,16 +48,6 @@ impl Vector {
         &self.data
     }
 
-    /// Mutable view of the underlying slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns entry `i`, panicking on out-of-bounds (mirrors slice indexing).
     pub fn get(&self, i: usize) -> f64 {
         self.data[i]

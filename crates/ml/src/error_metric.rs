@@ -14,7 +14,7 @@
 //!   loss, hinge loss, test-set mean squared error, or the (non-convex,
 //!   evaluation-only) 0/1 misclassification rate.
 
-use crate::loss::{Convexity, HingeLoss, LogisticLoss, Loss, SquaredLoss, ZeroOneLoss};
+use crate::loss::{Convexity, HingeLoss, LogisticLoss, Loss, ZeroOneLoss};
 use crate::{LinearModel, Result};
 use nimbus_data::Dataset;
 
@@ -117,12 +117,6 @@ impl LossMetric {
     /// 0/1 misclassification rate on `data` (evaluation-only, non-convex).
     pub fn zero_one(data: Dataset) -> Self {
         Self::new(Box::new(ZeroOneLoss), data)
-    }
-
-    /// Unregularized squared loss on `data` (test-set fit, not the
-    /// closed-form distance of [`SquareDistanceMetric`]).
-    pub fn test_squared(data: Dataset) -> Self {
-        Self::new(Box::new(SquaredLoss::plain()), data)
     }
 
     /// The evaluation dataset.

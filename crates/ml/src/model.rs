@@ -44,11 +44,6 @@ impl LinearModel {
         &mut self.weights
     }
 
-    /// Consumes the model, returning the weights.
-    pub fn into_weights(self) -> Vector {
-        self.weights
-    }
-
     /// Raw score `hᵀx` for a feature row.
     pub fn score(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.dim());

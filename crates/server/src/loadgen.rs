@@ -51,9 +51,10 @@
 //! # Per-listing traffic mix
 //!
 //! [`LoadConfig::mix`] drives the marketplace routing path: each entry is
-//! a `(listing, weight)` pair, expanded into a deterministic ring that
-//! request `i` of thread `t` indexes by `(t·M + i) mod ring.len()`, so a
-//! mix of `[("a", 3), ("b", 1)]` sends 3 of every 4 requests to `"a"`.
+//! a `(listing, weight)` pair. Request `i` of thread `t` takes slot
+//! `(t·M + i) mod W` of a cycle of `W` = total weight, in which each
+//! listing holds as many consecutive slots as its weight, so a mix of
+//! `[("a", 3), ("b", 1)]` sends 3 of every 4 requests to `"a"`.
 //! An empty mix preserves the classic behavior: every request goes to the
 //! server's default listing. [`LoadReport::per_listing`] breaks `ok` and
 //! `revenue` down by listing so each ledger reconciles independently.
@@ -294,37 +295,41 @@ fn apply_outcome(report: &mut LoadReport, outcome: &RequestOutcome) {
 }
 
 /// The request issued for attempt `i` of thread `t`: a deterministic
-/// spread over the menu support, same shape as the in-process throughput
-/// bench.
+/// spread over the menu support.
 fn request_for(thread: usize, i: usize, per_thread: usize) -> PurchaseRequest {
     PurchaseRequest::AtInverseNcp(1.0 + ((thread * per_thread + i) % 99) as f64)
 }
 
-/// Expands the weighted mix into a deterministic target ring. One `None`
-/// entry (= the default listing) when the mix is empty or all-zero.
-fn expand_mix(mix: &[(String, u32)]) -> Vec<Option<String>> {
-    let mut ring = Vec::new();
-    for (listing, weight) in mix {
-        for _ in 0..*weight {
-            ring.push(Some(listing.clone()));
-        }
-    }
-    if ring.is_empty() {
-        ring.push(None);
-    }
-    ring
+/// The weighted mix as `(cumulative weight, listing)` pairs: a listing
+/// owns the cycle slots from the previous entry's end up to its own.
+fn expand_mix(mix: &[(String, u32)]) -> Vec<(u64, &str)> {
+    let mut end = 0u64;
+    mix.iter()
+        .map(|(listing, weight)| {
+            end = end.saturating_add(u64::from(*weight));
+            (end, listing.as_str())
+        })
+        .collect()
 }
 
-/// The listing targeted by attempt `i` of thread `t`.
-fn target_for(ring: &[Option<String>], thread: usize, i: usize, per_thread: usize) -> Option<&str> {
-    let idx = (thread * per_thread + i) % ring.len().max(1);
-    ring.get(idx).and_then(|t| t.as_deref())
+/// The listing targeted by attempt `i` of thread `t`; `None` (= the
+/// default listing) when the mix is empty or all-zero.
+fn target_for<'a>(
+    cumulative: &[(u64, &'a str)],
+    thread: usize,
+    i: usize,
+    per_thread: usize,
+) -> Option<&'a str> {
+    let total = cumulative.last()?.0;
+    let slot = (thread as u64 * per_thread as u64 + i as u64).checked_rem(total)?;
+    let k = cumulative.partition_point(|&(end, _)| end <= slot);
+    cumulative.get(k).map(|&(_, listing)| listing)
 }
 
 /// Runs the load: `threads × requests_per_thread` requests against
 /// `addr`, each thread on its own connection(s).
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
-    let ring = expand_mix(&config.mix);
+    let targets = expand_mix(&config.mix);
     // One histogram shared by every thread: the buckets are atomic, so
     // recording through a shared reference needs no merge step.
     let latency = Arc::new(LatencyHistogram::default());
@@ -364,13 +369,13 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
     let per_thread: Vec<LoadReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|t| {
-                let ring = &ring;
+                let targets = &targets;
                 let latency = Arc::clone(&latency);
                 scope.spawn(move || {
                     if pipelined {
                         thread_load_pipelined(addr, config, &latency, t)
                     } else {
-                        thread_load(addr, config, ring, &latency, t)
+                        thread_load(addr, config, targets, &latency, t)
                     }
                 })
             })
@@ -427,7 +432,7 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
 fn thread_load(
     addr: SocketAddr,
     config: &LoadConfig,
-    ring: &[Option<String>],
+    targets: &[(u64, &str)],
     latency: &LatencyHistogram,
     thread: usize,
 ) -> LoadReport {
@@ -435,7 +440,7 @@ fn thread_load(
     let mut by_listing: BTreeMap<String, (u64, f64)> = BTreeMap::new();
     let mut client: Option<NimbusClient> = None;
     for i in 0..config.requests_per_thread {
-        let target = target_for(ring, thread, i, config.requests_per_thread);
+        let target = target_for(targets, thread, i, config.requests_per_thread);
         let mut last_latency = Duration::ZERO;
         let outcome = run_request(config.busy_retries, || {
             let attempt_started = Instant::now();
@@ -760,25 +765,36 @@ mod tests {
 
     #[test]
     fn empty_mix_targets_the_default_listing() {
-        let ring = expand_mix(&[]);
-        assert_eq!(ring, vec![None]);
-        assert_eq!(target_for(&ring, 3, 17, 64), None);
+        let targets = expand_mix(&[]);
+        assert!(targets.is_empty());
+        assert_eq!(target_for(&targets, 3, 17, 64), None);
     }
 
     #[test]
     fn weighted_mix_expands_proportionally() {
-        let ring = expand_mix(&[("a".into(), 3), ("zero".into(), 0), ("b".into(), 1)]);
-        assert_eq!(ring.len(), 4);
-        let a = ring.iter().filter(|t| t.as_deref() == Some("a")).count();
-        let b = ring.iter().filter(|t| t.as_deref() == Some("b")).count();
+        let mix = [("a".into(), 3), ("zero".into(), 0), ("b".into(), 1)];
+        let targets = expand_mix(&mix);
+        assert_eq!(targets.last().map(|&(total, _)| total), Some(4));
+        let cycle: Vec<_> = (0..4).map(|i| target_for(&targets, 0, i, 4)).collect();
+        let a = cycle.iter().filter(|&&t| t == Some("a")).count();
+        let b = cycle.iter().filter(|&&t| t == Some("b")).count();
         assert_eq!((a, b), (3, 1));
         // Deterministic: the same (thread, i) always targets the same listing.
-        assert_eq!(target_for(&ring, 1, 2, 8), target_for(&ring, 1, 2, 8));
+        assert_eq!(target_for(&targets, 1, 2, 8), target_for(&targets, 1, 2, 8));
         // Across a full cycle every entry is hit per its weight.
         let hits = (0..8)
-            .filter(|&i| target_for(&ring, 0, i, 8) == Some("b"))
+            .filter(|&i| target_for(&targets, 0, i, 8) == Some("b"))
             .count();
         assert_eq!(hits, 2);
+
+        // A u32::MAX weight costs one entry, not one per unit of weight.
+        let mix = [("a".into(), u32::MAX), ("b".into(), 1)];
+        let targets = expand_mix(&mix);
+        assert_eq!(targets.len(), 2);
+        let last_a = u32::MAX as usize - 1;
+        assert_eq!(target_for(&targets, 0, last_a, 8), Some("a"));
+        assert_eq!(target_for(&targets, 0, last_a + 1, 8), Some("b"));
+        assert_eq!(target_for(&targets, 0, last_a + 2, 8), Some("a"));
     }
 
     #[test]

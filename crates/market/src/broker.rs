@@ -378,7 +378,6 @@ pub struct BrokerBuilder {
     config: BrokerConfig,
     commission: f64,
     journal_path: Option<PathBuf>,
-    journal_checkpoint_every: u64,
     journal_faults: FaultPlan,
     journal_group_commit_window: Duration,
     buyer_budget: Option<f64>,
@@ -398,7 +397,6 @@ impl BrokerBuilder {
             config: BrokerConfig::default(),
             commission: 0.0,
             journal_path: None,
-            journal_checkpoint_every: 256,
             journal_faults: FaultPlan::new(),
             journal_group_commit_window: Duration::ZERO,
             buyer_budget: None,
@@ -416,21 +414,16 @@ impl BrokerBuilder {
         self
     }
 
-    /// Journals every committed sale to the write-ahead log at `path`,
-    /// fsynced before the sale is acknowledged. On [`BrokerBuilder::build`]
-    /// an existing journal is replayed: the ledger shards, the monotone
-    /// transaction-id sequence and the idempotency table are restored, and
-    /// epochs of snapshots published by [`Broker::open_market`] continue
-    /// above the highest journaled epoch.
+    /// Journals every committed sale to the append-only write-ahead log at
+    /// `path`, fsynced before the sale is acknowledged; the log is never
+    /// rewritten. On [`BrokerBuilder::build`] an existing journal is
+    /// replayed: the ledger shards, the monotone transaction-id sequence
+    /// and the idempotency table are restored, and epochs of snapshots
+    /// published by [`Broker::open_market`] continue above the highest
+    /// journaled epoch. A tail torn by a crash is salvaged; corruption
+    /// anywhere else fails the build and leaves the file untouched.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal_path = Some(path.into());
-        self
-    }
-
-    /// Compacts the journal into one checkpoint record after this many
-    /// sale appends (`0` disables automatic compaction; default 256).
-    pub fn journal_checkpoint_every(mut self, every: u64) -> Self {
-        self.journal_checkpoint_every = every;
         self
     }
 
@@ -552,7 +545,7 @@ impl BrokerBuilder {
         let mut journal = None;
         let mut recovery = None;
         if let Some(path) = self.journal_path {
-            let (j, rec) = Journal::open(path, self.journal_checkpoint_every, self.journal_faults)?;
+            let (j, rec) = Journal::open(path, 0, self.journal_faults)?;
             // Rebuild the books exactly as the pre-crash broker held them:
             // every replayed sale back on its stripe, the id sequence
             // resuming past the highest journaled id, and the idempotency
@@ -1303,16 +1296,6 @@ impl Broker {
     /// without a journal; an empty recovery for a fresh journal).
     pub fn recovery(&self) -> Option<&Recovery> {
         self.recovery.as_ref()
-    }
-
-    /// Forces a journal checkpoint — the log is compacted to one record
-    /// holding the full books. Used by the serving layer's graceful
-    /// shutdown; a no-op without a journal.
-    pub fn checkpoint_journal(&self) -> Result<()> {
-        match &self.journal {
-            Some(journal) => journal.checkpoint().map_err(Into::into),
-            None => Ok(()),
-        }
     }
 
     /// Builds the buyer-facing price–error curve for an arbitrary error

@@ -326,11 +326,6 @@ impl ListingBuilder {
         self
     }
 
-    /// Compacts the journal after this many appends.
-    pub fn journal_checkpoint_every(self, every: u64) -> Self {
-        self.map_builder(|b| b.journal_checkpoint_every(every))
-    }
-
     /// Upper bound on the group-commit gathering wait (see
     /// [`BrokerBuilder::journal_group_commit_window`]): a flush leader
     /// waits only for announced concurrent commits, so a lone commit
@@ -392,7 +387,8 @@ impl ListingBuilder {
                 let builder = match self.journal_root {
                     Some(root) => {
                         let dir = root.join(&self.name);
-                        std::fs::create_dir_all(&dir).map_err(crate::journal::JournalError::Io)?;
+                        crate::journal::create_dir_durable(&dir)
+                            .map_err(crate::journal::JournalError::Io)?;
                         builder.journal(dir.join("journal.log"))
                     }
                     None => *builder,
@@ -718,22 +714,6 @@ impl Marketplace {
     /// [`Marketplace::stats`] snapshot).
     pub fn total_sales(&self) -> usize {
         self.stats().total_sales as usize
-    }
-
-    /// Compacts every listing's journal (no-ops for unjournalled
-    /// listings). Attempts all listings; the first error is returned
-    /// after the sweep.
-    pub fn checkpoint_journals(&self) -> Result<()> {
-        let mut first_err = None;
-        for l in self.directory().listings.values() {
-            if let Err(e) = l.broker.checkpoint_journal() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
     }
 
     /// The currently published directory: one Acquire load, no lock.
@@ -1089,7 +1069,6 @@ mod tests {
         let path = Marketplace::journal_path_for(&root, "j");
         assert_eq!(path, root.join("j").join("journal.log"));
         assert!(path.is_file(), "journal written under <root>/<listing>/");
-        mp.checkpoint_journals().unwrap();
 
         // A fresh marketplace over the same root replays the listing's
         // sales from its own journal.

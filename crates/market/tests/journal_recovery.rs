@@ -303,7 +303,9 @@ fn held_announcement_keeps_a_leader_gathering_for_the_window() {
 
 // ---------------------------------------------------------------------------
 // Corruption corpus: handcrafted bad journals, each asserting the typed
-// error and that the valid prefix is salvaged (file truncated back to it).
+// error. A bad record at the tail, where a crash could have left it, is
+// salvaged (file truncated back to the valid prefix); one with durable
+// records after it refuses the open and leaves the file alone.
 // ---------------------------------------------------------------------------
 
 fn sale_frame(tx_id: u64, epoch: u64) -> Vec<u8> {
@@ -518,5 +520,20 @@ fn corpus_salvaged_prefix_restores_a_broker() {
         .quote_request(PurchaseRequest::AtInverseNcp(10.0))
         .unwrap();
     assert_eq!(broker.commit(q, q.price).unwrap().transaction.sequence, 3);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn corpus_corrupt_record_before_durable_sales_refuses_the_broker() {
+    let mut corrupt = sale_frame(1, 1);
+    corrupt[9] ^= 0x80;
+    let records = vec![sale_frame(0, 1), corrupt, sale_frame(2, 1)];
+    let path = write_journal("corpus-broker-refused", &[], &records);
+    let before = std::fs::read(&path).unwrap();
+    assert!(matches!(
+        journaled_builder(&path).build(),
+        Err(MarketError::Journal(JournalError::BadChecksum { .. }))
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), before);
     std::fs::remove_file(&path).unwrap();
 }

@@ -25,9 +25,9 @@
 //!   connection, dispatching complete frames onto sharded bounded job
 //!   queues drained by CPU workers. Bounded queues shed load with `BUSY`
 //!   instead of stalling; slow-loris and idle peers are shed by
-//!   event-loop deadlines; graceful shutdown drains in-flight requests
-//!   and checkpoints every listing journal; an atomic per-op stats
-//!   registry records everything.
+//!   event-loop deadlines; graceful shutdown drains in-flight requests,
+//!   whose sales are already durable in the listing journals; an atomic
+//!   per-op stats registry records everything.
 //! * [`client`] — [`NimbusClient`]: a blocking connection with typed
 //!   errors (`Busy` vs `Remote { code, .. }`), full timeouts, bounded
 //!   [`RetryPolicy`] backoff on sheds and transient faults, and

@@ -317,12 +317,6 @@ impl NimbusServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // With every worker joined, no commit is in flight: compact every
-        // listing's sale journal so the next boot replays one checkpoint
-        // record instead of the whole append history. Best-effort — the
-        // logs are already durable record-by-record, a failed compaction
-        // loses nothing.
-        let _ = self.inner.marketplace.checkpoint_journals();
     }
 }
 

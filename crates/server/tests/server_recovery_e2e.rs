@@ -236,14 +236,14 @@ fn same_nonce_retry_across_restart_charges_once() {
     let _ = std::fs::remove_file(&journal);
 }
 
-/// Regression: compaction used to write one checkpoint record holding the
-/// whole book. Past ~18.7k keyed sales that record exceeds the journal's
-/// record cap, and reopening salvaged the log down to its header — an
-/// empty book. With the default checkpoint cadence, more than twice that
-/// many keyed, buyer-attributed sales go in as `BATCH_COMMIT` frames, the
-/// server shuts down (which compacts once more), and the reopened journal
-/// must still hold every transaction, dedup key and account; a keyed
-/// retry must replay the identical sale.
+/// Regression: compaction (since deleted) used to write one checkpoint
+/// record holding the whole book. Past ~18.7k keyed sales that record
+/// exceeded the journal's record cap, and reopening salvaged the log down
+/// to its header — an empty book. More than twice that many keyed,
+/// buyer-attributed sales go in as `BATCH_COMMIT` frames, the server shuts
+/// down, and the reopened append-only journal must still hold every
+/// transaction, dedup key and account; a keyed retry must replay the
+/// identical sale.
 #[test]
 fn books_past_the_checkpoint_record_cap_reopen_whole() {
     const BATCH: usize = 256;

@@ -551,7 +551,9 @@ fn fetch_menus(
 /// caller never observes server-side scheduling. A transport fault or a
 /// mid-stream `BUSY` shed reconnects the affected connection and
 /// re-sends its unanswered requests (safe: reads are idempotent and
-/// commits carry nonces), bounded by [`MAX_RECONNECTS`].
+/// commits carry nonces), bounded by [`MAX_RECONNECTS`]. The server keeps
+/// a connection open across a queue-full shed and closes it only after a
+/// deadline shed; one reconnect path covers both.
 fn exchange(
     conns: &mut [PipelinedClient],
     addr: SocketAddr,
@@ -578,8 +580,9 @@ fn exchange(
         while !maps[c].is_empty() || sent[c] < queues[c].len() {
             match conns[c].recv() {
                 Ok((corr, Response::Busy { .. })) => {
-                    // A mid-stream shed closes the connection server-side;
-                    // recover the unanswered requests on a fresh one.
+                    // A queue-full shed leaves the connection open and a
+                    // deadline shed closes it; either way, recover the
+                    // unanswered requests on a fresh one.
                     let _ = corr;
                     reconnect(
                         conns,

@@ -59,8 +59,9 @@ impl SimHarness {
         let config = ServerConfig {
             // Head-room over the engine's pipelining window: the engine
             // keeps at most `connections × MAX_IN_FLIGHT` frames
-            // outstanding, and a queue-overflow shed closes the
-            // connection, which would cost a reconnect mid-run.
+            // outstanding, and it answers a queue-overflow `BUSY` by
+            // reconnecting and re-sending, which would cost a reconnect
+            // mid-run. (The server itself keeps the connection open.)
             queue_capacity: 4096,
             ..ServerConfig::default()
         };

@@ -8,8 +8,10 @@
 //! ```text
 //!             ┌────────────────────────── event loop thread ───┐
 //!  accept ───▶│ slab of per-connection state machines          │
-//!  readable ─▶│   read → frame-parse → dispatch to shard queue─┼─▶ workers
-//!  writable ─▶│   flush ← completions ← wake pipe ◀────────────┼── (CPU)
+//!  readable ─▶│   read → frame-parse → dispatch ─┬─ MENU/QUOTE:│
+//!             │                                  │  execute here│
+//!             │                                  └─ other ops ─┼─▶ shard queue
+//!  writable ─▶│   flush ← write buffer ← completions ← wake ◀──┼── workers (CPU)
 //!             └────────────────────────────────────────────────┘
 //! ```
 //!
@@ -17,13 +19,22 @@
 //!   holding a read buffer, a queue of parsed-but-undispatched frames, a
 //!   write buffer and a handful of counters. An idle connection costs one
 //!   fd and one slab slot — no thread, no stack.
+//! * **Snapshot reads inline.** A current-version `MENU` or `QUOTE` is a
+//!   lock-free read of the published snapshot, so the loop executes it
+//!   itself and appends the response to the write buffer, skipping the
+//!   queue → worker → completion → wake-pipe hop. Every other frame, and
+//!   any frame at another version or too short to carry an opcode, goes
+//!   to a worker. Inline reads pause while the connection has more than
+//!   [`WRITE_BACKPRESSURE`] response bytes pending, which bounds loop
+//!   hold time and memory.
 //! * **Pipelining.** Every frame carries a correlation id and may be
 //!   dispatched while earlier frames from the same connection are still
 //!   executing; responses are matched by id, not order.
-//! * **Shedding, not stalling.** Dispatch pushes onto bounded shard
-//!   queues; a full queue answers the *frame* with a typed `BUSY` instead
-//!   of queueing unboundedly. The connection stays open across a shed
-//!   (the id tells the client which request was hit).
+//! * **Shedding, not stalling.** Dispatch pushes worker ops onto bounded
+//!   shard queues; a full queue answers the *frame* with a typed `BUSY`
+//!   instead of queueing unboundedly. The connection stays open across
+//!   such a shed (the id tells the client which request was hit).
+//!   Snapshot reads take no queue slot and are never shed.
 //! * **Slow-loris defense.** A timer wheel (binary heap with lazy
 //!   invalidation) enforces three deadlines per connection: a
 //!   header-read deadline from the first byte of an incomplete frame, an
@@ -45,7 +56,7 @@
 //! the loop appends each encoded frame to the connection's write buffer
 //! and flushes as the socket drains.
 
-use crate::server::{Inner, Job};
+use crate::server::{execute_job, Inner, Job};
 use crate::sys::{PollEvent, Poller};
 use crate::wire::{self, ErrorCode, Response};
 use std::cmp::Reverse;
@@ -105,6 +116,8 @@ enum DeadlineKind {
 /// One frame sniffed off a connection, waiting for dispatch.
 struct PendingFrame {
     corr: u64,
+    /// A current-version `MENU` or `QUOTE`: answered on the loop thread.
+    snapshot_read: bool,
     payload: Vec<u8>,
 }
 
@@ -588,8 +601,10 @@ impl EventLoop {
             let Some(payload) = conn.read_buf.get(pos + 4..pos + 4 + len) else {
                 break; // incomplete frame
             };
+            let (corr, op) = wire::sniff_header(payload);
             conn.parsed.push_back(PendingFrame {
-                corr: wire::sniff_header(payload),
+                corr,
+                snapshot_read: wire::is_snapshot_read(op),
                 payload: payload.to_vec(),
             });
             pos += 4 + len;
@@ -606,8 +621,13 @@ impl EventLoop {
         }
     }
 
-    /// Moves parsed frames onto the shard queue, shedding with `BUSY`
-    /// when it is full.
+    /// Drains parsed frames in arrival order. Snapshot reads (`MENU`,
+    /// `QUOTE`) execute here and their responses go straight into the
+    /// write buffer; every other frame moves onto the shard queue, shed
+    /// with `BUSY` when it is full. While the connection has more than
+    /// [`WRITE_BACKPRESSURE`] response bytes pending, a snapshot read
+    /// stays at the head of `parsed` with everything behind it, and runs
+    /// on the next writable pass.
     fn dispatch(&mut self, slot: u32) {
         let retry_after_ms = self.retry_after_ms();
         let Some(conn) = self.conns.get_mut(slot as usize).and_then(Option::as_mut) else {
@@ -621,9 +641,23 @@ impl EventLoop {
                 conn.parsed.clear();
                 break;
             }
+            let Some(head) = conn.parsed.front() else {
+                break;
+            };
+            if head.snapshot_read && conn.pending_write() > WRITE_BACKPRESSURE {
+                break;
+            }
             let Some(frame) = conn.parsed.pop_front() else {
                 break;
             };
+            if frame.snapshot_read {
+                let (reply, close) = execute_job(&self.inner, frame.corr, &frame.payload);
+                conn.queue_frame(&reply);
+                // A malformed body poisons the framing: answer, then
+                // hang up (the loop top drops what is left of `parsed`).
+                conn.close_after_flush |= close;
+                continue;
+            }
             let mut queue = match shard.queue.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
@@ -672,7 +706,10 @@ impl EventLoop {
             && !conn.close_after_flush
             && conn.pending_write() <= WRITE_BACKPRESSURE
             && conn.parsed.len() < MAX_PARSED;
-        let want_write = conn.pending_write() > 0;
+        // Frames left in `parsed` after dispatch are snapshot reads held
+        // back by write backpressure; write interest brings the next pass
+        // even if the flush above already drained the buffer.
+        let want_write = conn.pending_write() > 0 || !conn.parsed.is_empty();
         if conn.interest != (want_read, want_write) {
             if self
                 .poller

@@ -22,12 +22,14 @@
 //!   typed error.
 //! * [`server`] — [`NimbusServer`]: a single readiness event loop
 //!   (`epoll`/`poll(2)` via [`sys`], no async runtime) multiplexing every
-//!   connection, dispatching complete frames onto sharded bounded job
-//!   queues drained by CPU workers. Bounded queues shed load with `BUSY`
-//!   instead of stalling; slow-loris and idle peers are shed by
-//!   event-loop deadlines; graceful shutdown drains in-flight requests,
-//!   whose sales are already durable in the listing journals; an atomic
-//!   per-op stats registry records everything.
+//!   connection. It answers `MENU` and `QUOTE`, lock-free snapshot
+//!   reads, on the loop thread itself, and dispatches every other
+//!   complete frame onto sharded bounded job queues drained by workers.
+//!   Bounded queues shed those ops with `BUSY` instead of stalling
+//!   (snapshot reads take no queue slot); slow-loris and idle peers are
+//!   shed by event-loop deadlines; graceful shutdown drains in-flight
+//!   requests, whose sales are already durable in the listing journals;
+//!   an atomic per-op stats registry records everything.
 //! * [`client`] — [`NimbusClient`]: a blocking connection with typed
 //!   errors (`Busy` vs `Remote { code, .. }`), full timeouts, bounded
 //!   [`RetryPolicy`] backoff on sheds and transient faults, and

@@ -6,7 +6,8 @@
 //!               ┌──────────────────────────────┐   shard 0: job queue ─ workers
 //!   TCP conns ─▶│ event loop (crate::event)    │─┬▶ shard 1: job queue ─ workers
 //!   (epoll /    │ accept · read · frame-parse  │ │          …
-//!    poll(2))   │ flush ◀─ completions ◀ wake ─┼─┴▶ shard K: job queue ─ workers
+//!    poll(2))   │ MENU/QUOTE executed inline   │ │
+//!               │ flush ◀─ completions ◀ wake ─┼─┴▶ shard K: job queue ─ workers
 //!               └──────────────────────────────┘   queue full ⇒ typed BUSY frame
 //! ```
 //!
@@ -15,16 +16,22 @@
 //!   and flushes responses without ever blocking on a peer. Tens of
 //!   thousands of idle connections cost two fds and a slab slot — no
 //!   thread per connection.
-//! * **Sharded execution.** Complete frames become `Job`s on one of `K`
-//!   bounded `Mutex<VecDeque<Job>> + Condvar` shard queues, drained by
-//!   worker threads that do the CPU-bound work (decode, route, quote,
-//!   commit, encode). Completed frames flow back through
+//! * **Snapshot reads on the loop thread.** A current-version `MENU` or
+//!   `QUOTE` frame is decoded, priced against the lock-free published
+//!   snapshot and encoded by the loop itself, through the same
+//!   `execute_job` the workers use; its response goes straight into the
+//!   connection's write buffer.
+//! * **Sharded execution.** Every other frame becomes a `Job` on one of
+//!   `K` bounded `Mutex<VecDeque<Job>> + Condvar` shard queues, drained
+//!   by worker threads that do the blocking work (decode, route, commit
+//!   and its fsync, encode). Completed frames flow back through
 //!   `Inner::completions` plus one byte on a wake pipe.
 //! * **Pipelining.** Every frame carries a correlation id, so frames may
 //!   overlap on one connection; responses are matched by id.
 //! * **Load shedding, not stalling.** A full shard queue answers the
 //!   frame with a typed `BUSY` instead of queueing unboundedly; the
-//!   connection stays open. Slow-loris and idle peers are
+//!   connection stays open. Snapshot reads take no queue slot, so they
+//!   are never shed. Slow-loris and idle peers are
 //!   shed by event-loop deadlines ([`ServerConfig::header_read_timeout`],
 //!   [`ServerConfig::idle_timeout`]) and counted separately in
 //!   [`StatsRegistry::timeout_sheds`].
@@ -77,12 +84,17 @@ pub struct ServerConfig {
     /// Worker threads per shard (`≥ 1`).
     pub workers_per_shard: usize,
     /// Pending-job bound per shard (`≥ 1`); beyond it, the frame is shed
-    /// with a typed `BUSY`.
+    /// with a typed `BUSY`. Applies to worker-executed ops only: `MENU`
+    /// and `QUOTE` run on the event thread, take no queue slot and are
+    /// never shed.
     pub queue_capacity: usize,
     /// Write-stall bound: a connection whose buffered response bytes make
     /// no progress for this long is closed (the peer stopped reading).
     pub write_timeout: Duration,
-    /// Artificial service time per request, for load and shedding tests.
+    /// Artificial service time per worker-executed request, for load and
+    /// shedding tests. The worker sleeps it before executing each queued
+    /// frame; `MENU` and `QUOTE`, answered on the event thread, never pay
+    /// it.
     pub handle_delay: Option<Duration>,
     /// Back-off hint carried in `BUSY` frames: how long a shed client
     /// should wait before retrying. Purely advisory; milliseconds on the
@@ -353,12 +365,20 @@ pub(crate) fn worker_loop(inner: &Arc<Inner>, shard_idx: usize) {
             }
         };
         let Some(job) = next else { break };
-        let completion = execute_job(inner, &job);
+        if let Some(delay) = inner.config.handle_delay {
+            std::thread::sleep(delay);
+        }
+        let (frame, close) = execute_job(inner, job.corr, &job.payload);
         let mut guard = match inner.completions.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        guard.push(completion);
+        guard.push(Completion {
+            slot: job.slot,
+            gen: job.gen,
+            frame,
+            close,
+        });
         drop(guard);
         // Errors (pipe full / loop gone) are fine: a full pipe already
         // has a wake byte in flight, and a gone loop needs none.
@@ -366,13 +386,15 @@ pub(crate) fn worker_loop(inner: &Arc<Inner>, shard_idx: usize) {
     }
 }
 
-/// Decodes and executes one job, producing the encoded response frame,
-/// which carries the request's correlation id. A frame that fails to
-/// decode — including one at another protocol version — is answered with
-/// a typed error and closes the connection.
-fn execute_job(inner: &Inner, job: &Job) -> Completion {
+/// Decodes and executes one frame payload, producing the encoded response
+/// frame, which carries the request's correlation id `corr`, and whether
+/// the connection must close after it. A frame that fails to decode —
+/// including one at another protocol version — is answered with a typed
+/// error and closes the connection. Workers call this for queued frames;
+/// the event loop calls it for snapshot reads (`MENU`, `QUOTE`).
+pub(crate) fn execute_job(inner: &Inner, corr: u64, payload: &[u8]) -> (Vec<u8>, bool) {
     let started = Instant::now();
-    let request = match Request::decode_framed(&job.payload) {
+    let request = match Request::decode_framed(payload) {
         Ok((_corr, request)) => request,
         Err(e) => {
             inner.stats.protocol_error();
@@ -383,18 +405,12 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
                 ),
                 e => (ErrorCode::BadFrame, e.to_string()),
             };
-            let frame = Response::Error { code, message }.encode_with_corr(job.corr);
-            return Completion {
-                slot: job.slot,
-                gen: job.gen,
-                frame,
-                close: true,
-            };
+            return (
+                Response::Error { code, message }.encode_with_corr(corr),
+                true,
+            );
         }
     };
-    if let Some(delay) = inner.config.handle_delay {
-        std::thread::sleep(delay);
-    }
     let op = match request {
         Request::Menu { .. } => Op::Menu,
         Request::Quote { .. } => Op::Quote,
@@ -417,14 +433,9 @@ fn execute_job(inner: &Inner, job: &Job) -> Completion {
             false,
         ),
     };
-    let frame = response.encode_with_corr(job.corr);
+    let frame = response.encode_with_corr(corr);
     inner.stats.record(op, ok, started.elapsed());
-    Completion {
-        slot: job.slot,
-        gen: job.gen,
-        frame,
-        close: false,
-    }
+    (frame, false)
 }
 
 /// Resolves a request's optional listing to a concrete name: `None` means

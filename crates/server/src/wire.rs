@@ -680,18 +680,28 @@ fn open_payload(payload: &[u8]) -> Result<(u8, u64, Dec<'_>)> {
     Ok((opcode, corr, dec))
 }
 
-/// Sniffs a payload's correlation id without decoding the body — what the
-/// event loop needs to answer a frame before anything is validated.
-/// Frames at another version, or too short to carry the id, report 0 and
-/// are left for the full decoder to reject with a typed error.
-pub fn sniff_header(payload: &[u8]) -> u64 {
+/// Sniffs a payload's correlation id and opcode without decoding the body
+/// — what the event loop needs to route and answer a frame before
+/// anything is validated. Frames at another version report `(0, None)`;
+/// a frame too short to carry the id reports id 0, and one too short to
+/// carry the opcode reports `None`. The full decoder rejects all of them
+/// with a typed error.
+pub fn sniff_header(payload: &[u8]) -> (u64, Option<u8>) {
     if payload.get(2) != Some(&VERSION) {
-        return 0;
+        return (0, None);
     }
-    payload
+    let corr = payload
         .get(4..12)
         .and_then(|bytes| <[u8; 8]>::try_from(bytes).ok())
-        .map_or(0, u64::from_be_bytes)
+        .map_or(0, u64::from_be_bytes);
+    (corr, payload.get(3).copied())
+}
+
+/// Whether a sniffed opcode is a snapshot read (`MENU` or `QUOTE`): a
+/// lock-free read of the published menu that the event loop answers
+/// itself instead of queueing it for a worker.
+pub(crate) fn is_snapshot_read(op: Option<u8>) -> bool {
+    matches!(op, Some(OP_MENU | OP_QUOTE))
 }
 
 // ---------------------------------------------------------------------------
@@ -1799,7 +1809,10 @@ mod tests {
         };
         let payload = req.encode_with_corr(0xFEED_F00D_1234_5678);
         assert_eq!(payload[2], VERSION);
-        assert_eq!(sniff_header(&payload), 0xFEED_F00D_1234_5678);
+        assert_eq!(
+            sniff_header(&payload),
+            (0xFEED_F00D_1234_5678, Some(OP_QUOTE))
+        );
         let (corr, decoded) = Request::decode_framed(&payload).unwrap();
         assert_eq!(corr, 0xFEED_F00D_1234_5678);
         assert_eq!(decoded, req);
@@ -1882,16 +1895,43 @@ mod tests {
 
     #[test]
     fn sniff_header_tolerates_short_and_old_frames() {
-        assert_eq!(sniff_header(&[]), 0);
-        assert_eq!(sniff_header(b"NB"), 0);
-        // Frames at another version report id 0, whatever their bytes.
+        assert_eq!(sniff_header(&[]), (0, None));
+        assert_eq!(sniff_header(b"NB"), (0, None));
+        // Frames at another version report id 0 and no opcode, whatever
+        // their bytes.
         assert_eq!(
             sniff_header(&[b'N', b'B', 3, 0x01, 0, 0, 0, 0, 0, 0, 0, 9]),
-            0
+            (0, None)
         );
         // A header too short for the id reports id 0 and leaves the
         // rejection to the full decoder.
-        assert_eq!(sniff_header(&[b'N', b'B', VERSION, 0x01, 1, 2]), 0);
+        assert_eq!(
+            sniff_header(&[b'N', b'B', VERSION, 0x01, 1, 2]),
+            (0, Some(OP_MENU))
+        );
+
+        // Only current-version MENU and QUOTE frames are snapshot reads.
+        let quote = Request::Quote {
+            listing: None,
+            request: PurchaseRequest::AtInverseNcp(5.0),
+        }
+        .encode_with_corr(9);
+        let menu = Request::Menu { listing: None }.encode_with_corr(9);
+        assert!(is_snapshot_read(sniff_header(&quote).1));
+        assert!(is_snapshot_read(sniff_header(&menu).1));
+        let account = Request::Account {
+            listing: None,
+            buyer: 1,
+        }
+        .encode_with_corr(9);
+        assert!(!is_snapshot_read(sniff_header(&account).1));
+        // An old-version QUOTE goes to a worker for its typed
+        // UnsupportedVersion answer, as does a frame too short for an
+        // opcode.
+        let mut old_quote = quote.clone();
+        old_quote[2] = VERSION - 1;
+        assert!(!is_snapshot_read(sniff_header(&old_quote).1));
+        assert!(!is_snapshot_read(sniff_header(&quote[..3]).1));
     }
 
     #[test]

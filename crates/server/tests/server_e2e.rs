@@ -177,6 +177,8 @@ fn full_session_menu_quote_commit_info_stats() {
 
 /// Flooding past `shards × queue_capacity` must shed with typed `BUSY`
 /// frames — no hangs, no resets, and the non-shed traffic still completes.
+/// The flood buys: each buy's QUOTE is answered on the event thread, and
+/// its COMMIT is the queued op that sheds.
 #[test]
 fn flood_beyond_admission_bound_sheds_busy() {
     let (marketplace, _broker) = build_marketplace(13);
@@ -196,7 +198,7 @@ fn flood_beyond_admission_bound_sheds_busy() {
         &LoadConfig {
             threads: 16,
             requests_per_thread: 4,
-            mode: LoadMode::Quote,
+            mode: LoadMode::Buy,
             client: fast_client(),
             busy_retries: 0,
             mix: Vec::new(),
@@ -306,6 +308,28 @@ fn malformed_frames_get_typed_errors() {
         }
     }
 
+    // A current-version QUOTE whose body is cut short: the event loop
+    // answers it inline with BadFrame under its id, then hangs up.
+    {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let quote = wire::Request::Quote {
+            listing: None,
+            request: PurchaseRequest::AtInverseNcp(5.0),
+        }
+        .encode_with_corr(31);
+        wire::write_frame(&mut stream, &quote[..quote.len() - 3]).unwrap();
+        let reply = wire::read_frame(&mut stream).unwrap();
+        match Response::decode_framed(&reply).unwrap() {
+            (31, Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
+            other => panic!("expected BadFrame on corr 31, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    }
+
     // Oversized length prefix: answered with BadFrame before any
     // allocation, then the connection is closed.
     {
@@ -331,7 +355,7 @@ fn malformed_frames_get_typed_errors() {
     let mut client = NimbusClient::connect(addr, &fast_client()).unwrap();
     assert!(client.menu().is_ok());
     let stats = server.stats().snapshot();
-    assert!(stats.protocol_errors >= 3);
+    assert!(stats.protocol_errors >= 4);
     server.shutdown();
 }
 
@@ -398,6 +422,7 @@ fn graceful_shutdown_drains_in_flight_buyers() {
 /// Satellite: shed requests that honor the server's `retry_after_ms` hint
 /// eventually get through, and the accounting still reconciles — the
 /// server's shed counter equals final sheds plus absorbed (retried) ones.
+/// The load buys, because only the COMMIT of a buy queues and can shed.
 #[test]
 fn busy_retries_honor_the_hint_and_reconcile() {
     let (marketplace, _broker) = build_marketplace(17);
@@ -418,7 +443,7 @@ fn busy_retries_honor_the_hint_and_reconcile() {
         &LoadConfig {
             threads: 12,
             requests_per_thread: 4,
-            mode: LoadMode::Quote,
+            mode: LoadMode::Buy,
             client: fast_client(),
             busy_retries: 32,
             mix: Vec::new(),
@@ -445,6 +470,101 @@ fn busy_retries_honor_the_hint_and_reconcile() {
         server.stats().busy_rejections(),
         report.busy + report.busy_retried
     );
+    server.shutdown();
+}
+
+/// Snapshot reads take no queue slot. With the only worker asleep in a
+/// 300 ms `handle_delay` and its queue of one full, a pipelined COMMIT is
+/// shed with `BUSY` (writes still shed), yet a QUOTE and a MENU, on the
+/// same connection and on a second one, are answered in well under the
+/// worker's delay, and the stats count them under their own ops.
+#[test]
+fn snapshot_reads_answer_while_workers_are_saturated() {
+    const DELAY: Duration = Duration::from_millis(300);
+    const FAST: Duration = Duration::from_millis(150);
+    let (marketplace, broker) = build_marketplace(19);
+    let server = start_server(
+        marketplace,
+        ServerConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            queue_capacity: 1,
+            handle_delay: Some(DELAY),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let quote = broker
+        .quote_request(PurchaseRequest::AtInverseNcp(5.0))
+        .unwrap();
+    let mut conn = nimbus_server::PipelinedClient::connect(addr, &fast_client()).unwrap();
+
+    // One worker plus a queue of one hold at most two COMMITs while the
+    // first sleeps, so at least the third is shed, and a BUSY is the
+    // first frame back.
+    let commits: Vec<u64> = (1..=3u64)
+        .map(|nonce| {
+            conn.send(&wire::Request::Commit {
+                listing: None,
+                x: quote.x,
+                snapshot_epoch: quote.snapshot_epoch,
+                payment: quote.price,
+                nonce: Some(nonce),
+                buyer: None,
+            })
+            .unwrap()
+        })
+        .collect();
+    let (shed, response) = conn.recv().unwrap();
+    assert!(commits.contains(&shed), "BUSY on unknown corr {shed}");
+    assert!(matches!(response, Response::Busy { .. }), "{response:?}");
+
+    // Same connection: both reads answered under their own ids, ahead of
+    // the COMMITs still queued or sleeping. (The second COMMIT's BUSY may
+    // still be on its way if the worker had not yet taken the first.)
+    let sent = std::time::Instant::now();
+    let quote_corr = conn
+        .send(&wire::Request::Quote {
+            listing: None,
+            request: PurchaseRequest::AtInverseNcp(5.0),
+        })
+        .unwrap();
+    let menu_corr = conn.send(&wire::Request::Menu { listing: None }).unwrap();
+    let mut reads = 0;
+    while reads < 2 {
+        match conn.recv().unwrap() {
+            (corr, Response::Quote(q)) if corr == quote_corr => assert_eq!(q.x, quote.x),
+            (corr, Response::Menu(m)) if corr == menu_corr => assert!(!m.points.is_empty()),
+            (corr, Response::Busy { .. }) if corr != shed && commits.contains(&corr) => continue,
+            other => panic!("expected the quote or menu answer, got {other:?}"),
+        }
+        reads += 1;
+    }
+    let waited = sent.elapsed();
+    assert!(
+        waited < FAST,
+        "reads on the saturated connection took {waited:?}"
+    );
+
+    // A second connection: the same, through the blocking client.
+    let mut client = NimbusClient::connect(addr, &fast_client()).unwrap();
+    let sent = std::time::Instant::now();
+    assert_eq!(
+        client.quote(PurchaseRequest::AtInverseNcp(5.0)).unwrap().x,
+        quote.x
+    );
+    assert!(!client.menu().unwrap().points.is_empty());
+    let waited = sent.elapsed();
+    assert!(
+        waited < FAST,
+        "reads on a second connection took {waited:?}"
+    );
+
+    let stats = server.stats().snapshot();
+    let requests = |op: &str| stats.ops.iter().find(|o| o.op == op).unwrap().requests;
+    assert_eq!(requests("quote"), 2);
+    assert_eq!(requests("menu"), 2);
+    assert!(stats.busy_rejections >= 1);
     server.shutdown();
 }
 
@@ -726,7 +846,9 @@ fn slow_loris_half_open_connections_are_shed_while_service_continues() {
 /// Tentpole: wire pipelining. Many correlated quotes in flight on one
 /// connection; responses are matched by correlation id, not arrival
 /// order, and each answer is exactly the quote its request asked for.
-/// A `MENU` interleaved mid-stream answers under its own id.
+/// A `MENU` interleaved mid-stream answers under its own id, and so does
+/// an `ACCOUNT` lookup: a worker op whose answer comes back through the
+/// completion list while the quotes around it are answered inline.
 #[test]
 fn pipelined_corr_ids_route_out_of_order_responses() {
     let (marketplace, broker) = build_marketplace(97);
@@ -743,9 +865,9 @@ fn pipelined_corr_ids_route_out_of_order_responses() {
         nimbus_server::PipelinedClient::connect(server.local_addr(), &fast_client()).unwrap();
 
     // 12 quotes at distinct support points, all in flight at once, plus
-    // one MENU interleaved in the middle.
+    // one ACCOUNT and one MENU interleaved among them.
     let mut expected_x: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-    let mut menu_corr = 0u64;
+    let (mut menu_corr, mut account_corr) = (0u64, 0u64);
     for i in 0..12u32 {
         let x = 1.0 + 8.0 * f64::from(i);
         let corr = conn
@@ -755,20 +877,38 @@ fn pipelined_corr_ids_route_out_of_order_responses() {
             })
             .unwrap();
         expected_x.insert(corr, x);
+        if i == 3 {
+            account_corr = conn
+                .send(&wire::Request::Account {
+                    listing: None,
+                    buyer: 42,
+                })
+                .unwrap();
+        }
         if i == 6 {
             menu_corr = conn.send(&wire::Request::Menu { listing: None }).unwrap();
         }
     }
-    assert_eq!(conn.in_flight(), 13);
+    assert_eq!(conn.in_flight(), 14);
 
     let mut seen = std::collections::BTreeSet::new();
-    for _ in 0..13 {
+    for _ in 0..14 {
         let (corr, response) = conn.recv().unwrap();
         assert!(seen.insert(corr), "corr {corr} answered twice");
         if corr == menu_corr {
             match response {
                 Response::Menu(menu) => assert!(!menu.points.is_empty()),
                 other => panic!("expected menu on corr {corr}, got {other:?}"),
+            }
+            continue;
+        }
+        if corr == account_corr {
+            match response {
+                Response::Account(account) => {
+                    assert_eq!(account.buyer, 42);
+                    assert_eq!(account.listing, "e2e-listing");
+                }
+                other => panic!("expected account on corr {corr}, got {other:?}"),
             }
             continue;
         }
@@ -994,7 +1134,9 @@ fn pre_v5_frames_get_unsupported_version_and_a_close() {
 /// both requests in flight together, then a barrier — so one completion
 /// often lands while the loop handles the other, and a lost wake-up has
 /// no later traffic to hide behind. Every round trip must stay far below
-/// the cap.
+/// the cap. The request is an `ACCOUNT` lookup: a worker op, so every
+/// answer crosses the completion list and the wake pipe (a QUOTE is
+/// answered on the loop thread and would never exercise them).
 #[test]
 fn back_to_back_round_trips_never_wait_for_the_poll_cap() {
     const ROUNDS: usize = 5_000;
@@ -1011,9 +1153,9 @@ fn back_to_back_round_trips_never_wait_for_the_poll_cap() {
                 s.spawn(move || {
                     let mut conn =
                         nimbus_server::PipelinedClient::connect(addr, &fast_client()).unwrap();
-                    let request = wire::Request::Quote {
+                    let request = wire::Request::Account {
                         listing: None,
-                        request: PurchaseRequest::AtInverseNcp(10.0),
+                        buyer: 1,
                     };
                     let mut longest = Duration::ZERO;
                     for _ in 0..ROUNDS {
@@ -1023,7 +1165,7 @@ fn back_to_back_round_trips_never_wait_for_the_poll_cap() {
                         let waited = sent.elapsed();
                         longest = longest.max(waited);
                         assert_eq!(got, corr);
-                        assert!(matches!(response, Response::Quote(_)), "{response:?}");
+                        assert!(matches!(response, Response::Account(_)), "{response:?}");
                         if waited >= LIMIT {
                             stalled.store(true, std::sync::atomic::Ordering::SeqCst);
                         }

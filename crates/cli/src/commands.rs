@@ -116,7 +116,7 @@ fn lookup_demand(shape: &str) -> Result<DemandCurve, String> {
 fn lookup_metric(
     metric: &str,
     dataset: PaperDataset,
-    test: nimbus::data::Dataset,
+    test: &nimbus::data::Dataset,
 ) -> Result<Option<Box<dyn ErrorMetric>>, String> {
     let name = metric.to_ascii_lowercase();
     match name.as_str() {
@@ -129,9 +129,11 @@ fn lookup_metric(
                 ));
             }
             let boxed: Box<dyn ErrorMetric> = match name.as_str() {
-                "logistic" => Box::new(LossMetric::logistic(test)),
-                "hinge" => Box::new(LossMetric::hinge(test, 1e-4).map_err(|e| e.to_string())?),
-                _ => Box::new(LossMetric::zero_one(test)),
+                "logistic" => Box::new(LossMetric::logistic(test.clone())),
+                "hinge" => {
+                    Box::new(LossMetric::hinge(test.clone(), 1e-4).map_err(|e| e.to_string())?)
+                }
+                _ => Box::new(LossMetric::zero_one(test.clone())),
             };
             Ok(Some(boxed))
         }
@@ -160,7 +162,7 @@ fn build_broker(
 ) -> Result<Broker, String> {
     let spec = DatasetSpec::scaled(dataset, 4_000);
     let (tt, _) = spec.materialize(seed).map_err(|e| e.to_string())?;
-    let metric = lookup_metric(metric, dataset, tt.test.clone())?;
+    let metric = lookup_metric(metric, dataset, &tt.test)?;
     let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
     let seller = Seller::new(dataset.name(), tt, curves);
     let trainer: Box<dyn Trainer + Send + Sync> = match dataset.task() {
@@ -421,7 +423,7 @@ fn error_curve(dataset_name: &str, samples: usize, seed: u64) -> Result<String, 
         Task::BinaryClassification => Box::new(LogisticRegressionTrainer::new(1e-4)),
     };
     let model = trainer.train(&tt.train).map_err(|e| e.to_string())?;
-    let test = tt.test.clone();
+    let test = tt.test;
     let eval: EvalFn = match dataset.task() {
         Task::Regression => {
             Box::new(move |h: &LinearModel| nimbus::ml::metrics::mse(h, &test).map_err(Into::into))
@@ -484,7 +486,7 @@ fn listing_builder(
 ) -> Result<ListingBuilder, String> {
     let spec = DatasetSpec::scaled(dataset, 4_000);
     let (tt, _) = spec.materialize(seed).map_err(|e| e.to_string())?;
-    let metric = lookup_metric(metric, dataset, tt.test.clone())?;
+    let metric = lookup_metric(metric, dataset, &tt.test)?;
     let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
     let seller = Seller::new(dataset.name(), tt, curves);
     let (trainer, kind): (Box<dyn Trainer + Send + Sync>, &'static str) = match dataset.task() {

@@ -24,10 +24,12 @@
 //! train/test ratio and the noise structure, which is how the experiment
 //! binaries run by default (`--full` restores paper sizes).
 
-use crate::synthetic::{
-    generate_classification, generate_regression, ClassificationSpec, RegressionSpec,
+use crate::split::split_from_stream;
+use crate::synthetic::{ClassificationSpec, RegressionSpec};
+use crate::{
+    ExampleStream, Result, SyntheticClassificationStream, SyntheticRegressionStream, Task,
+    TrainTest,
 };
-use crate::{train_test_split, Result, Task, TrainTest};
 use nimbus_linalg::Vector;
 use nimbus_randkit::seeded_rng;
 
@@ -145,73 +147,74 @@ impl DatasetSpec {
     /// Materializes the dataset as a train/test pair. Returns the split plus
     /// the planted ground-truth hyperplane (useful for diagnostics).
     ///
+    /// The split is drawn first and each generated row is written straight
+    /// into its train or test slot, so peak memory is one copy of the data.
+    /// The output is bit-for-bit what generating the whole dataset with
+    /// [`generate_regression`](crate::synthetic::generate_regression) /
+    /// [`generate_classification`](crate::synthetic::generate_classification)
+    /// and splitting it with [`train_test_split`](crate::train_test_split)
+    /// under `seeded_rng(seed ^ 0x0005_7117)` gives.
+    ///
     /// Per-dataset noise parameters are fixed constants chosen so the
     /// optimal model's test error sits in the same regime as the matching
     /// Figure 6 panel (e.g. YearMSD square loss around 10²; CovType 0/1
     /// error near 0.1).
     pub fn materialize(&self, seed: u64) -> Result<(TrainTest, Vector)> {
         let n = self.total();
-        let (dataset, hyperplane) = match self.dataset {
-            PaperDataset::Simulated1 => {
-                generate_regression(&RegressionSpec::simulated1(n, self.d), seed)?
-            }
-            PaperDataset::YearMsd => {
-                // Audio-feature year regression: heavy irreducible noise
-                // (base MSE ≈ 100) and wide-scale audio features so model
-                // noise of variance δ inflates the test MSE by ≈ 40·δ —
-                // reproducing the visible 160 → 100 drop of the paper's
-                // YearMSD panel.
-                let spec = RegressionSpec {
-                    n,
-                    d: self.d,
-                    target_noise: 10.0,
-                    target_scale: 3.0,
-                    feature_scale: 6.3,
-                };
-                generate_regression(&spec, seed)?
-            }
-            PaperDataset::Casp => {
-                // Protein RMSD regression: irreducible MSE ≈ 100 with
-                // physical-unit features large enough that δ = 1 noise
-                // roughly half-again the base error (paper panel: square
-                // loss near 10², visibly decaying).
-                let spec = RegressionSpec {
-                    n,
-                    d: self.d,
-                    target_noise: 10.0,
-                    target_scale: 2.0,
-                    feature_scale: 7.0,
-                };
-                generate_regression(&spec, seed)?
-            }
-            PaperDataset::Simulated2 => {
-                generate_classification(&ClassificationSpec::simulated2(n, self.d), seed)?
-            }
-            PaperDataset::CovType => {
-                // Binarized forest cover: ~8% Bayes error in the paper's 0/1
-                // panel.
-                let spec = ClassificationSpec {
-                    n,
-                    d: self.d,
-                    positive_fidelity: 0.92,
-                };
-                generate_classification(&spec, seed)?
-            }
-            PaperDataset::Susy => {
-                // SUSY detection is the hardest task in Fig. 6 (0/1 error
-                // ~0.22 at best).
-                let spec = ClassificationSpec {
-                    n,
-                    d: self.d,
-                    positive_fidelity: 0.78,
-                };
-                generate_classification(&spec, seed)?
-            }
+        let regression = |spec: RegressionSpec| {
+            let stream = SyntheticRegressionStream::new(spec, seed);
+            let w = stream.planted_hyperplane();
+            (Box::new(stream) as Box<dyn ExampleStream>, w)
         };
-        let frac = self.n_train as f64 / self.total() as f64;
+        let classification = |spec: ClassificationSpec| {
+            let stream = SyntheticClassificationStream::new(spec, seed);
+            let w = stream.planted_hyperplane();
+            (Box::new(stream) as Box<dyn ExampleStream>, w)
+        };
+        let (mut rows, hyperplane) = match self.dataset {
+            PaperDataset::Simulated1 => regression(RegressionSpec::simulated1(n, self.d)),
+            // Audio-feature year regression: heavy irreducible noise (base
+            // MSE ≈ 100) and wide-scale audio features so model noise of
+            // variance δ inflates the test MSE by ≈ 40·δ — reproducing the
+            // visible 160 → 100 drop of the paper's YearMSD panel.
+            PaperDataset::YearMsd => regression(RegressionSpec {
+                n,
+                d: self.d,
+                target_noise: 10.0,
+                target_scale: 3.0,
+                feature_scale: 6.3,
+            }),
+            // Protein RMSD regression: irreducible MSE ≈ 100 with
+            // physical-unit features large enough that δ = 1 noise roughly
+            // half-again the base error (paper panel: square loss near 10²,
+            // visibly decaying).
+            PaperDataset::Casp => regression(RegressionSpec {
+                n,
+                d: self.d,
+                target_noise: 10.0,
+                target_scale: 2.0,
+                feature_scale: 7.0,
+            }),
+            PaperDataset::Simulated2 => classification(ClassificationSpec::simulated2(n, self.d)),
+            // Binarized forest cover: ~8% Bayes error in the paper's 0/1
+            // panel.
+            PaperDataset::CovType => classification(ClassificationSpec {
+                n,
+                d: self.d,
+                positive_fidelity: 0.92,
+            }),
+            // SUSY detection is the hardest task in Fig. 6 (0/1 error ~0.22
+            // at best).
+            PaperDataset::Susy => classification(ClassificationSpec {
+                n,
+                d: self.d,
+                positive_fidelity: 0.78,
+            }),
+        };
+        let frac = self.n_train as f64 / n as f64;
         let mut rng = seeded_rng(seed ^ 0x0005_7117_u64);
-        let split = train_test_split(&dataset, frac, &mut rng)?;
-        Ok((split, hyperplane))
+        let split = split_from_stream(&mut *rows, self.dataset.task(), frac, &mut rng)?;
+        Ok((split, Vector::from_vec(hyperplane)))
     }
 }
 

@@ -37,7 +37,9 @@ pub use dataset::{Dataset, Task};
 pub use error::DataError;
 pub use scale::Standardizer;
 pub use split::{train_test_split, TrainTest};
-pub use stream::{DatasetStream, ExampleStream, SyntheticRegressionStream};
+pub use stream::{
+    DatasetStream, ExampleStream, SyntheticClassificationStream, SyntheticRegressionStream,
+};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, DataError>;

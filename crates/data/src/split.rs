@@ -4,7 +4,8 @@
 //! (Section 3.1): the broker trains `h*` on `D_train` while the buyer-facing
 //! error function `ε` is typically evaluated on `D_test`.
 
-use crate::{DataError, Dataset, Result};
+use crate::{DataError, Dataset, ExampleStream, Result, Task};
+use nimbus_linalg::{Matrix, Vector};
 use nimbus_randkit::uniform::shuffle_indices;
 use nimbus_randkit::NimbusRng;
 
@@ -37,29 +38,80 @@ pub fn train_test_split(
     train_fraction: f64,
     rng: &mut NimbusRng,
 ) -> Result<TrainTest> {
+    let (order, n_train) = shuffled_order(data.len(), train_fraction, rng)?;
+    let train = data.select(&order[..n_train]);
+    let test = data.select(&order[n_train..]);
+    Ok(TrainTest { train, test })
+}
+
+/// Splits the examples `stream` yields exactly as [`train_test_split`]
+/// splits them once collected into a [`Dataset`], but writes each example
+/// straight into its slot in the train or test buffers: peak memory is one
+/// copy of the data instead of two.
+pub(crate) fn split_from_stream(
+    stream: &mut dyn ExampleStream,
+    task: Task,
+    train_fraction: f64,
+    rng: &mut NimbusRng,
+) -> Result<TrainTest> {
+    let (n, d) = (stream.len(), stream.num_features());
+    let (order, n_train) = shuffled_order(n, train_fraction, rng)?;
+    // `slot[i]` is the position of the stream's i-th example in the
+    // concatenation train ++ test.
+    let mut slot = vec![0usize; n];
+    for (pos, &row) in order.iter().enumerate() {
+        slot[row] = pos;
+    }
+    drop(order);
+    let mut train = (vec![0.0; n_train * d], vec![0.0; n_train]);
+    let mut test = (vec![0.0; (n - n_train) * d], vec![0.0; n - n_train]);
+    for pos in slot {
+        let ((x, y), at) = if pos < n_train {
+            (&mut train, pos)
+        } else {
+            (&mut test, pos - n_train)
+        };
+        y[at] = stream
+            .next_example(&mut x[at * d..(at + 1) * d])
+            .expect("stream yields len() examples");
+    }
+    let side = |(x, y): (Vec<f64>, Vec<f64>)| {
+        Dataset::new(
+            Matrix::from_row_major(y.len(), d, x)?,
+            Vector::from_vec(y),
+            task,
+        )
+    };
+    Ok(TrainTest {
+        train: side(train)?,
+        test: side(test)?,
+    })
+}
+
+/// Draws the split of `n` examples: a shuffled order of `0..n` whose first
+/// `n_train` entries go to the training side.
+fn shuffled_order(
+    n: usize,
+    train_fraction: f64,
+    rng: &mut NimbusRng,
+) -> Result<(Vec<usize>, usize)> {
     if !(train_fraction > 0.0 && train_fraction < 1.0) {
         return Err(DataError::InvalidSplitFraction {
             fraction: train_fraction,
         });
     }
-    let n = data.len();
     if n < 2 {
         return Err(DataError::EmptyDataset);
     }
-    let mut indices: Vec<usize> = (0..n).collect();
-    shuffle_indices(rng, &mut indices);
-    let mut n_train = (n as f64 * train_fraction).round() as usize;
-    n_train = n_train.clamp(1, n - 1);
-    let train = data.select(&indices[..n_train]);
-    let test = data.select(&indices[n_train..]);
-    Ok(TrainTest { train, test })
+    let mut order: Vec<usize> = (0..n).collect();
+    shuffle_indices(rng, &mut order);
+    let n_train = ((n as f64 * train_fraction).round() as usize).clamp(1, n - 1);
+    Ok((order, n_train))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Task;
-    use nimbus_linalg::{Matrix, Vector};
     use nimbus_randkit::seeded_rng;
 
     fn dataset(n: usize) -> Dataset {

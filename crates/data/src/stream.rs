@@ -1,16 +1,22 @@
 //! Streaming access to labeled examples.
 //!
 //! Table 3's largest datasets (Simulated1/2 at 10M rows, SUSY at 5M) are
-//! uncomfortable to materialize: 10M × 20 features × 8 bytes ≈ 1.6 GB
-//! before the train/test copies. The broker's one-time training for the
-//! square loss, however, only needs the Gram sums `XᵀX` and `Xᵀy`, which
-//! accumulate in `O(d²)` memory from a single pass. [`ExampleStream`]
-//! abstracts that pass; [`SyntheticRegressionStream`] regenerates the §6.1
-//! data on the fly so full paper-scale training runs in constant memory.
+//! uncomfortable to materialize: 10M × 20 features × 8 bytes ≈ 1.6 GB, even
+//! now that [`crate::DatasetSpec::materialize`] writes each row straight
+//! into its train/test slot instead of copying a full matrix. The broker's
+//! one-time training for the square loss, however, only needs the Gram sums
+//! `XᵀX` and `Xᵀy`, which accumulate in `O(d²)` memory from a single pass.
+//! [`ExampleStream`] abstracts that pass; [`SyntheticRegressionStream`]
+//! regenerates the §6.1 data on the fly so full paper-scale training runs
+//! in constant memory. It and [`SyntheticClassificationStream`] are the
+//! only row generators: the [`crate::synthetic`] functions collect them and
+//! `materialize` scatters them into a split.
 
-use crate::synthetic::RegressionSpec;
-use crate::Dataset;
+use crate::synthetic::{ClassificationSpec, RegressionSpec};
+use crate::{Dataset, Result, Task};
+use nimbus_linalg::{Matrix, Vector};
 use nimbus_randkit::{seeded_rng, split_stream, NimbusRng, StandardNormal};
+use rand::Rng;
 
 /// A restartable stream of labeled examples `(x, y)`.
 pub trait ExampleStream {
@@ -71,9 +77,9 @@ impl ExampleStream for DatasetStream<'_> {
     }
 }
 
-/// Regenerates a planted-hyperplane regression dataset on the fly —
-/// identical distribution to [`crate::synthetic::generate_regression`]
-/// (same seed ⇒ same planted hyperplane) without materializing rows.
+/// Regenerates a planted-hyperplane regression dataset on the fly. This is
+/// the row generator behind [`crate::synthetic::generate_regression`]
+/// (same seed ⇒ same planted hyperplane and bit-identical rows).
 #[derive(Debug, Clone)]
 pub struct SyntheticRegressionStream {
     spec: RegressionSpec,
@@ -85,16 +91,14 @@ pub struct SyntheticRegressionStream {
 }
 
 impl SyntheticRegressionStream {
-    /// Creates the stream. The planted hyperplane is drawn identically to
-    /// the materializing generator for the same seed.
+    /// Creates the stream, drawing the planted hyperplane from the head of
+    /// the seed's generator stream.
     pub fn new(spec: RegressionSpec, seed: u64) -> Self {
         assert!(
             spec.feature_scale > 0.0 && spec.feature_scale.is_finite(),
             "feature_scale must be positive"
         );
-        let mut rng = seeded_rng(split_stream(seed, 0xda7a));
-        let mut normal = StandardNormal::new();
-        let hyperplane: Vec<f64> = (0..spec.d).map(|_| normal.sample(&mut rng)).collect();
+        let (rng, normal, hyperplane) = planted(seed, 0xda7a, spec.d);
         SyntheticRegressionStream {
             spec,
             seed,
@@ -105,8 +109,8 @@ impl SyntheticRegressionStream {
         }
     }
 
-    /// The planted hyperplane (scaled by `target_scale`, as the
-    /// materializing generator reports it).
+    /// The planted hyperplane, scaled by `target_scale` so that it predicts
+    /// the noiseless targets.
     pub fn planted_hyperplane(&self) -> Vec<f64> {
         self.hyperplane
             .iter()
@@ -125,16 +129,7 @@ impl ExampleStream for SyntheticRegressionStream {
     }
 
     fn reset(&mut self) {
-        // Re-derive the RNG and skip the hyperplane draws so the stream
-        // replays the identical example sequence.
-        let mut rng = seeded_rng(split_stream(self.seed, 0xda7a));
-        let mut normal = StandardNormal::new();
-        for _ in 0..self.spec.d {
-            normal.sample(&mut rng);
-        }
-        self.rng = rng;
-        self.normal = normal;
-        self.emitted = 0;
+        *self = SyntheticRegressionStream::new(self.spec.clone(), self.seed);
     }
 
     fn next_example(&mut self, x: &mut [f64]) -> Option<f64> {
@@ -157,6 +152,105 @@ impl ExampleStream for SyntheticRegressionStream {
         self.emitted += 1;
         Some(y)
     }
+}
+
+/// Regenerates a planted-hyperplane classification dataset on the fly. This
+/// is the row generator behind
+/// [`crate::synthetic::generate_classification`] (same seed ⇒ same planted
+/// hyperplane and bit-identical rows).
+#[derive(Debug, Clone)]
+pub struct SyntheticClassificationStream {
+    spec: ClassificationSpec,
+    seed: u64,
+    hyperplane: Vec<f64>,
+    rng: NimbusRng,
+    normal: StandardNormal,
+    emitted: usize,
+}
+
+impl SyntheticClassificationStream {
+    /// Creates the stream, drawing the planted hyperplane from the head of
+    /// the seed's generator stream.
+    pub fn new(spec: ClassificationSpec, seed: u64) -> Self {
+        assert!(
+            (0.5..=1.0).contains(&spec.positive_fidelity),
+            "fidelity must be in [0.5, 1]"
+        );
+        let (rng, normal, hyperplane) = planted(seed, 0xc1a5, spec.d);
+        SyntheticClassificationStream {
+            spec,
+            seed,
+            hyperplane,
+            rng,
+            normal,
+            emitted: 0,
+        }
+    }
+
+    /// The planted hyperplane whose sign the labels follow.
+    pub fn planted_hyperplane(&self) -> Vec<f64> {
+        self.hyperplane.clone()
+    }
+}
+
+impl ExampleStream for SyntheticClassificationStream {
+    fn num_features(&self) -> usize {
+        self.spec.d
+    }
+
+    fn len(&self) -> usize {
+        self.spec.n
+    }
+
+    fn reset(&mut self) {
+        *self = SyntheticClassificationStream::new(self.spec.clone(), self.seed);
+    }
+
+    fn next_example(&mut self, x: &mut [f64]) -> Option<f64> {
+        if self.emitted >= self.spec.n {
+            return None;
+        }
+        debug_assert_eq!(x.len(), self.spec.d);
+        self.normal.fill_isotropic(&mut self.rng, 1.0, x);
+        let mut score = 0.0;
+        for (xi, wi) in x.iter().zip(&self.hyperplane) {
+            score += xi * wi;
+        }
+        let above = score > 0.0;
+        let faithful = self.rng.random::<f64>() < self.spec.positive_fidelity;
+        self.emitted += 1;
+        Some(if above == faithful { 1.0 } else { 0.0 })
+    }
+}
+
+/// The generator state a planted-hyperplane stream starts from: its RNG
+/// (sub-stream `salt` of `seed`) just past the `d` hyperplane draws, and
+/// the hyperplane itself.
+fn planted(seed: u64, salt: u64, d: usize) -> (NimbusRng, StandardNormal, Vec<f64>) {
+    let mut rng = seeded_rng(split_stream(seed, salt));
+    let mut normal = StandardNormal::new();
+    let hyperplane = (0..d).map(|_| normal.sample(&mut rng)).collect();
+    (rng, normal, hyperplane)
+}
+
+/// Reads every example of `stream`, in order, into a dataset.
+pub(crate) fn collect(stream: &mut dyn ExampleStream, task: Task) -> Result<Dataset> {
+    let (n, d) = (stream.len(), stream.num_features());
+    let mut features = vec![0.0; n * d];
+    let mut targets = Vec::with_capacity(n);
+    for i in 0..n {
+        let row = &mut features[i * d..(i + 1) * d];
+        targets.push(
+            stream
+                .next_example(row)
+                .expect("stream yields len() examples"),
+        );
+    }
+    Dataset::new(
+        Matrix::from_row_major(n, d, features)?,
+        Vector::from_vec(targets),
+        task,
+    )
 }
 
 #[cfg(test)]
@@ -202,6 +296,15 @@ mod tests {
 
     #[test]
     fn synthetic_stream_reset_is_exact() {
+        fn pass(stream: &mut dyn ExampleStream) -> Vec<f64> {
+            let mut x = vec![0.0; stream.num_features()];
+            let mut out = Vec::new();
+            while let Some(y) = stream.next_example(&mut x) {
+                out.extend_from_slice(&x);
+                out.push(y);
+            }
+            out
+        }
         let spec = RegressionSpec {
             n: 20,
             d: 3,
@@ -209,13 +312,17 @@ mod tests {
             target_scale: 2.0,
             feature_scale: 1.5,
         };
-        let mut stream = SyntheticRegressionStream::new(spec, 3);
-        let mut x = vec![0.0; 3];
-        let first_pass: Vec<f64> = std::iter::from_fn(|| stream.next_example(&mut x)).collect();
-        stream.reset();
-        let second_pass: Vec<f64> = std::iter::from_fn(|| stream.next_example(&mut x)).collect();
-        assert_eq!(first_pass, second_pass);
-        assert_eq!(first_pass.len(), 20);
+        let classes = ClassificationSpec::simulated2(20, 3);
+        let streams: [Box<dyn ExampleStream>; 2] = [
+            Box::new(SyntheticRegressionStream::new(spec, 3)),
+            Box::new(SyntheticClassificationStream::new(classes, 3)),
+        ];
+        for mut stream in streams {
+            let first_pass = pass(&mut *stream);
+            stream.reset();
+            assert_eq!(first_pass, pass(&mut *stream));
+            assert_eq!(first_pass.len(), 20 * 4);
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //!
 //! Both generators here are parameterized by `n`, `d`, seed and (for
 //! regression) target noise, so the catalog module can also reuse them to
-//! build shape-matched stand-ins for the UCI datasets of Table 3.
+//! build shape-matched stand-ins for the UCI datasets of Table 3. Each one
+//! collects the rows of its [`crate::stream`] twin, which the catalog reads
+//! directly to fill a train/test split without a full copy.
 
+use crate::stream::{collect, SyntheticClassificationStream, SyntheticRegressionStream};
 use crate::{Dataset, Result, Task};
-use nimbus_linalg::{Matrix, Vector};
-use nimbus_randkit::{seeded_rng, split_stream, StandardNormal};
-use rand::Rng;
+use nimbus_linalg::Vector;
 
 /// Parameters for the planted-hyperplane regression generator.
 #[derive(Debug, Clone)]
@@ -77,70 +78,22 @@ impl ClassificationSpec {
 
 /// Generates a regression dataset with targets `y = s·(wᵀx) + noise` for a
 /// planted hyperplane `w` drawn from the unit normal, features `x ~ N(0, I)`.
-/// Returns the dataset and the planted hyperplane.
+/// Returns the dataset and the planted hyperplane. The rows are those of
+/// [`SyntheticRegressionStream`], collected.
 pub fn generate_regression(spec: &RegressionSpec, seed: u64) -> Result<(Dataset, Vector)> {
-    let mut rng = seeded_rng(split_stream(seed, 0xda7a));
-    let mut normal = StandardNormal::new();
-
-    let w: Vec<f64> = (0..spec.d).map(|_| normal.sample(&mut rng)).collect();
-    let mut features = Vec::with_capacity(spec.n * spec.d);
-    let mut targets = Vec::with_capacity(spec.n);
-    let mut row = vec![0.0; spec.d];
-    assert!(
-        spec.feature_scale > 0.0 && spec.feature_scale.is_finite(),
-        "feature_scale must be positive"
-    );
-    for _ in 0..spec.n {
-        normal.fill_isotropic(&mut rng, spec.feature_scale, &mut row);
-        let mut y = 0.0;
-        for (xi, wi) in row.iter().zip(&w) {
-            y += xi * wi;
-        }
-        y *= spec.target_scale;
-        if spec.target_noise > 0.0 {
-            y += normal.sample_scaled(&mut rng, 0.0, spec.target_noise);
-        }
-        features.extend_from_slice(&row);
-        targets.push(y);
-    }
-    let x = Matrix::from_row_major(spec.n, spec.d, features)?;
-    let ds = Dataset::new(x, Vector::from_vec(targets), Task::Regression)?;
-    Ok((
-        ds,
-        Vector::from_vec(w.iter().map(|v| v * spec.target_scale).collect()),
-    ))
+    let mut stream = SyntheticRegressionStream::new(spec.clone(), seed);
+    let w = Vector::from_vec(stream.planted_hyperplane());
+    Ok((collect(&mut stream, Task::Regression)?, w))
 }
 
 /// Generates a classification dataset: labels follow the sign of `wᵀx` for a
 /// planted hyperplane `w`, flipped with probability `1 - positive_fidelity`.
-/// Returns the dataset and the planted hyperplane.
+/// Returns the dataset and the planted hyperplane. The rows are those of
+/// [`SyntheticClassificationStream`], collected.
 pub fn generate_classification(spec: &ClassificationSpec, seed: u64) -> Result<(Dataset, Vector)> {
-    assert!(
-        (0.5..=1.0).contains(&spec.positive_fidelity),
-        "fidelity must be in [0.5, 1]"
-    );
-    let mut rng = seeded_rng(split_stream(seed, 0xc1a5));
-    let mut normal = StandardNormal::new();
-
-    let w: Vec<f64> = (0..spec.d).map(|_| normal.sample(&mut rng)).collect();
-    let mut features = Vec::with_capacity(spec.n * spec.d);
-    let mut targets = Vec::with_capacity(spec.n);
-    let mut row = vec![0.0; spec.d];
-    for _ in 0..spec.n {
-        normal.fill_isotropic(&mut rng, 1.0, &mut row);
-        let mut score = 0.0;
-        for (xi, wi) in row.iter().zip(&w) {
-            score += xi * wi;
-        }
-        let above = score > 0.0;
-        let faithful = rng.random::<f64>() < spec.positive_fidelity;
-        let label = if above == faithful { 1.0 } else { 0.0 };
-        features.extend_from_slice(&row);
-        targets.push(label);
-    }
-    let x = Matrix::from_row_major(spec.n, spec.d, features)?;
-    let ds = Dataset::new(x, Vector::from_vec(targets), Task::BinaryClassification)?;
-    Ok((ds, Vector::from_vec(w)))
+    let mut stream = SyntheticClassificationStream::new(spec.clone(), seed);
+    let w = Vector::from_vec(stream.planted_hyperplane());
+    Ok((collect(&mut stream, Task::BinaryClassification)?, w))
 }
 
 #[cfg(test)]

@@ -35,18 +35,24 @@
 //!   instead of queueing unboundedly. The connection stays open across
 //!   such a shed (the id tells the client which request was hit).
 //!   Snapshot reads take no queue slot and are never shed.
-//! * **Slow-loris defense.** A timer wheel (binary heap with lazy
-//!   invalidation) enforces three deadlines per connection: a
+//! * **Slow-loris defense.** A binary heap of timers with lazy
+//!   invalidation enforces three deadlines per connection: a
 //!   header-read deadline from the first byte of an incomplete frame, an
 //!   idle deadline between requests, and a write-stall deadline while a
-//!   response is buffered. Header/idle expiry sheds the connection with
-//!   a courtesy `BUSY` frame and counts in
+//!   response is buffered. A connection pushes a heap entry only when its
+//!   deadline moves *earlier* than the entry it already has; a later
+//!   deadline (every request pushes the idle deadline back) is re-armed
+//!   when that entry pops, so the heap holds about one entry per
+//!   connection rather than one per request. Header/idle expiry sheds the
+//!   connection with a courtesy `BUSY` frame and counts in
 //!   [`crate::stats::StatsRegistry::timeout_sheds`]; a stalled writer is
 //!   closed outright (the peer is not reading).
 //! * **Backpressure.** Read interest is dropped while a connection has
 //!   more than [`WRITE_BACKPRESSURE`] buffered response bytes or
 //!   [`MAX_PARSED`] undispatched frames, so a fast writer cannot balloon
-//!   server memory.
+//!   server memory. A drained read or write buffer gives back capacity
+//!   above [`BUF_RETAIN`], so one large frame or reply does not stay
+//!   allocated for the connection's lifetime.
 //! * **Determinism.** The loop never reads the ambient clock; the server
 //!   injects a monotonic `Fn() -> Duration` at start, so every deadline
 //!   decision is a pure function of injected time.
@@ -76,6 +82,9 @@ pub const WRITE_BACKPRESSURE: usize = 256 * 1024;
 /// Parsed-but-undispatched frames beyond which a connection stops being
 /// read — the per-connection pipeline depth bound.
 pub const MAX_PARSED: usize = 128;
+/// Capacity a drained connection buffer keeps for reuse; the rest goes
+/// back to the allocator.
+const BUF_RETAIN: usize = 64 * 1024;
 /// Poll timeout ceiling so the stop flag is observed promptly even with
 /// no timers armed.
 const POLL_CAP: Duration = Duration::from_millis(500);
@@ -113,6 +122,76 @@ enum DeadlineKind {
     Idle,
 }
 
+/// Timer entries `(due, slot, generation)`, earliest first.
+type TimerHeap = BinaryHeap<Reverse<(Duration, u32, u32)>>;
+
+/// A connection's deadline and the earliest timer entry armed for it.
+///
+/// Invariant: while `deadline` is `Some(d)`, `armed` is `Some(a)` with
+/// `a <= d` and an entry for `a` is in the heap, so the deadline is never
+/// missed; entries later than `armed` are superseded and skipped.
+#[derive(Default)]
+struct ConnTimer {
+    deadline: Option<(Duration, DeadlineKind)>,
+    armed: Option<Duration>,
+}
+
+impl ConnTimer {
+    /// Makes `next` the connection's deadline. A heap entry is pushed only
+    /// if `next` is earlier than the armed one; a later deadline waits for
+    /// the armed entry to pop (see [`ConnTimer::pop`]).
+    fn set(
+        &mut self,
+        next: Option<(Duration, DeadlineKind)>,
+        heap: &mut TimerHeap,
+        slot: u32,
+        gen: u32,
+    ) {
+        self.deadline = next;
+        if let Some((at, _)) = next {
+            if !matches!(self.armed, Some(armed) if armed <= at) {
+                heap.push(Reverse((at, slot, gen)));
+                self.armed = Some(at);
+            }
+        }
+    }
+
+    /// Handles this connection's entry for `at` popping at `now`: returns
+    /// the deadline to fire if it is due, and otherwise re-arms at the
+    /// current deadline. A superseded entry changes nothing.
+    fn pop(
+        &mut self,
+        at: Duration,
+        now: Duration,
+        heap: &mut TimerHeap,
+        slot: u32,
+        gen: u32,
+    ) -> Option<DeadlineKind> {
+        if self.armed != Some(at) {
+            return None;
+        }
+        self.armed = None;
+        match self.deadline {
+            Some((due, kind)) if due <= now => {
+                self.deadline = None;
+                Some(kind)
+            }
+            next => {
+                self.set(next, heap, slot, gen);
+                None
+            }
+        }
+    }
+}
+
+/// Gives a buffer's capacity above [`BUF_RETAIN`] back to the allocator,
+/// unless its contents need more (a large frame still arriving).
+fn release_spare(buf: &mut Vec<u8>) {
+    if buf.len() <= BUF_RETAIN {
+        buf.shrink_to(BUF_RETAIN);
+    }
+}
+
 /// One frame sniffed off a connection, waiting for dispatch.
 struct PendingFrame {
     corr: u64,
@@ -143,8 +222,7 @@ struct Conn {
     partial_since: Option<Duration>,
     /// `(read, write)` interest currently registered with the poller.
     interest: (bool, bool),
-    /// The deadline currently armed for this connection, if any.
-    deadline: Option<(Duration, DeadlineKind)>,
+    timer: ConnTimer,
 }
 
 impl Conn {
@@ -200,7 +278,7 @@ pub(crate) struct EventLoop {
     wake_rx: UnixStream,
     conns: Vec<Option<Conn>>,
     free: Vec<u32>,
-    timers: BinaryHeap<Reverse<(Duration, u32, u32)>>,
+    timers: TimerHeap,
     /// Jobs dispatched to workers whose completions have not been applied
     /// yet, across all connections (including already-closed ones).
     total_in_flight: u64,
@@ -386,7 +464,7 @@ impl EventLoop {
             last_write_progress: now,
             partial_since: None,
             interest: (true, false),
-            deadline: None,
+            timer: ConnTimer::default(),
         };
         if let Some(cell) = self.conns.get_mut(slot as usize) {
             *cell = Some(conn);
@@ -529,6 +607,7 @@ impl EventLoop {
         }
         if conn.pending_write() == 0 {
             conn.write_buf.clear();
+            release_spare(&mut conn.write_buf);
             conn.write_pos = 0;
         }
     }
@@ -611,6 +690,7 @@ impl EventLoop {
         }
         if pos > 0 {
             conn.read_buf.drain(..pos);
+            release_spare(&mut conn.read_buf);
         }
         // Slow-loris tracking: the header deadline runs from the first
         // byte of an incomplete frame and is NOT reset by trickled bytes.
@@ -728,19 +808,13 @@ impl EventLoop {
 
     // -- timers ------------------------------------------------------------
 
-    /// Recomputes the connection's deadline and arms a timer entry if it
-    /// changed. Stale heap entries are invalidated lazily at pop time.
+    /// Recomputes the connection's deadline; see [`ConnTimer::set`].
     fn rearm_deadline(&mut self, slot: u32) {
         let Some(conn) = self.conns.get_mut(slot as usize).and_then(Option::as_mut) else {
             return;
         };
         let next = conn.compute_deadline(&self.inner.config);
-        if next != conn.deadline {
-            conn.deadline = next;
-            if let Some((at, _)) = next {
-                self.timers.push(Reverse((at, slot, conn.gen)));
-            }
-        }
+        conn.timer.set(next, &mut self.timers, slot, conn.gen);
     }
 
     fn fire_due_timers(&mut self) {
@@ -750,7 +824,7 @@ impl EventLoop {
                 Some(Reverse((at, _, _))) if *at <= now => {}
                 _ => break,
             }
-            let Some(Reverse((_, slot, gen))) = self.timers.pop() else {
+            let Some(Reverse((at, slot, gen))) = self.timers.pop() else {
                 break;
             };
             let kind = {
@@ -762,15 +836,8 @@ impl EventLoop {
                 }
                 // Lazy invalidation: fire only the connection's *current*
                 // deadline, and only if it is actually due.
-                match conn.deadline {
-                    Some((at, kind)) if at <= now => {
-                        conn.deadline = None;
-                        kind
-                    }
-                    Some((at, _)) => {
-                        self.timers.push(Reverse((at, slot, gen)));
-                        continue;
-                    }
+                match conn.timer.pop(at, now, &mut self.timers, slot, gen) {
+                    Some(kind) => kind,
                     None => continue,
                 }
             };
@@ -857,5 +924,84 @@ mod tests {
         assert_eq!(split_token(token), (u32::MAX - 2, u32::MAX - 9));
         assert_ne!(token_for(1, 2), TOKEN_LISTENER);
         assert_ne!(token_for(1, 2), TOKEN_WAKE);
+    }
+
+    fn secs(s: u64) -> Duration {
+        Duration::from_secs(s)
+    }
+
+    #[test]
+    fn later_deadlines_leave_one_timer_entry() {
+        let mut heap = TimerHeap::new();
+        let mut timer = ConnTimer::default();
+        // Every request pushes the idle deadline back a little.
+        for i in 0..1000 {
+            timer.set(Some((secs(60 + i), DeadlineKind::Idle)), &mut heap, 3, 1);
+        }
+        assert_eq!(heap.len(), 1);
+        assert_eq!(timer.armed, Some(secs(60)));
+        assert_eq!(timer.deadline, Some((secs(1059), DeadlineKind::Idle)));
+    }
+
+    #[test]
+    fn an_earlier_deadline_pushes_an_entry() {
+        let mut heap = TimerHeap::new();
+        let mut timer = ConnTimer::default();
+        timer.set(Some((secs(60), DeadlineKind::Idle)), &mut heap, 3, 1);
+        timer.set(Some((secs(5), DeadlineKind::WriteStall)), &mut heap, 3, 1);
+        assert_eq!(heap.len(), 2);
+        assert_eq!(heap.peek(), Some(&Reverse((secs(5), 3, 1))));
+        // It fires on time.
+        let Reverse((at, _, _)) = heap.pop().expect("entry armed");
+        assert_eq!(
+            timer.pop(at, secs(5), &mut heap, 3, 1),
+            Some(DeadlineKind::WriteStall)
+        );
+        assert_eq!(timer.deadline, None);
+        // The superseded 60 s entry is skipped when it comes due.
+        let Reverse((at, _, _)) = heap.pop().expect("superseded entry still queued");
+        assert_eq!(timer.pop(at, secs(60), &mut heap, 3, 1), None);
+        assert!(heap.is_empty());
+    }
+
+    #[test]
+    fn an_early_pop_rearms_at_the_current_deadline() {
+        let mut heap = TimerHeap::new();
+        let mut timer = ConnTimer::default();
+        timer.set(Some((secs(60), DeadlineKind::Idle)), &mut heap, 3, 1);
+        timer.set(Some((secs(90), DeadlineKind::Idle)), &mut heap, 3, 1);
+        let Reverse((at, _, _)) = heap.pop().expect("entry armed");
+        assert_eq!(timer.pop(at, secs(60), &mut heap, 3, 1), None);
+        assert_eq!(heap.peek(), Some(&Reverse((secs(90), 3, 1))));
+        assert_eq!(timer.armed, Some(secs(90)));
+        let Reverse((at, _, _)) = heap.pop().expect("re-armed");
+        assert_eq!(
+            timer.pop(at, secs(90), &mut heap, 3, 1),
+            Some(DeadlineKind::Idle)
+        );
+        // A cleared deadline leaves its entry to be skipped.
+        timer.set(Some((secs(100), DeadlineKind::Header)), &mut heap, 3, 1);
+        timer.set(None, &mut heap, 3, 1);
+        let Reverse((at, _, _)) = heap.pop().expect("entry armed");
+        assert_eq!(timer.pop(at, secs(100), &mut heap, 3, 1), None);
+        assert!(heap.is_empty());
+    }
+
+    #[test]
+    fn drained_buffers_give_back_spare_capacity() {
+        let mut buf = vec![0u8; 1 << 20];
+        buf.clear();
+        release_spare(&mut buf);
+        assert!(buf.capacity() < 1 << 20, "capacity {}", buf.capacity());
+        // A large frame still arriving keeps what it needs.
+        let mut partial = vec![7u8; 2 * BUF_RETAIN];
+        release_spare(&mut partial);
+        assert_eq!(partial.len(), 2 * BUF_RETAIN);
+        assert!(partial.iter().all(|&b| b == 7));
+        // A small buffer keeps its contents and capacity.
+        let mut small = Vec::with_capacity(1024);
+        small.extend_from_slice(b"frame");
+        release_spare(&mut small);
+        assert_eq!((small.as_slice(), small.capacity()), (&b"frame"[..], 1024));
     }
 }

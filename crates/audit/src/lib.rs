@@ -4,7 +4,7 @@
 //! The market's paper-level guarantees rest on code-level invariants the
 //! compiler cannot see: arbitrage-freeness and idempotent replay require
 //! noise to be a pure function of `(seed, tx_id, x)` (no ambient clocks,
-//! RNG, or hash-order dependence), and the lock-free snapshot plus WAL
+//! RNG, or hash-order dependence), and the snapshot plus WAL
 //! serving path must stay panic-free under load. This crate pins the
 //! implementation to that spec on every CI run:
 //!

@@ -193,7 +193,7 @@ fn demo(dataset_name: &str, seed: u64) -> Result<String, String> {
 
     let start = std::time::Instant::now();
     let broker = build_broker(dataset, "square", seed, None)?;
-    let optimal = broker.optimal_model().map_err(|e| e.to_string())?;
+    let optimal = broker.optimal_model();
     let _ = writeln!(
         out,
         "broker trained the optimal {}-feature model and opened the market in {:?}",

@@ -3,9 +3,10 @@
 //! The broker realizes the full §3.2 interaction model:
 //!
 //! 1. **Listing** — takes a [`Seller`]'s dataset and market-research curves.
-//! 2. **One-time training** — lazily computes and caches the optimal model
-//!    `h*_λ(D)` behind a lock (the "train once, sell many" economics of
-//!    §4 that make real-time interaction possible).
+//! 2. **One-time training** — [`BrokerBuilder::build`] trains the optimal
+//!    model `h*_λ(D)` once, and every published snapshot shares it (the
+//!    "train once, sell many" economics of §4 that make real-time
+//!    interaction possible).
 //! 3. **Market opening** — transforms the curves onto the inverse-NCP axis,
 //!    builds the [`RevenueProblem`], runs the Algorithm 1 DP, re-verifies
 //!    arbitrage-freeness of the posted table *after* the error-inverse map
@@ -38,13 +39,12 @@
 //! The serving path is designed for heavy concurrent buyer traffic:
 //!
 //! * **Immutable snapshot.** `open_market()` publishes an
-//!   `Arc<MarketSnapshot>` (price table, revenue problem, optimal model)
-//!   through an [`AtomicPtr`]; every read path — [`Broker::quote`],
-//!   [`Broker::quote_request`], [`Broker::posted_menu`],
-//!   [`Broker::expected_revenue`] — is a single atomic load with **no
-//!   lock**. Superseded snapshots are kept alive in an append-only history
-//!   for the broker's lifetime, so readers can never observe a dangling
-//!   pointer; outstanding quotes from an older snapshot are rejected at
+//!   `Arc<MarketSnapshot>` (price table, revenue problem, shared optimal
+//!   model) by swapping it into a mutex; every read path —
+//!   [`Broker::quote`], [`Broker::quote_request`], [`Broker::posted_menu`],
+//!   [`Broker::expected_revenue`] — holds that mutex only to clone the
+//!   `Arc`, then prices off its own reference. A superseded snapshot drops
+//!   with its last reader; outstanding quotes from it are rejected at
 //!   commit time with [`MarketError::QuoteExpired`].
 //! * **Striped ledger.** Sales record onto `LEDGER_SHARDS` independent
 //!   `Mutex<LedgerShard>` stripes selected by transaction id, merged into a
@@ -70,10 +70,10 @@ use nimbus_core::{CurveProvider, ErrorCurve, GaussianMechanism, InverseNcp, Ncp,
 use nimbus_ml::{ErrorMetric, LinearModel, LinearRegressionTrainer, Trainer};
 use nimbus_optim::{solve_revenue_dp, RevenueProblem};
 use nimbus_randkit::{seeded_rng, split_stream};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,7 +198,8 @@ pub struct Sale {
 pub struct MarketSnapshot {
     problem: RevenueProblem,
     pricing: PiecewiseLinearPricing,
-    optimal: LinearModel,
+    /// The broker's one `h*`, shared by every snapshot it publishes.
+    optimal: Arc<LinearModel>,
     /// The metric's monotone error curve over the menu's δ grid — analytic
     /// for the square-loss default, Monte-Carlo estimated otherwise. Cached
     /// here so error-budget resolution (via `φ`) stays lock-free.
@@ -509,7 +510,9 @@ impl BrokerBuilder {
         self
     }
 
-    /// Validates the configuration and constructs the broker.
+    /// Validates the configuration, trains the optimal model and
+    /// constructs the broker. Training runs before the journal is opened,
+    /// so a failing trainer leaves no file behind.
     pub fn build(self) -> Result<Broker> {
         if !(2..=MAX_PRICE_POINTS).contains(&self.config.n_price_points) {
             return Err(MarketError::InvalidConfig {
@@ -536,6 +539,7 @@ impl BrokerBuilder {
                 });
             }
         }
+        let optimal = Arc::new(self.trainer.train(&self.seller.dataset().train)?);
         let shards: Vec<Mutex<LedgerShard>> = (0..LEDGER_SHARDS)
             .map(|_| Mutex::new(LedgerShard::new()))
             .collect();
@@ -572,14 +576,12 @@ impl BrokerBuilder {
         }
         Ok(Broker {
             seller: self.seller,
-            trainer: self.trainer,
             mechanism: self.mechanism,
             metric: self.metric,
             config: self.config,
             commission: self.commission,
-            optimal: RwLock::new(None),
-            current: AtomicPtr::new(std::ptr::null_mut()),
-            history: Mutex::new(Vec::new()),
+            optimal,
+            current: Mutex::new(None),
             shards,
             tx_counter: AtomicU64::new(next_tx),
             journal,
@@ -669,7 +671,6 @@ impl DedupTable {
 /// The broker.
 pub struct Broker {
     seller: Seller,
-    trainer: Box<dyn Trainer + Send + Sync>,
     mechanism: Box<dyn RandomizedMechanism + Send + Sync>,
     /// The buyer-facing metric the market is denominated in; `None` means
     /// the square-loss default with its analytic Lemma 3 curve.
@@ -678,13 +679,11 @@ pub struct Broker {
     /// The broker's commission rate in [0, 1) — Figure 1(B): the broker
     /// "gets a cut from the seller for each sale".
     commission: f64,
-    optimal: RwLock<Option<LinearModel>>,
-    /// The currently published snapshot (null before `open_market`).
-    /// Readers do one Acquire load; writers publish with a Release store.
-    current: AtomicPtr<MarketSnapshot>,
-    /// Owns every snapshot ever published, keeping the target of `current`
-    /// alive for the broker's lifetime. Locked only while publishing.
-    history: Mutex<Vec<Arc<MarketSnapshot>>>,
+    /// The optimal model `h*_λ(D)`, trained once at build.
+    optimal: Arc<LinearModel>,
+    /// The currently published snapshot (`None` before `open_market`).
+    /// Held only to clone the `Arc` out or to swap a new one in.
+    current: Mutex<Option<Arc<MarketSnapshot>>>,
     /// Striped write-side ledger; merged on read by [`Broker::ledger`].
     shards: Vec<Mutex<LedgerShard>>,
     /// Globally unique transaction ids, also the label of each sale's
@@ -737,24 +736,9 @@ impl Broker {
         self.collected_revenue() * (1.0 - self.commission)
     }
 
-    /// Returns the cached optimal model, training it on first call.
-    pub fn optimal_model(&self) -> Result<LinearModel> {
-        if let Some(m) = self.optimal.read().as_ref() {
-            return Ok(m.clone());
-        }
-        let mut guard = self.optimal.write();
-        // Double-checked: another thread may have trained while we waited.
-        if let Some(m) = guard.as_ref() {
-            return Ok(m.clone());
-        }
-        let model = self.trainer.train(&self.seller.dataset().train)?;
-        *guard = Some(model.clone());
-        Ok(model)
-    }
-
-    /// Whether the one-time training has already happened.
-    pub fn is_trained(&self) -> bool {
-        self.optimal.read().is_some()
+    /// The optimal model `h*_λ(D)`, trained once at build.
+    pub fn optimal_model(&self) -> &LinearModel {
+        &self.optimal
     }
 
     /// The menu's δ grid: the reciprocals of an `n`-point uniform inverse-NCP
@@ -775,12 +759,11 @@ impl Broker {
             .collect()
     }
 
-    /// Opens the market: trains the optimal model (if not already cached),
-    /// builds the metric's error curve and the revenue problem, optimizes
-    /// prices with the Algorithm 1 DP, re-verifies arbitrage-freeness of
-    /// the posted table after the φ map, and atomically publishes the
-    /// resulting immutable [`MarketSnapshot`]. Returns the expected
-    /// revenue.
+    /// Opens the market: builds the metric's error curve and the revenue
+    /// problem, optimizes prices with the Algorithm 1 DP, re-verifies
+    /// arbitrage-freeness of the posted table after the φ map, and
+    /// publishes the resulting immutable [`MarketSnapshot`]. Returns the
+    /// expected revenue.
     ///
     /// For the square-loss default the error curve is the analytic Lemma 3
     /// identity and the market research is sampled directly on the
@@ -792,7 +775,6 @@ impl Broker {
     /// Re-opening publishes a fresh snapshot with the next epoch;
     /// outstanding quotes against the old epoch are rejected at commit.
     pub fn open_market(&self) -> Result<f64> {
-        let optimal = self.optimal_model()?;
         let curves = *self.seller.curves();
         let (problem, curve, metric_name) = match self.metric.as_deref() {
             None => {
@@ -812,7 +794,7 @@ impl Broker {
                     split_stream(self.config.seed, u64::MAX),
                 );
                 let curve =
-                    provider.curve_for(metric, self.mechanism.as_ref(), &optimal, &deltas)?;
+                    provider.curve_for(metric, self.mechanism.as_ref(), &self.optimal, &deltas)?;
                 // Market research speaks in normalized quality t ∈ [0, 1];
                 // map the metric's observed error range onto it (t = 1 at
                 // the lowest error) before transforming onto the φ grid.
@@ -855,23 +837,17 @@ impl Broker {
         }
         let (x_lo, x_hi) = pricing.support();
         let expected = solution.revenue;
-        let mut history = self.history.lock();
-        let snapshot = Arc::new(MarketSnapshot {
+        self.install_snapshot(MarketSnapshot {
             problem,
             pricing,
-            optimal,
+            optimal: Arc::clone(&self.optimal),
             curve,
             metric_name,
             expected_revenue: expected,
-            epoch: self.epoch_base + history.len() as u64 + 1,
+            epoch: 0,
             x_lo,
             x_hi,
         });
-        let ptr = Arc::as_ptr(&snapshot) as *mut MarketSnapshot;
-        history.push(snapshot);
-        // Release pairs with the Acquire in `snapshot()`: a reader that
-        // sees `ptr` also sees the fully initialized snapshot behind it.
-        self.current.store(ptr, Ordering::Release);
         Ok(expected)
     }
 
@@ -919,43 +895,40 @@ impl Broker {
         }
         let (x_lo, x_hi) = pricing.support();
         let expected = solution.revenue;
-        let mut history = self.history.lock();
-        let snapshot = Arc::new(MarketSnapshot {
+        self.install_snapshot(MarketSnapshot {
             problem,
             pricing,
-            optimal: current.optimal.clone(),
+            optimal: Arc::clone(&current.optimal),
             curve: current.curve.clone(),
             metric_name: current.metric_name,
             expected_revenue: expected,
-            epoch: self.epoch_base + history.len() as u64 + 1,
+            epoch: 0,
             x_lo,
             x_hi,
         });
-        let ptr = Arc::as_ptr(&snapshot) as *mut MarketSnapshot;
-        history.push(snapshot);
-        // Release pairs with the Acquire in `snapshot()`, exactly as in
-        // `open_market`.
-        self.current.store(ptr, Ordering::Release);
         Ok(expected)
     }
 
-    /// The currently published snapshot (`None` before `open_market`).
-    /// One atomic load; no lock.
-    pub fn snapshot(&self) -> Option<&MarketSnapshot> {
-        let ptr = self.current.load(Ordering::Acquire);
-        if ptr.is_null() {
-            None
-        } else {
-            // SAFETY: `ptr` came from `Arc::as_ptr` on an Arc that
-            // `self.history` holds (append-only, never cleared) for as long
-            // as `self` lives, so the target outlives the returned `&self`
-            // borrow. The Release store in `open_market` happened-before
-            // this Acquire load, so the snapshot is fully initialized.
-            Some(unsafe { &*ptr })
-        }
+    /// Stamps `snapshot` with the next epoch — one above the live
+    /// snapshot's, or above the journal's `epoch_base` before the first
+    /// publish — and swaps it in. The superseded snapshot is released
+    /// after the lock, and drops with its last reader.
+    fn install_snapshot(&self, mut snapshot: MarketSnapshot) {
+        let mut current = self.current.lock();
+        snapshot.epoch = current.as_ref().map_or(self.epoch_base, |s| s.epoch) + 1;
+        let superseded = current.replace(Arc::new(snapshot));
+        drop(current);
+        drop(superseded);
     }
 
-    fn published(&self) -> Result<&MarketSnapshot> {
+    /// The currently published snapshot (`None` before `open_market`).
+    /// Locks only to clone the `Arc`; the caller's reference stays valid
+    /// however many re-publishes follow.
+    pub fn snapshot(&self) -> Option<Arc<MarketSnapshot>> {
+        self.current.lock().clone()
+    }
+
+    fn published(&self) -> Result<Arc<MarketSnapshot>> {
         self.snapshot().ok_or(MarketError::MarketNotOpen)
     }
 
@@ -975,7 +948,7 @@ impl Broker {
         Ok(self.published()?.expected_revenue())
     }
 
-    /// Price quote at an arbitrary inverse NCP. Lock-free.
+    /// Price quote at an arbitrary inverse NCP.
     ///
     /// Routes through the same [`MarketSnapshot::quote`] path as
     /// [`Broker::quote_request`] — `quote(x)` is exactly
@@ -986,7 +959,7 @@ impl Broker {
     }
 
     /// Resolves a purchase request to a committable [`Quote`] against the
-    /// current snapshot. Lock-free; no side effects. The single internal
+    /// current snapshot; no side effects. The single internal
     /// quoting path: [`Broker::quote`] and the network serving layer both
     /// funnel through here.
     pub fn quote_request(&self, request: PurchaseRequest) -> Result<Quote> {
@@ -1370,8 +1343,8 @@ impl Broker {
     pub fn market_stats(&self) -> MarketStats {
         let snapshot = self.snapshot();
         MarketStats {
-            epoch: snapshot.map(MarketSnapshot::epoch),
-            expected_revenue: snapshot.map(MarketSnapshot::expected_revenue),
+            epoch: snapshot.as_deref().map(MarketSnapshot::epoch),
+            expected_revenue: snapshot.as_deref().map(MarketSnapshot::expected_revenue),
             sales: self.sales_count(),
             revenue: self.collected_revenue(),
             budget_rejects: self.accounts.budget_rejects(),
@@ -1825,13 +1798,95 @@ mod tests {
     }
 
     #[test]
-    fn training_is_lazy_and_cached() {
+    fn optimal_model_is_trained_at_build_and_shared_by_every_snapshot() {
         let broker = test_broker();
-        assert!(!broker.is_trained());
-        let m1 = broker.optimal_model().unwrap();
-        assert!(broker.is_trained());
-        let m2 = broker.optimal_model().unwrap();
-        assert_eq!(m1.weights().as_slice(), m2.weights().as_slice());
+        let trained = LinearRegressionTrainer::ridge(1e-6)
+            .train(&broker.seller().dataset().train)
+            .unwrap();
+        let bits = |m: &LinearModel| -> Vec<u64> {
+            m.weights().as_slice().iter().map(|w| w.to_bits()).collect()
+        };
+        assert_eq!(bits(broker.optimal_model()), bits(&trained));
+
+        broker.open_market().unwrap();
+        let a = broker.snapshot().unwrap();
+        broker.republish_with_problem(a.problem().clone()).unwrap();
+        let b = broker.snapshot().unwrap();
+        broker.open_market().unwrap();
+        let c = broker.snapshot().unwrap();
+        assert_eq!((a.epoch(), b.epoch(), c.epoch()), (1, 2, 3));
+        assert!(std::ptr::eq(a.optimal(), b.optimal()));
+        assert!(std::ptr::eq(a.optimal(), c.optimal()));
+        assert!(std::ptr::eq(a.optimal(), broker.optimal_model()));
+    }
+
+    /// A trainer that always fails, to show `build` trains before it
+    /// touches the journal.
+    struct FailingTrainer;
+
+    impl Trainer for FailingTrainer {
+        fn train(&self, _: &nimbus_data::Dataset) -> nimbus_ml::Result<LinearModel> {
+            Err(nimbus_ml::MlError::EmptyDataset)
+        }
+
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+    }
+
+    #[test]
+    fn failing_trainer_leaves_no_journal_behind() {
+        let path = std::env::temp_dir().join(format!(
+            "nimbus-broker-failing-trainer-{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let built = test_builder()
+            .trainer(FailingTrainer)
+            .journal(&path)
+            .build();
+        assert!(matches!(built, Err(MarketError::Ml(_))));
+        assert!(!path.exists(), "no journal file before training succeeds");
+    }
+
+    #[test]
+    fn superseded_snapshots_drop_with_their_last_reader() {
+        const REPUBLISHES: u64 = 5_000;
+        let broker = test_broker();
+        broker.open_market().unwrap();
+        let first = broker.snapshot().unwrap();
+        let problem = first.problem().clone();
+        let held = first.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+        let mut published = vec![Arc::downgrade(&first)];
+        for i in 0..REPUBLISHES {
+            if i % 10 == 0 {
+                broker.open_market().unwrap();
+            } else {
+                broker.republish_with_problem(problem.clone()).unwrap();
+            }
+            published.push(Arc::downgrade(&broker.snapshot().unwrap()));
+        }
+        assert_eq!(
+            broker.snapshot().unwrap().epoch(),
+            first.epoch() + REPUBLISHES
+        );
+        // The live snapshot and the one still held are all that remain.
+        let live = published.iter().filter(|w| w.upgrade().is_some()).count();
+        assert_eq!(live, 2);
+
+        // A held snapshot keeps pricing after it is superseded, but its
+        // quotes no longer commit.
+        let again = first.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+        assert_eq!(again.price.to_bits(), held.price.to_bits());
+        assert_eq!(again.snapshot_epoch, 1);
+        assert!(matches!(
+            broker.commit(held, held.price),
+            Err(MarketError::QuoteExpired { quoted: 1, current }) if current == 1 + REPUBLISHES
+        ));
+        drop(first);
+        assert!(published[0].upgrade().is_none());
+        let live = published.iter().filter(|w| w.upgrade().is_some()).count();
+        assert_eq!(live, 1);
     }
 
     #[test]
@@ -1877,7 +1932,7 @@ mod tests {
     fn quote_then_commit_returns_noisy_model() {
         let broker = test_broker();
         broker.open_market().unwrap();
-        let optimal = broker.optimal_model().unwrap();
+        let optimal = broker.optimal_model();
         let quote = broker
             .quote_request(PurchaseRequest::AtInverseNcp(10.0))
             .unwrap();
@@ -1890,7 +1945,7 @@ mod tests {
         assert_eq!(sale.metric, "square");
         assert!((sale.expected_error - 0.1).abs() < 1e-12);
         // The instance differs from the optimum (noise was added).
-        assert!(sale.model.distance_squared(&optimal).unwrap() > 0.0);
+        assert!(sale.model.distance_squared(optimal).unwrap() > 0.0);
         assert_eq!(broker.sales_count(), 1);
         assert!((broker.collected_revenue() - sale.price).abs() < 1e-12);
         assert_eq!(broker.ledger().count(), 1);

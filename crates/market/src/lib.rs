@@ -1,6 +1,7 @@
 // Unit tests exercise failure paths where `unwrap`/`panic!` are the
 // point; the serving-path hygiene lints apply to shipped code only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 //! End-to-end marketplace simulation — the Nimbus demo flow.
 //!
@@ -9,8 +10,8 @@
 //!
 //! * the [`seller::Seller`] lists a dataset together with the value and
 //!   demand curves obtained from market research ([`curves`]);
-//! * the [`broker::Broker`] trains the optimal model once (caching it
-//!   behind a lock — the one-time cost of §4), transforms the curves
+//! * the [`broker::Broker`] trains the optimal model once, when it is
+//!   built (the one-time cost of §4), transforms the curves
 //!   through the error-inverse, optimizes prices with `nimbus-optim`, and
 //!   serves buyers through the three §3.2 purchase options via an explicit
 //!   quote→commit protocol, recording every sale in a sharded
@@ -27,12 +28,12 @@
 //! cores instead of serializing on locks:
 //!
 //! 1. **Snapshot publication.** `Broker::open_market()` bundles the revenue
-//!    problem, the optimized price table and the trained optimal model into
-//!    an immutable [`broker::MarketSnapshot`] and publishes it through an
-//!    atomic pointer. Every read — `quote`, `quote_request`, `posted_menu`,
-//!    `expected_revenue` — is one atomic load, **no lock**. Superseded
-//!    snapshots stay alive in an append-only history for the broker's
-//!    lifetime, and each carries an epoch: a [`broker::Quote`] issued
+//!    problem, the optimized price table and the shared optimal model into
+//!    an immutable [`broker::MarketSnapshot`] and swaps an `Arc` of it into
+//!    a mutex. Every read — `quote`, `quote_request`, `posted_menu`,
+//!    `expected_revenue` — holds that mutex only to clone the `Arc` and
+//!    prices off its own reference. A superseded snapshot drops with its
+//!    last reader, and each carries an epoch: a [`broker::Quote`] issued
 //!    against epoch `k` is rejected with [`MarketError::QuoteExpired`] if
 //!    epoch `k+1` has been posted by the time the buyer commits.
 //! 2. **Striped ledger.** Commits record onto one of N
@@ -62,7 +63,7 @@
 //! error-curve estimation) used to fan experiment sweeps across cores.
 //! [`persist`] round-trips a posted market through
 //! CSV, re-validating arbitrage-freeness on load. [`marketplace`] hosts a
-//! menu of models (§3.1), one broker per listing, behind a lock-free
+//! menu of models (§3.1), one broker per listing, behind a shared
 //! listing directory with a draft → published → retired lifecycle and
 //! per-listing journals recovered in parallel.
 

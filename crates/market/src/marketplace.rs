@@ -12,13 +12,14 @@
 //! The marketplace sits on the serving hot path: every networked request
 //! resolves a listing name before it touches a broker. Lookup therefore
 //! uses the same snapshot-publication idiom as the broker itself — the
-//! listing directory is an immutable [`BTreeMap`] published through one
-//! `AtomicPtr`, so [`Marketplace::route`] is a single Acquire load plus a
-//! map lookup, **no lock**. Admin mutations (listing, publishing,
-//! retiring) serialize on a directory lock, build a new directory, and
-//! publish it with a Release store; superseded directories stay alive in
-//! an append-only history for the marketplace's lifetime, exactly like
-//! superseded market snapshots inside a broker.
+//! listing directory is an immutable [`BTreeMap`] behind an
+//! `Arc`, and [`Marketplace::route`] holds the mutex around that `Arc`
+//! for one map lookup and one refcount increment. Admin mutations
+//! (listing, publishing, retiring) serialize on a separate admin lock,
+//! build a new directory, and swap it in; a superseded directory drops
+//! with its last reader, exactly like a superseded market snapshot inside
+//! a broker. No admin operation holds the directory mutex across a call
+//! into a broker.
 //!
 //! # Listing lifecycle
 //!
@@ -66,7 +67,6 @@ use nimbus_optim::RevenueProblem;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// Where a listing is in its lifecycle.
@@ -181,6 +181,7 @@ impl Listing {
 }
 
 /// An immutable published view of the listing directory.
+#[derive(Default)]
 struct Directory {
     listings: BTreeMap<String, Listing>,
 }
@@ -408,34 +409,36 @@ impl ListingBuilder {
     }
 }
 
-/// A marketplace hosting several model listings behind lock-free routing.
+/// A marketplace hosting several model listings behind one directory
+/// cell.
+#[derive(Default)]
 pub struct Marketplace {
-    /// The currently published directory. Readers do one Acquire load;
-    /// admin mutations publish a replacement with a Release store.
-    current: AtomicPtr<Directory>,
-    /// Owns every directory ever published, keeping the target of
-    /// `current` alive for the marketplace's lifetime. Locked only by
-    /// admin mutations, which thereby also serialize with each other.
-    history: Mutex<Vec<Arc<Directory>>>,
+    /// The currently published directory. Held only to read one listing
+    /// or clone the `Arc` out, or to swap a new directory in.
+    current: Mutex<Arc<Directory>>,
+    /// Serializes admin operations; taken before `current` or any broker
+    /// lock, never on the routing path.
+    admin: Mutex<()>,
 }
 
-impl Default for Marketplace {
-    fn default() -> Self {
-        Marketplace::new()
+/// The listing `name` as an admin operation may act on it: an unknown
+/// name or a retired listing refuses.
+fn live_listing(listings: &BTreeMap<String, Listing>, name: &str) -> Result<Listing> {
+    match listings.get(name) {
+        None => Err(MarketError::UnknownListing {
+            name: name.to_string(),
+        }),
+        Some(l) if l.state == ListingState::Retired => Err(MarketError::ListingRetired {
+            name: name.to_string(),
+        }),
+        Some(l) => Ok(l.clone()),
     }
 }
 
 impl Marketplace {
     /// Creates an empty marketplace.
     pub fn new() -> Self {
-        let empty = Arc::new(Directory {
-            listings: BTreeMap::new(),
-        });
-        let ptr = Arc::as_ptr(&empty) as *mut Directory;
-        Marketplace {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![empty]),
-        }
+        Marketplace::default()
     }
 
     /// Builds and publishes every listing **in parallel** — journal
@@ -524,19 +527,7 @@ impl Marketplace {
     /// [`MarketError::ListingRetired`].
     pub fn publish(&self, name: &str) -> Result<f64> {
         self.mutate(|listings| {
-            let listing = match listings.get(name) {
-                None => {
-                    return Err(MarketError::UnknownListing {
-                        name: name.to_string(),
-                    })
-                }
-                Some(l) => l.clone(),
-            };
-            if listing.state == ListingState::Retired {
-                return Err(MarketError::ListingRetired {
-                    name: name.to_string(),
-                });
-            }
+            let listing = live_listing(listings, name)?;
             let expected = listing.broker.open_market()?;
             listings.insert(
                 name.to_string(),
@@ -562,24 +553,12 @@ impl Marketplace {
     /// [`MarketError::MarketNotOpen`] (there is no current table to
     /// re-price) and a retired listing with
     /// [`MarketError::ListingRetired`]. Returns the expected revenue of
-    /// the new table under the supplied demand.
+    /// the new table under the supplied demand. The directory itself is
+    /// unchanged, so none is published.
     pub fn republish_pricing(&self, name: &str, problem: RevenueProblem) -> Result<f64> {
-        self.mutate(|listings| {
-            let listing = match listings.get(name) {
-                None => {
-                    return Err(MarketError::UnknownListing {
-                        name: name.to_string(),
-                    })
-                }
-                Some(l) => l.clone(),
-            };
-            if listing.state == ListingState::Retired {
-                return Err(MarketError::ListingRetired {
-                    name: name.to_string(),
-                });
-            }
-            listing.broker.republish_with_problem(problem)
-        })
+        let _admin = self.admin.lock();
+        let listing = live_listing(&self.directory().listings, name)?;
+        listing.broker.republish_with_problem(problem)
     }
 
     /// Retires a listing: it stops quoting and selling permanently, while
@@ -587,19 +566,7 @@ impl Marketplace {
     /// listing is [`MarketError::ListingRetired`].
     pub fn retire(&self, name: &str) -> Result<()> {
         self.mutate(|listings| {
-            let listing = match listings.get(name) {
-                None => {
-                    return Err(MarketError::UnknownListing {
-                        name: name.to_string(),
-                    })
-                }
-                Some(l) => l.clone(),
-            };
-            if listing.state == ListingState::Retired {
-                return Err(MarketError::ListingRetired {
-                    name: name.to_string(),
-                });
-            }
+            let listing = live_listing(listings, name)?;
             listings.insert(
                 name.to_string(),
                 Listing {
@@ -646,32 +613,35 @@ impl Marketplace {
     /// state (admin/introspection surface; buyers route with
     /// [`Marketplace::route`]).
     pub fn broker(&self, name: &str) -> Result<(Arc<Broker>, ListingMeta)> {
-        match self.directory().listings.get(name) {
-            None => Err(MarketError::UnknownListing {
-                name: name.to_string(),
-            }),
-            Some(l) => Ok((l.broker.clone(), l.meta(name))),
-        }
+        let listing = self.listing(name)?;
+        let meta = listing.meta(name);
+        Ok((listing.broker, meta))
     }
 
     /// Resolves a listing name to its serving broker — the hot path: one
-    /// atomic load, one map lookup, no lock. Only published listings
-    /// serve; drafts answer [`MarketError::MarketNotOpen`], retired
-    /// listings [`MarketError::ListingRetired`], unknown names
+    /// map lookup and one refcount increment under the directory mutex.
+    /// Only published listings serve; drafts answer
+    /// [`MarketError::MarketNotOpen`], retired listings
+    /// [`MarketError::ListingRetired`], unknown names
     /// [`MarketError::UnknownListing`].
     pub fn route(&self, name: &str) -> Result<Arc<Broker>> {
-        match self.directory().listings.get(name) {
-            None => Err(MarketError::UnknownListing {
+        let listing = self.listing(name)?;
+        match listing.state {
+            ListingState::Published => Ok(listing.broker),
+            ListingState::Draft => Err(MarketError::MarketNotOpen),
+            ListingState::Retired => Err(MarketError::ListingRetired {
                 name: name.to_string(),
             }),
-            Some(l) => match l.state {
-                ListingState::Published => Ok(l.broker.clone()),
-                ListingState::Draft => Err(MarketError::MarketNotOpen),
-                ListingState::Retired => Err(MarketError::ListingRetired {
-                    name: name.to_string(),
-                }),
-            },
         }
+    }
+
+    /// The named listing in any state, looked up under one short hold of
+    /// the directory mutex.
+    fn listing(&self, name: &str) -> Result<Listing> {
+        let found = self.current.lock().listings.get(name).cloned();
+        found.ok_or_else(|| MarketError::UnknownListing {
+            name: name.to_string(),
+        })
     }
 
     /// Quotes a purchase request against the named listing's snapshot.
@@ -716,35 +686,23 @@ impl Marketplace {
         self.stats().total_sales as usize
     }
 
-    /// The currently published directory: one Acquire load, no lock.
-    fn directory(&self) -> &Directory {
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` came from `Arc::as_ptr` on an Arc that
-        // `self.history` holds (append-only, never cleared) for as long
-        // as `self` lives, so the target outlives the returned borrow.
-        // `new()` publishes a first directory before `self` exists, so
-        // the pointer is never null, and the Release store in `mutate`
-        // happened-before this Acquire load, so the directory behind it
-        // is fully initialized.
-        unsafe { &*ptr }
+    /// The currently published directory; the mutex is held only to
+    /// clone the `Arc`.
+    fn directory(&self) -> Arc<Directory> {
+        self.current.lock().clone()
     }
 
-    /// Runs one serialized admin mutation: clones the live directory,
-    /// applies `f`, and publishes the result. On error nothing is
-    /// published.
+    /// Runs one admin mutation under the admin lock: clones the live
+    /// directory, applies `f` (which may call into brokers), and swaps
+    /// the result in. On error nothing is published.
     fn mutate<T>(&self, f: impl FnOnce(&mut BTreeMap<String, Listing>) -> Result<T>) -> Result<T> {
-        let mut history = self.history.lock();
-        let mut listings = match history.last() {
-            Some(dir) => dir.listings.clone(),
-            None => BTreeMap::new(),
-        };
+        let _admin = self.admin.lock();
+        let mut listings = self.directory().listings.clone();
         let out = f(&mut listings)?;
         let next = Arc::new(Directory { listings });
-        let ptr = Arc::as_ptr(&next) as *mut Directory;
-        history.push(next);
-        // Release pairs with the Acquire in `directory()`: a reader that
-        // sees `ptr` also sees the fully built directory behind it.
-        self.current.store(ptr, Ordering::Release);
+        // The superseded directory is released after the swap's lock.
+        let superseded = std::mem::replace(&mut *self.current.lock(), next);
+        drop(superseded);
         Ok(out)
     }
 }
@@ -1115,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn routing_stays_lock_free_under_concurrent_admin_churn() {
+    fn routing_stays_live_under_concurrent_admin_churn() {
         let mp = Arc::new(Marketplace::new());
         mp.list(regression_listing("hot", 41)).unwrap();
         std::thread::scope(|s| {
@@ -1135,7 +1093,8 @@ mod tests {
                     for _ in 0..200 {
                         // Quotes always succeed; commits may race a
                         // re-publish and die with the epoch check — both
-                        // are valid outcomes, nothing may panic or block.
+                        // are valid outcomes, nothing may panic or wait
+                        // on an admin operation.
                         let quote = mp
                             .quote_request("hot", PurchaseRequest::AtInverseNcp(5.0))
                             .unwrap();
@@ -1150,5 +1109,39 @@ mod tests {
             admin.join().unwrap();
         });
         assert_eq!(mp.len(), 9);
+    }
+
+    #[test]
+    fn superseded_directories_drop_with_their_last_reader() {
+        let mp = Marketplace::new();
+        let mut published = vec![Arc::downgrade(&mp.directory())];
+        mp.list(regression_listing("a", 43)).unwrap();
+        published.push(Arc::downgrade(&mp.directory()));
+        for i in 0..200 {
+            mp.publish("a").unwrap();
+            published.push(Arc::downgrade(&mp.directory()));
+            if i % 50 == 0 {
+                let name = format!("b{i}");
+                mp.list(regression_listing(&name, 44)).unwrap();
+                published.push(Arc::downgrade(&mp.directory()));
+                mp.retire(&name).unwrap();
+                published.push(Arc::downgrade(&mp.directory()));
+            }
+        }
+        // Only the live directory remains.
+        let live = published.iter().filter(|w| w.upgrade().is_some()).count();
+        assert_eq!(live, 1);
+        assert!(published[0].upgrade().is_none());
+        assert_eq!(mp.len(), 5);
+
+        // Re-pricing changes no listing, so it publishes no directory.
+        let before = mp.directory();
+        let posted = mp.route("a").unwrap().posted_menu().unwrap();
+        let a: Vec<f64> = posted.iter().map(|&(x, _)| x).collect();
+        let b = vec![1.0; a.len()];
+        let v: Vec<f64> = (0..a.len()).map(|i| 1.0 + i as f64).collect();
+        let problem = RevenueProblem::from_slices(&a, &b, &v).unwrap();
+        mp.republish_pricing("a", problem).unwrap();
+        assert!(Arc::ptr_eq(&before, &mp.directory()));
     }
 }

@@ -18,6 +18,8 @@ use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_market::parallel::parallel_map;
 use nimbus_market::{Broker, MarketError, PurchaseRequest, Sale, Seller};
 use nimbus_ml::LinearRegressionTrainer;
+use nimbus_optim::RevenueProblem;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const THREADS: usize = 8;
 const PURCHASES_PER_THREAD: usize = 100;
@@ -285,4 +287,62 @@ fn multithreaded_commits_match_single_threaded_books() {
     // Totals only up to f64 reassociation: shard sums accumulate in
     // arrival order, which differs across thread counts.
     assert!((wide.collected_revenue() - narrow.collected_revenue()).abs() < 1e-6);
+}
+
+/// Readers racing a publisher: each reader's view of the epoch only moves
+/// forward, and every quote prices off exactly the menu of the snapshot
+/// whose epoch it carries, while that snapshot is being superseded.
+#[test]
+fn readers_see_monotone_epochs_while_a_publisher_republishes() {
+    const REPUBLISHES: u64 = 500;
+    let broker = build_broker(91);
+    broker.open_market().unwrap();
+    // Two menus on one grid, told apart by epoch parity: the research
+    // problem at odd epochs, a re-weighted demand at even ones.
+    let odd = broker.snapshot().unwrap();
+    let grid = odd.problem().parameters();
+    let demand: Vec<f64> = (0..grid.len()).map(|i| (i + 1) as f64).collect();
+    let values: Vec<f64> = (0..grid.len()).map(|i| 1.0 + i as f64).collect();
+    let reweighted = RevenueProblem::from_slices(&grid, &demand, &values).unwrap();
+    broker.republish_with_problem(reweighted.clone()).unwrap();
+    let even = broker.snapshot().unwrap();
+    assert_eq!((odd.epoch(), even.epoch()), (1, 2));
+    assert_ne!(odd.menu(), even.menu());
+    let menu_of = |epoch: u64| if epoch % 2 == 1 { &odd } else { &even };
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (broker, done, menu_of, grid) = (&broker, &done, &menu_of, &grid);
+            scope.spawn(move || {
+                let mut last = 0;
+                let mut reads = 0;
+                while !done.load(Ordering::Acquire) || reads < 100 {
+                    let snapshot = broker.snapshot().unwrap();
+                    assert!(snapshot.epoch() >= last, "epoch went backwards");
+                    assert_eq!(snapshot.menu(), menu_of(snapshot.epoch()).menu());
+                    let request = PurchaseRequest::AtInverseNcp(grid[(t + reads) % grid.len()]);
+                    let quote = broker.quote_request(request).unwrap();
+                    assert!(quote.snapshot_epoch >= snapshot.epoch());
+                    let expected = menu_of(quote.snapshot_epoch).quote(request).unwrap();
+                    assert_eq!(quote.price.to_bits(), expected.price.to_bits());
+                    assert_eq!(quote.x.to_bits(), expected.x.to_bits());
+                    last = quote.snapshot_epoch;
+                    reads += 1;
+                }
+            });
+        }
+        scope.spawn(|| {
+            for i in 0..REPUBLISHES {
+                let problem = if i % 2 == 0 {
+                    odd.problem().clone()
+                } else {
+                    reweighted.clone()
+                };
+                broker.republish_with_problem(problem).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+    });
+    assert_eq!(broker.snapshot().unwrap().epoch(), 2 + REPUBLISHES);
 }

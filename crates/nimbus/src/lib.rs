@@ -40,7 +40,7 @@
 //!
 //! // The broker is configured through a validating builder; it trains
 //! // once, optimizes arbitrage-free prices, and publishes an immutable
-//! // market snapshot that serves all buyer reads lock-free.
+//! // market snapshot that serves all buyer reads.
 //! let broker = Broker::builder(seller)
 //!     .trainer(LinearRegressionTrainer::ridge(1e-6))
 //!     .mechanism(GaussianMechanism)

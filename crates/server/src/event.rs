@@ -19,12 +19,12 @@
 //!   holding a read buffer, a queue of parsed-but-undispatched frames, a
 //!   write buffer and a handful of counters. An idle connection costs one
 //!   fd and one slab slot — no thread, no stack.
-//! * **Snapshot reads inline.** A current-version `MENU` or `QUOTE` is a
-//!   lock-free read of the published snapshot, so the loop executes it
-//!   itself and appends the response to the write buffer, skipping the
-//!   queue → worker → completion → wake-pipe hop. Every other frame, and
-//!   any frame at another version or too short to carry an opcode, goes
-//!   to a worker. Inline reads pause while the connection has more than
+//! * **Snapshot reads inline.** A current-version `MENU` or `QUOTE` reads
+//!   the published snapshot, taking only leaf locks held to clone an
+//!   `Arc`, so the loop executes it itself and appends the response to
+//!   the write buffer, skipping the queue → worker → completion →
+//!   wake-pipe hop. Every other frame, and any frame at another version
+//!   or too short to carry an opcode, goes to a worker. Inline reads pause while the connection has more than
 //!   [`WRITE_BACKPRESSURE`] response bytes pending, which bounds loop
 //!   hold time and memory.
 //! * **Pipelining.** Every frame carries a correlation id and may be

@@ -22,9 +22,9 @@
 //!   typed error.
 //! * [`server`] — [`NimbusServer`]: a single readiness event loop
 //!   (`epoll`/`poll(2)` via [`sys`], no async runtime) multiplexing every
-//!   connection. It answers `MENU` and `QUOTE`, lock-free snapshot
-//!   reads, on the loop thread itself, and dispatches every other
-//!   complete frame onto sharded bounded job queues drained by workers.
+//!   connection. It answers `MENU` and `QUOTE`, snapshot reads that
+//!   hold a lock only to clone an `Arc`, on the loop thread itself, and
+//!   dispatches every other complete frame onto sharded bounded job queues drained by workers.
 //!   Bounded queues shed those ops with `BUSY` instead of stalling
 //!   (snapshot reads take no queue slot); slow-loris and idle peers are
 //!   shed by event-loop deadlines; graceful shutdown drains in-flight

@@ -17,10 +17,10 @@
 //!   thousands of idle connections cost two fds and a slab slot — no
 //!   thread per connection.
 //! * **Snapshot reads on the loop thread.** A current-version `MENU` or
-//!   `QUOTE` frame is decoded, priced against the lock-free published
-//!   snapshot and encoded by the loop itself, through the same
-//!   `execute_job` the workers use; its response goes straight into the
-//!   connection's write buffer.
+//!   `QUOTE` frame is decoded, priced against the published snapshot (a
+//!   leaf lock held to clone its `Arc`) and encoded by the loop itself,
+//!   through the same `execute_job` the workers use; its response goes
+//!   straight into the connection's write buffer.
 //! * **Sharded execution.** Every other frame becomes a `Job` on one of
 //!   `K` bounded `Mutex<VecDeque<Job>> + Condvar` shard queues, drained
 //!   by worker threads that do the blocking work (decode, route, commit
@@ -45,8 +45,9 @@
 //!   histograms), served back over the wire by `STATS`.
 //!
 //! The market side is exactly the in-process API: requests resolve their
-//! listing through [`Marketplace::route`] (one atomic load, no lock),
-//! `MENU`/`QUOTE` are lock-free snapshot reads, and both `COMMIT` (a
+//! listing through [`Marketplace::route`] (one map lookup and one `Arc`
+//! clone under a leaf lock), `MENU`/`QUOTE` price off a cloned snapshot
+//! `Arc`, and both `COMMIT` (a
 //! batch of one) and `BATCH_COMMIT` route through
 //! [`Broker::commit_batch_at`], the broker's one commit path: the same
 //! dedup, epoch check, payment validation, price re-derivation, budget

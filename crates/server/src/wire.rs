@@ -698,8 +698,9 @@ pub fn sniff_header(payload: &[u8]) -> (u64, Option<u8>) {
 }
 
 /// Whether a sniffed opcode is a snapshot read (`MENU` or `QUOTE`): a
-/// lock-free read of the published menu that the event loop answers
-/// itself instead of queueing it for a worker.
+/// read of the published menu, behind leaf locks held only to clone an
+/// `Arc`, that the event loop answers itself instead of queueing it for
+/// a worker.
 pub(crate) fn is_snapshot_read(op: Option<u8>) -> bool {
     matches!(op, Some(OP_MENU | OP_QUOTE))
 }

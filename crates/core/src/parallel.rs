@@ -1,13 +1,18 @@
 //! Small crossbeam-scoped parallel map shared by curve estimation and the
 //! market/experiment layers.
 //!
-//! Monte-Carlo error-curve estimation, batch purchasing and the figure
-//! experiments all fan out many independent CPU-bound work items (δ points,
-//! purchase requests, dataset × loss configurations). A static block
-//! partition over scoped threads is all the machinery needed — no work
-//! stealing, no channels — and, because the partition is deterministic and
-//! order-preserving, callers that derive per-item RNG streams get results
-//! bitwise-identical to a sequential loop.
+//! Monte-Carlo error-curve estimation, batch purchasing, listing start-up
+//! and the figure experiments all fan out independent CPU-bound work items
+//! (δ points, purchase requests, listings, dataset × loss configurations)
+//! whose costs can differ by an order of magnitude. Workers therefore claim
+//! items one at a time from a shared counter, so no core idles while
+//! another still holds a queue of expensive items. Each result lands in its
+//! own input position, so callers that derive per-item RNG streams get
+//! results bitwise-identical to a sequential loop whichever thread ran an
+//! item.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Applies `f` to every item, fanning out over up to `max_threads` scoped
 /// threads (defaults to available parallelism when `None`). Preserves input
@@ -33,40 +38,35 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Pre-size the output with placeholder slots so threads can write their
-    // partition in place without coordination.
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    {
-        let f = &f;
-        // Pair each input chunk with its output chunk; both move into the
-        // spawned closure.
-        let mut item_iter: Vec<Vec<T>> = Vec::with_capacity(threads);
-        let mut remaining = items;
-        while !remaining.is_empty() {
-            let take = chunk.min(remaining.len());
-            let rest = remaining.split_off(take);
-            item_iter.push(remaining);
-            remaining = rest;
+    // Worker `t` starts on item `t`, then claims the next unclaimed index
+    // from `next`. The counter only hands out indices; the items themselves
+    // pass through their cells' mutexes.
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(threads);
+    let work = |first: usize| {
+        let mut done = Vec::new();
+        let mut i = first;
+        while i < n {
+            let item = cells[i]
+                .lock()
+                .expect("no worker panics while holding a cell")
+                .take()
+                .expect("each index is claimed once");
+            done.push((i, f(item)));
+            i = next.fetch_add(1, Ordering::Relaxed);
         }
-        crossbeam::scope(|s| {
-            let mut out_slices: Vec<&mut [Option<R>]> = Vec::with_capacity(item_iter.len());
-            let mut rest = &mut slots[..];
-            for part in &item_iter {
-                let (head, tail) = rest.split_at_mut(part.len());
-                out_slices.push(head);
-                rest = tail;
+        done
+    };
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    crossbeam::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|t| s.spawn(move |_| work(t))).collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("worker threads must not panic") {
+                slots[i] = Some(r);
             }
-            for (part, out) in item_iter.into_iter().zip(out_slices) {
-                s.spawn(move |_| {
-                    for (slot, item) in out.iter_mut().zip(part) {
-                        *slot = Some(f(item));
-                    }
-                });
-            }
-        })
-        .expect("worker threads must not panic");
-    }
+        }
+    })
+    .expect("worker threads must not panic");
     slots
         .into_iter()
         .map(|s| s.expect("every slot written"))
@@ -102,6 +102,28 @@ mod tests {
     fn more_threads_than_items() {
         let out = parallel_map(vec![5], Some(16), |x| x * x);
         assert_eq!(out, vec![25]);
+    }
+
+    #[test]
+    fn skewed_costs_give_the_sequential_output() {
+        // The first quarter of the items costs ~1000× the rest, as when one
+        // half of a listing set trains by Newton steps; a per-item stream
+        // derived from the index must come out as a sequential map's.
+        let work = |i: u64| {
+            let rounds = if i < 16 { 200_000 } else { 200 };
+            let mut h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            for _ in 0..rounds {
+                h ^= h << 13;
+                h ^= h >> 7;
+                h ^= h << 17;
+            }
+            (i, h)
+        };
+        let items: Vec<u64> = (0..64).collect();
+        let sequential: Vec<(u64, u64)> = items.iter().map(|&i| work(i)).collect();
+        for threads in [2, 3, 8] {
+            assert_eq!(parallel_map(items.clone(), Some(threads), work), sequential);
+        }
     }
 
     #[test]

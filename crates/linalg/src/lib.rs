@@ -20,6 +20,7 @@
 
 pub mod cholesky;
 pub mod error;
+mod gram;
 pub mod matrix;
 pub mod triangular;
 pub mod vector;

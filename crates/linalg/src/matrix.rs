@@ -1,5 +1,6 @@
 //! Dense row-major `f64` matrix.
 
+use crate::gram::Kernel;
 use crate::vector::dot_slices;
 use crate::{LinalgError, Result, Vector};
 
@@ -145,29 +146,6 @@ impl Matrix {
         Ok(Vector::from_vec(out))
     }
 
-    /// Transposed matrix-vector product `selfᵀ * x`.
-    pub fn matvec_transposed(&self, x: &Vector) -> Result<Vector> {
-        if self.rows != x.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec_transposed",
-                left: (self.cols, self.rows),
-                right: (x.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            for (o, r) in out.iter_mut().zip(row.iter()) {
-                *o += xi * r;
-            }
-        }
-        Ok(Vector::from_vec(out))
-    }
-
     /// Matrix product `self * other`.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
@@ -206,32 +184,54 @@ impl Matrix {
         out
     }
 
-    /// Gram matrix `selfᵀ * self`, assembled row-at-a-time as a sum of outer
-    /// products. Only the upper triangle is computed and then mirrored,
-    /// halving the work; the result is symmetric by construction.
+    /// Gram matrix `selfᵀ * self`. Only the upper triangle is summed and
+    /// then mirrored, so the result is symmetric by construction. For
+    /// finite entries every entry has the bits of a row-at-a-time sum of
+    /// outer products taken in ascending row order.
     pub fn gram(&self) -> Matrix {
+        self.normal_parts(None, None).0
+    }
+
+    /// Weighted Gram matrix `selfᵀ S self` with `S = diag(weights)` — the
+    /// Hessian shape of a generalized linear model. Each product is rounded
+    /// as `(s_i·x_ia)·x_ib`. Errors unless there is one weight per row.
+    pub fn weighted_gram(&self, weights: &Vector) -> Result<Matrix> {
+        if weights.len() != self.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "weighted_gram",
+                left: (self.rows, self.cols),
+                right: (weights.len(), 1),
+            });
+        }
+        Ok(self.normal_parts(Some(weights.as_slice()), None).0)
+    }
+
+    /// Both sides of the least-squares normal equations, `selfᵀ self` and
+    /// `selfᵀ y`, from one pass over the rows. Errors unless `y` has one
+    /// entry per row.
+    pub fn normal_equations(&self, y: &Vector) -> Result<(Matrix, Vector)> {
+        if y.len() != self.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "normal_equations",
+                left: (self.cols, self.rows),
+                right: (y.len(), 1),
+            });
+        }
+        Ok(self.normal_parts(None, Some(y.as_slice())))
+    }
+
+    fn normal_parts(&self, weights: Option<&[f64]>, y: Option<&[f64]>) -> (Matrix, Vector) {
         let d = self.cols;
         let mut g = Matrix::zeros(d, d);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for a in 0..d {
-                let ra = row[a];
-                if ra == 0.0 {
-                    continue;
-                }
-                let grow = g.row_mut(a);
-                for b in a..d {
-                    grow[b] += ra * row[b];
-                }
-            }
-        }
+        let mut xty = vec![0.0; if y.is_some() { d } else { 0 }];
+        Kernel::detect().accumulate(&self.data, d, weights, y, &mut g.data, &mut xty);
         for a in 0..d {
             for b in 0..a {
                 let v = g.get(b, a);
                 g.set(a, b, v);
             }
         }
-        g
+        (g, Vector::from_vec(xty))
     }
 
     /// Adds `alpha` to every diagonal entry in place (ridge regularization /
@@ -349,12 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn matvec_transposed_matches_explicit_transpose() {
+    fn normal_equations_match_explicit_transpose() {
         let m = sample();
-        let x = Vector::from_vec(vec![2.0, -1.0]);
-        let a = m.matvec_transposed(&x).unwrap();
-        let b = m.transposed().matvec(&x).unwrap();
-        assert_eq!(a, b);
+        let y = Vector::from_vec(vec![2.0, -1.0]);
+        let (g, xty) = m.normal_equations(&y).unwrap();
+        assert_eq!(xty, m.transposed().matvec(&y).unwrap());
+        assert_eq!(g, m.gram());
+        assert!(m.normal_equations(&Vector::zeros(3)).is_err());
+        assert!(m.weighted_gram(&Vector::zeros(3)).is_err());
     }
 
     #[test]
@@ -383,6 +385,17 @@ mod tests {
             }
         }
         assert_eq!(g.asymmetry().unwrap(), 0.0);
+        // Small integer entries sum exactly, so every shape — widths on
+        // both sides of each register-tile edge — must match exactly.
+        for (rows, cols) in [(0, 3), (1, 1), (3, 5), (6, 9), (5, 13)] {
+            let data = (0..rows * cols).map(|k| (k % 7) as f64 - 3.0).collect();
+            let m = Matrix::from_row_major(rows, cols, data).unwrap();
+            assert_eq!(
+                m.gram(),
+                m.transposed().matmul(&m).unwrap(),
+                "{rows}x{cols}"
+            );
+        }
     }
 
     #[test]

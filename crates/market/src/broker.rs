@@ -202,8 +202,9 @@ pub struct MarketSnapshot {
     optimal: Arc<LinearModel>,
     /// The metric's monotone error curve over the menu's δ grid — analytic
     /// for the square-loss default, Monte-Carlo estimated otherwise. Cached
-    /// here so error-budget resolution (via `φ`) stays lock-free.
-    curve: ErrorCurve,
+    /// here so error-budget resolution (via `φ`) stays lock-free, and shared
+    /// by every snapshot re-priced from it.
+    curve: Arc<ErrorCurve>,
     metric_name: &'static str,
     expected_revenue: f64,
     epoch: u64,
@@ -841,7 +842,7 @@ impl Broker {
             problem,
             pricing,
             optimal: Arc::clone(&self.optimal),
-            curve,
+            curve: Arc::new(curve),
             metric_name,
             expected_revenue: expected,
             epoch: 0,
@@ -899,7 +900,7 @@ impl Broker {
             problem,
             pricing,
             optimal: Arc::clone(&current.optimal),
-            curve: current.curve.clone(),
+            curve: Arc::clone(&current.curve),
             metric_name: current.metric_name,
             expected_revenue: expected,
             epoch: 0,
@@ -1818,6 +1819,10 @@ mod tests {
         assert!(std::ptr::eq(a.optimal(), b.optimal()));
         assert!(std::ptr::eq(a.optimal(), c.optimal()));
         assert!(std::ptr::eq(a.optimal(), broker.optimal_model()));
+        // A re-price shares its source's error curve; re-opening builds a
+        // fresh one.
+        assert!(std::ptr::eq(a.error_curve(), b.error_curve()));
+        assert!(!std::ptr::eq(a.error_curve(), c.error_curve()));
     }
 
     /// A trainer that always fails, to show `build` trains before it

@@ -15,8 +15,8 @@
 //! listing directory is an immutable [`BTreeMap`] behind an
 //! `Arc`, and [`Marketplace::route`] holds the mutex around that `Arc`
 //! for one map lookup and one refcount increment. Admin mutations
-//! (listing, publishing, retiring) serialize on a separate admin lock,
-//! build a new directory, and swap it in; a superseded directory drops
+//! (listing, publishing a draft, retiring) serialize on a separate admin
+//! lock, build a new directory, and swap it in; a superseded directory drops
 //! with its last reader, exactly like a superseded market snapshot inside
 //! a broker. No admin operation holds the directory mutex across a call
 //! into a broker.
@@ -37,7 +37,8 @@
 //! * **Publishing** opens (or re-opens) the broker's market. Re-publishing
 //!   reuses the broker's epoch protocol: a new [`crate::MarketSnapshot`]
 //!   is posted, and every quote priced against the previous epoch dies
-//!   with [`MarketError::QuoteExpired`] at commit time.
+//!   with [`MarketError::QuoteExpired`] at commit time. The directory is
+//!   unchanged, so a re-publish swaps in none.
 //! * **Retired** listings answer every request with
 //!   [`MarketError::ListingRetired`]; retirement is terminal. The ledger
 //!   and journal stay intact for audit.
@@ -524,11 +525,15 @@ impl Marketplace {
     /// outstanding quote dies with [`MarketError::QuoteExpired`] at
     /// commit time — the same invalidation a local `open_market()` call
     /// performs. A retired listing refuses with
-    /// [`MarketError::ListingRetired`].
+    /// [`MarketError::ListingRetired`]. Only a draft going live changes
+    /// the directory, so only then is a new one published.
     pub fn publish(&self, name: &str) -> Result<f64> {
-        self.mutate(|listings| {
-            let listing = live_listing(listings, name)?;
-            let expected = listing.broker.open_market()?;
+        let _admin = self.admin.lock();
+        let live = self.directory();
+        let listing = live_listing(&live.listings, name)?;
+        let expected = listing.broker.open_market()?;
+        if listing.state == ListingState::Draft {
+            let mut listings = live.listings.clone();
             listings.insert(
                 name.to_string(),
                 Listing {
@@ -536,8 +541,9 @@ impl Marketplace {
                     ..listing
                 },
             );
-            Ok(expected)
-        })
+            self.install(listings);
+        }
+        Ok(expected)
     }
 
     /// Re-publishes a *published* listing's price table from a
@@ -699,11 +705,16 @@ impl Marketplace {
         let _admin = self.admin.lock();
         let mut listings = self.directory().listings.clone();
         let out = f(&mut listings)?;
+        self.install(listings);
+        Ok(out)
+    }
+
+    /// Publishes `listings` as the live directory. The caller holds `admin`.
+    fn install(&self, listings: BTreeMap<String, Listing>) {
         let next = Arc::new(Directory { listings });
         // The superseded directory is released after the swap's lock.
         let superseded = std::mem::replace(&mut *self.current.lock(), next);
         drop(superseded);
-        Ok(out)
     }
 }
 
@@ -1117,9 +1128,15 @@ mod tests {
         let mut published = vec![Arc::downgrade(&mp.directory())];
         mp.list(regression_listing("a", 43)).unwrap();
         published.push(Arc::downgrade(&mp.directory()));
+        let epoch = |mp: &Marketplace| mp.route("a").unwrap().snapshot().unwrap().epoch();
         for i in 0..200 {
+            // Re-publishing a published listing posts a new snapshot but
+            // changes no listing, so it publishes no directory.
+            let before = mp.directory();
+            let was = epoch(&mp);
             mp.publish("a").unwrap();
-            published.push(Arc::downgrade(&mp.directory()));
+            assert!(Arc::ptr_eq(&before, &mp.directory()));
+            assert_eq!(epoch(&mp), was + 1);
             if i % 50 == 0 {
                 let name = format!("b{i}");
                 mp.list(regression_listing(&name, 44)).unwrap();
@@ -1128,7 +1145,8 @@ mod tests {
                 published.push(Arc::downgrade(&mp.directory()));
             }
         }
-        // Only the live directory remains.
+        // One directory per list and retire; only the live one remains.
+        assert_eq!(published.len(), 10);
         let live = published.iter().filter(|w| w.upgrade().is_some()).count();
         assert_eq!(live, 1);
         assert!(published[0].upgrade().is_none());

@@ -11,7 +11,11 @@
 //!
 //! which we factor with Cholesky: `O(n d²)` to assemble the Gram matrix plus
 //! `O(d³)` to solve — the dominant one-time cost that makes subsequent
-//! noisy-model sales essentially free.
+//! noisy-model sales essentially free. Both sides of the system come from
+//! one pass of [`Matrix::normal_equations`](nimbus_linalg::Matrix::normal_equations)
+//! over the training rows; its register-tiled kernel sums every entry in
+//! ascending row order, so `h*` has the bits of the textbook row-at-a-time
+//! loop, which journalled sales replay against.
 
 use crate::loss::SquaredLoss;
 use crate::{LinearModel, MlError, Result, Trainer};
@@ -60,9 +64,9 @@ impl Trainer for LinearRegressionTrainer {
             });
         }
         let n = data.len() as f64;
-        let mut system = data.features().gram().scaled(1.0 / n);
+        let (gram, mut rhs) = data.features().normal_equations(data.targets())?;
+        let mut system = gram.scaled(1.0 / n);
         system.add_diagonal(2.0 * self.mu)?;
-        let mut rhs = data.features().matvec_transposed(data.targets())?;
         rhs.scale(1.0 / n);
         // For μ = 0 on rank-deficient data the Gram matrix is singular;
         // factor_with_jitter nudges it to the minimum-norm-ish solution

@@ -8,7 +8,7 @@
 use crate::loss::{sigmoid, LogisticLoss, Loss};
 use crate::{LinearModel, MlError, Result, Trainer};
 use nimbus_data::{Dataset, Task};
-use nimbus_linalg::{Cholesky, Matrix};
+use nimbus_linalg::{Cholesky, Matrix, Vector};
 
 /// Damped-Newton trainer for L2-regularized logistic regression.
 #[derive(Debug, Clone, Copy)]
@@ -38,36 +38,19 @@ impl LogisticRegressionTrainer {
         LogisticLoss { mu: self.mu }
     }
 
+    /// `XᵀSX / n + 2μI` with `S = diag(σ(1−σ))` at `model`.
     fn hessian(&self, model: &LinearModel, data: &Dataset) -> Result<Matrix> {
-        let d = model.dim();
+        let weights = (0..data.len())
+            .map(|i| {
+                let p = sigmoid(model.score(data.example(i).0));
+                p * (1.0 - p)
+            })
+            .collect();
         let n = data.len() as f64;
-        let mut h = Matrix::zeros(d, d);
-        for i in 0..data.len() {
-            let (x, _) = data.example(i);
-            let p = sigmoid(model.score(x));
-            let s = p * (1.0 - p);
-            if s == 0.0 {
-                continue;
-            }
-            // Rank-one update s · x xᵀ restricted to the upper triangle.
-            for a in 0..d {
-                let xa = s * x[a];
-                if xa == 0.0 {
-                    continue;
-                }
-                let row = h.row_mut(a);
-                for b in a..d {
-                    row[b] += xa * x[b];
-                }
-            }
-        }
-        for a in 0..d {
-            for b in 0..a {
-                let v = h.get(b, a);
-                h.set(a, b, v);
-            }
-        }
-        let mut h = h.scaled(1.0 / n);
+        let mut h = data
+            .features()
+            .weighted_gram(&Vector::from_vec(weights))?
+            .scaled(1.0 / n);
         h.add_diagonal(2.0 * self.mu)?;
         Ok(h)
     }

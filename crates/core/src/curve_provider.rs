@@ -10,8 +10,9 @@
 //! higher layers (the broker, the CLI, experiments) ask for "the curve for
 //! this metric" and never reimplement the choice.
 //!
-//! The Monte-Carlo path uses [`ErrorCurve::estimate_parallel`], whose
-//! per-δ-point RNG streams make the result bitwise-identical to a
+//! The Monte-Carlo path is [`ErrorCurve::estimate_parallel`]'s, with each
+//! δ point's noisy models scored in one [`ErrorMetric::evaluate_batch`]
+//! call; the per-δ-point RNG streams make the result bitwise-identical to a
 //! sequential estimate for the same seed, regardless of `max_threads`.
 
 use crate::error_curve::ErrorCurve;
@@ -65,7 +66,8 @@ impl CurveProvider {
     /// Dispatch: if the metric reports a closed-form expected error for every
     /// grid δ (the square loss does, per Lemma 3), the curve is exact with
     /// zero standard error; otherwise each point is estimated from `samples`
-    /// draws of `mechanism` evaluated through the metric.
+    /// draws of `mechanism`, scored together by the metric's
+    /// [`ErrorMetric::evaluate_batch`].
     pub fn curve_for<M>(
         &self,
         metric: &dyn ErrorMetric,
@@ -87,10 +89,10 @@ impl CurveProvider {
                     .expect("all grid points verified closed-form")
             });
         }
-        ErrorCurve::estimate_parallel(
+        ErrorCurve::estimate_batched(
             mechanism,
             optimal,
-            |h: &LinearModel| metric.evaluate(h).map_err(Into::into),
+            |models: &[LinearModel]| metric.evaluate_batch(models).map_err(Into::into),
             deltas,
             self.samples,
             self.seed,

@@ -17,7 +17,18 @@
 //! `(mechanism, optimal, ε, grid, samples, seed)` — and because the streams
 //! are independent, [`ErrorCurve::estimate_parallel`] fans the points out
 //! over scoped threads and still produces a curve bitwise-identical to the
-//! sequential [`ErrorCurve::estimate`].
+//! sequential [`ErrorCurve::estimate`] (the same routine on one thread).
+//!
+//! A point draws all of its models first, in stream order, and then scores
+//! them together; scoring draws nothing, so the models are the ones a
+//! draw-then-score loop would make. The batch goes to the metric's
+//! [`ErrorMetric::evaluate_batch`] when the curve comes from
+//! [`CurveProvider`](crate::CurveProvider), and that must return the bits
+//! of one [`ErrorMetric::evaluate`] per model, so the curve does not depend
+//! on how a metric scores its batch.
+//!
+//! [`ErrorMetric::evaluate_batch`]: nimbus_ml::ErrorMetric::evaluate_batch
+//! [`ErrorMetric::evaluate`]: nimbus_ml::ErrorMetric::evaluate
 
 use crate::isotonic::isotonic_increasing;
 use crate::mechanism::RandomizedMechanism;
@@ -56,6 +67,7 @@ impl ErrorCurve {
     /// error from `nimbus-ml`. Each grid point samples from its own RNG
     /// stream derived from `(seed, point index)`, so the result is
     /// deterministic for a fixed seed and independent of evaluation order.
+    /// This is [`ErrorCurve::estimate_parallel`] on one thread.
     pub fn estimate<M, F>(
         mechanism: &M,
         optimal: &LinearModel,
@@ -65,18 +77,10 @@ impl ErrorCurve {
         seed: u64,
     ) -> Result<ErrorCurve>
     where
-        M: RandomizedMechanism + ?Sized,
+        M: RandomizedMechanism + Sync + ?Sized,
         F: Fn(&LinearModel) -> Result<f64> + Sync,
     {
-        let sorted = Self::sorted_grid(deltas, samples)?;
-        let raw = sorted
-            .into_iter()
-            .enumerate()
-            .map(|(i, ncp)| {
-                Self::estimate_point(mechanism, optimal, &evaluate, ncp, samples, seed, i)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Self::from_raw(raw)
+        Self::estimate_parallel(mechanism, optimal, evaluate, deltas, samples, seed, Some(1))
     }
 
     /// [`ErrorCurve::estimate`] with the δ points fanned out over up to
@@ -98,10 +102,37 @@ impl ErrorCurve {
         M: RandomizedMechanism + Sync + ?Sized,
         F: Fn(&LinearModel) -> Result<f64> + Sync,
     {
+        Self::estimate_batched(
+            mechanism,
+            optimal,
+            |models: &[LinearModel]| models.iter().map(&evaluate).collect(),
+            deltas,
+            samples,
+            seed,
+            max_threads,
+        )
+    }
+
+    /// [`ErrorCurve::estimate_parallel`] with a batch evaluator:
+    /// `evaluate_batch` receives a δ point's `samples` noisy models at once
+    /// and returns their errors in order.
+    pub(crate) fn estimate_batched<M, F>(
+        mechanism: &M,
+        optimal: &LinearModel,
+        evaluate_batch: F,
+        deltas: &[Ncp],
+        samples: usize,
+        seed: u64,
+        max_threads: Option<usize>,
+    ) -> Result<ErrorCurve>
+    where
+        M: RandomizedMechanism + Sync + ?Sized,
+        F: Fn(&[LinearModel]) -> Result<Vec<f64>> + Sync,
+    {
         let sorted = Self::sorted_grid(deltas, samples)?;
         let indexed: Vec<(usize, Ncp)> = sorted.into_iter().enumerate().collect();
         let raw = parallel_map(indexed, max_threads, |(i, ncp)| {
-            Self::estimate_point(mechanism, optimal, &evaluate, ncp, samples, seed, i)
+            Self::estimate_point(mechanism, optimal, &evaluate_batch, ncp, samples, seed, i)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
@@ -118,12 +149,13 @@ impl ErrorCurve {
         Ok(sorted)
     }
 
-    /// One grid point's Monte-Carlo mean and standard error, sampled from
-    /// the point's private stream `split_stream(seed, index)`.
+    /// One grid point's Monte-Carlo mean and standard error: all `samples`
+    /// models drawn in turn from the point's private stream
+    /// `split_stream(seed, index)`, then scored in one batch.
     fn estimate_point<M, F>(
         mechanism: &M,
         optimal: &LinearModel,
-        evaluate: &F,
+        evaluate_batch: &F,
         ncp: Ncp,
         samples: usize,
         seed: u64,
@@ -131,13 +163,17 @@ impl ErrorCurve {
     ) -> Result<(f64, f64, f64)>
     where
         M: RandomizedMechanism + ?Sized,
-        F: Fn(&LinearModel) -> Result<f64>,
+        F: Fn(&[LinearModel]) -> Result<Vec<f64>>,
     {
         let mut rng = seeded_rng(split_stream(seed, index as u64));
+        let noisy = (0..samples)
+            .map(|_| mechanism.perturb(optimal, ncp, &mut rng))
+            .collect::<Result<Vec<_>>>()?;
+        let errors = evaluate_batch(&noisy)?;
+        debug_assert_eq!(errors.len(), samples, "one error per model");
         let mut stats = RunningStats::new();
-        for _ in 0..samples {
-            let noisy = mechanism.perturb(optimal, ncp, &mut rng)?;
-            stats.push(evaluate(&noisy)?);
+        for error in errors {
+            stats.push(error);
         }
         Ok((ncp.delta(), stats.mean(), stats.standard_error()))
     }

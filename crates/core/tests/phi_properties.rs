@@ -5,7 +5,8 @@
 //! error curve — including the non-convex losses (logistic, hinge, 0/1)
 //! whose curves are only monotone after isotonic smoothing. Also checks
 //! that curve estimation is bitwise-deterministic in the seed, regardless
-//! of how many threads the estimator fans out over.
+//! of how many threads the estimator fans out over, and of whether the
+//! noisy models are scored in one batch or one at a time.
 
 use nimbus_core::arbitrage::check_arbitrage_free_after_phi;
 use nimbus_core::{CurveProvider, ErrorCurve, GaussianMechanism, Ncp, PiecewiseLinearPricing};
@@ -140,6 +141,41 @@ proptest! {
             prop_assert_eq!(s.mean_error.to_bits(), p.mean_error.to_bits());
             prop_assert_eq!(s.std_error.to_bits(), p.std_error.to_bits());
             prop_assert_eq!(s.smoothed_error.to_bits(), p.smoothed_error.to_bits());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    // `CurveProvider` scores each δ point's models in one
+    // `evaluate_batch`; the closure API scores them one `evaluate` at a
+    // time. Both must give the same curve bits for every loss the batch
+    // path specializes.
+    #[test]
+    fn batched_scoring_gives_the_per_model_curve(
+        seed in 0u64..u64::MAX,
+        samples in 1usize..40,
+        threads in 1usize..4,
+        loss in 0u32..3,
+    ) {
+        let metric: Box<dyn ErrorMetric> = match loss {
+            0 => metric_for(false),
+            1 => metric_for(true),
+            _ => Box::new(LossMetric::zero_one(tiny_classification())),
+        };
+        let model = optimal_model();
+        let deltas = delta_grid();
+        let batched = CurveProvider::new(samples, seed)
+            .with_max_threads(threads)
+            .curve_for(metric.as_ref(), &GaussianMechanism, &model, &deltas)
+            .unwrap();
+        let eval = |h: &LinearModel| metric.evaluate(h).map_err(Into::into);
+        let one_by_one =
+            ErrorCurve::estimate(&GaussianMechanism, &model, eval, &deltas, samples, seed).unwrap();
+        for (b, o) in batched.points().iter().zip(one_by_one.points()) {
+            prop_assert_eq!(b.mean_error.to_bits(), o.mean_error.to_bits());
+            prop_assert_eq!(b.std_error.to_bits(), o.std_error.to_bits());
+            prop_assert_eq!(b.smoothed_error.to_bits(), o.smoothed_error.to_bits());
         }
     }
 }

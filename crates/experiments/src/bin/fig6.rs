@@ -13,17 +13,35 @@
 //! including the non-convex 0/1 error, with a steep initial drop that
 //! flattens near the optimal model.
 
-use nimbus_core::{ErrorCurve, GaussianMechanism, Ncp};
+use nimbus_core::{CurveProvider, GaussianMechanism, Ncp};
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
-use nimbus_data::Task;
+use nimbus_data::{Dataset, Task};
 use nimbus_experiments::args::ExperimentArgs;
 use nimbus_experiments::report::{save_csv, TextTable};
+use nimbus_ml::loss::Convexity;
 use nimbus_ml::{
-    metrics, LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer, Trainer,
+    metrics, ErrorMetric, LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer,
+    LossMetric, Trainer,
 };
 use nimbus_randkit::split_stream;
 
-type EvalFn = Box<dyn Fn(&LinearModel) -> nimbus_core::Result<f64> + Sync>;
+/// Test-set mean squared error, the figure's regression metric (twice the
+/// Table 2 square loss, so it has no [`LossMetric`] of its own).
+struct TestMse(Dataset);
+
+impl ErrorMetric for TestMse {
+    fn name(&self) -> &'static str {
+        "square"
+    }
+
+    fn evaluate(&self, model: &LinearModel) -> nimbus_ml::Result<f64> {
+        metrics::mse(model, &self.0)
+    }
+
+    fn convexity(&self) -> Convexity {
+        Convexity::Convex
+    }
+}
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -50,26 +68,24 @@ fn main() {
             .expect("materialize");
         let curve_seed = split_stream(args.seed, 100 + ds as u64);
 
-        let (model, losses): (LinearModel, Vec<(&str, EvalFn)>) = match ds.task() {
+        let (model, losses): (LinearModel, Vec<Box<dyn ErrorMetric>>) = match ds.task() {
             Task::Regression => {
                 let model = LinearRegressionTrainer::ridge(1e-6)
                     .train(&tt.train)
                     .expect("train");
-                let test = tt.test.clone();
-                let eval: EvalFn = Box::new(move |h| metrics::mse(h, &test).map_err(Into::into));
-                (model, vec![("square", eval)])
+                (model, vec![Box::new(TestMse(tt.test))])
             }
             Task::BinaryClassification => {
                 let model = LogisticRegressionTrainer::new(1e-4)
                     .train(&tt.train)
                     .expect("train");
-                let test_a = tt.test.clone();
-                let test_b = tt.test.clone();
-                let log: EvalFn =
-                    Box::new(move |h| metrics::log_loss(h, &test_a).map_err(Into::into));
-                let zo: EvalFn =
-                    Box::new(move |h| metrics::zero_one_error(h, &test_b).map_err(Into::into));
-                (model, vec![("logistic", log), ("zero_one", zo)])
+                (
+                    model,
+                    vec![
+                        Box::new(LossMetric::logistic(tt.test.clone())),
+                        Box::new(LossMetric::zero_one(tt.test)),
+                    ],
+                )
             }
         };
         run_dataset(ds, &model, losses, &deltas, samples, curve_seed, &args.out);
@@ -80,25 +96,19 @@ fn main() {
 fn run_dataset(
     ds: PaperDataset,
     model: &LinearModel,
-    losses: Vec<(&str, EvalFn)>,
+    losses: Vec<Box<dyn ErrorMetric>>,
     deltas: &[Ncp],
     samples: usize,
     seed: u64,
     out_dir: &str,
 ) {
-    for (loss_index, (loss_name, eval)) in losses.into_iter().enumerate() {
+    for (loss_index, metric) in losses.iter().enumerate() {
+        let loss_name = metric.name();
         // One seed stream per (dataset, loss); the parallel estimator is
         // bitwise-identical to the sequential one, so CSVs stay stable.
-        let curve = ErrorCurve::estimate_parallel(
-            &GaussianMechanism,
-            model,
-            eval,
-            deltas,
-            samples,
-            split_stream(seed, loss_index as u64),
-            None,
-        )
-        .expect("estimate");
+        let curve = CurveProvider::new(samples, split_stream(seed, loss_index as u64))
+            .curve_for(metric.as_ref(), &GaussianMechanism, model, deltas)
+            .expect("estimate");
 
         let mut t = TextTable::new(["1/NCP", "expected error", "std err", "smoothed"]);
         // Points come back sorted by δ ascending = 1/NCP descending; show

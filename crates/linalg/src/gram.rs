@@ -21,9 +21,9 @@
 //! whichever instantiation runs, which journal replay relies on: a replayed
 //! sale re-perturbs `h*`.
 //!
-//! On x86-64 the same generic code is also compiled with AVX2 enabled and
-//! chosen at run time when the CPU has it; elsewhere, and under Miri, the
-//! portable instantiation runs.
+//! Both [`Kernel`] instantiations compile the same generic body.
+
+use crate::kernel::Kernel;
 
 /// Rows per cache block: 256 rows of `d = 90` are 180 KiB, which stay in
 /// L2 while every tile of the block streams through them.
@@ -32,36 +32,7 @@ const BLOCK_ROWS: usize = 256;
 /// Rows of `G` per register tile.
 const MR: usize = 4;
 
-/// One compiled instantiation of the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kernel {
-    /// Plain Rust, compiled for the target's baseline features.
-    Portable,
-    /// The same code compiled with AVX2 enabled.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
 impl Kernel {
-    /// The fastest instantiation this CPU can run.
-    pub(crate) fn detect() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
-        }
-        Kernel::Portable
-    }
-
-    /// Every instantiation this CPU can run.
-    #[cfg(test)]
-    pub(crate) fn available() -> Vec<Kernel> {
-        let mut out = vec![Kernel::Portable];
-        if Kernel::detect() != Kernel::Portable {
-            out.push(Kernel::detect());
-        }
-        out
-    }
-
     /// Adds the products of the `d`-column row-major rows `x` into the
     /// upper triangle (and diagonal) of the row-major `d × d` matrix `g`:
     /// `G[a][b] += Σ_i (s_i·x_ia)·x_ib` for `a ≤ b`, with `s_i = 1` when
@@ -260,6 +231,7 @@ fn tile<const M: usize, const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::test_entries as entries;
     use proptest::prelude::*;
 
     /// The row-order loops the kernel replaces: `G[a][b] += (s_i·x_ia)·x_ib`
@@ -306,28 +278,6 @@ mod tests {
     fn upper_bits(g: &[f64], d: usize) -> Vec<u64> {
         (0..d)
             .flat_map(|a| (a..d).map(move |b| g[a * d + b].to_bits()))
-            .collect()
-    }
-
-    /// Deterministic entries mixing ordinary values with the ones a
-    /// summation-order change is most likely to expose: `+0.0`, `-0.0`,
-    /// subnormals and widely spread magnitudes.
-    fn entries(len: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let u = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
-                match (state >> 3) % 7 {
-                    0 => 0.0,
-                    1 if u < 0.0 => -0.0,
-                    1 => u * 1e-310,
-                    2 => u * 1e6,
-                    _ => u,
-                }
-            })
             .collect()
     }
 

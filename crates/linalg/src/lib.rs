@@ -21,7 +21,9 @@
 pub mod cholesky;
 pub mod error;
 mod gram;
+mod kernel;
 pub mod matrix;
+mod scores;
 pub mod triangular;
 pub mod vector;
 

@@ -1,6 +1,6 @@
 //! Dense row-major `f64` matrix.
 
-use crate::gram::Kernel;
+use crate::kernel::Kernel;
 use crate::vector::dot_slices;
 use crate::{LinalgError, Result, Vector};
 
@@ -220,6 +220,27 @@ impl Matrix {
         Ok(self.normal_parts(None, Some(y.as_slice())))
     }
 
+    /// Scores every row against every model (one weight per column each),
+    /// calling `sink(i, m0, scores)` with row `i`'s scores under models
+    /// `m0..m0 + scores.len()`. Each score has the bits of
+    /// [`dot_slices`]`(model, row)`, and every model receives its rows in
+    /// ascending order, so a per-model sum kept by the sink adds in row
+    /// order. Errors unless every model has one weight per column.
+    pub fn for_each_score<F>(&self, models: &[&[f64]], mut sink: F) -> Result<()>
+    where
+        F: FnMut(usize, usize, &[f64]),
+    {
+        if let Some(m) = models.iter().find(|m| m.len() != self.cols) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "for_each_score",
+                left: (self.rows, self.cols),
+                right: (m.len(), 1),
+            });
+        }
+        Kernel::detect().score(&self.data, self.rows, self.cols, models, &mut sink);
+        Ok(())
+    }
+
     fn normal_parts(&self, weights: Option<&[f64]>, y: Option<&[f64]>) -> (Matrix, Vector) {
         let d = self.cols;
         let mut g = Matrix::zeros(d, d);
@@ -346,6 +367,17 @@ mod tests {
         let m = sample();
         let x = Vector::from_vec(vec![1.0, 0.0, -1.0]);
         assert_eq!(m.matvec(&x).unwrap().as_slice(), &[-2.0, -2.0]);
+    }
+
+    #[test]
+    fn for_each_score_matches_matvec_and_checks_widths() {
+        let m = sample();
+        let x = Vector::from_vec(vec![1.0, 0.0, -1.0]);
+        let mut seen = Vec::new();
+        m.for_each_score(&[x.as_slice()], |i, m0, s| seen.push((i, m0, s.to_vec())))
+            .unwrap();
+        assert_eq!(seen, vec![(0, 0, vec![-2.0]), (1, 0, vec![-2.0])]);
+        assert!(m.for_each_score(&[&[1.0][..]], |_, _, _| {}).is_err());
     }
 
     #[test]

@@ -205,8 +205,17 @@ impl std::ops::IndexMut<usize> for Vector {
 }
 
 /// Dot product over raw slices. Accumulates in four independent lanes so the
-/// compiler can keep the reduction pipelined; this is the single hottest
-/// kernel in Gram-matrix assembly.
+/// compiler can keep the reduction pipelined. It serves one-off products:
+/// [`Vector::dot`], matrix-vector products and `LinearModel::score` in
+/// `nimbus-ml`.
+///
+/// Its rounding is a contract: lane `k` starts at `+0.0` and adds `a[j]·b[j]`
+/// for `j ≡ k (mod 4)` below `4·⌊n/4⌋` in ascending `j`, the lanes combine
+/// as `((acc0 + acc1) + acc2) + acc3`, and the remaining terms are added in
+/// order. [`Matrix::for_each_score`](crate::Matrix::for_each_score), which
+/// scores Monte-Carlo error curves, reproduces exactly these operations for
+/// every (row, model) pair, so a curve's bits do not depend on which of the
+/// two computed its scores.
 pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f64; 4];

@@ -20,9 +20,11 @@ use nimbus_data::Dataset;
 
 /// A buyer-facing error function `ε(·, D)` partially applied to its data.
 ///
-/// Implementations must be cheap to call many times (Monte-Carlo curve
-/// estimation evaluates thousands of noisy models) and thread-safe, since
-/// the curve estimator fans evaluations out over scoped threads.
+/// Monte-Carlo curve estimation evaluates thousands of noisy models, a δ
+/// point's worth at a time, through [`ErrorMetric::evaluate_batch`];
+/// metrics that can score many models in one pass over their data override
+/// it. Implementations must be thread-safe, since the curve estimator fans
+/// δ points out over scoped threads.
 pub trait ErrorMetric: Send + Sync {
     /// Short stable identifier, used to tag quotes and sales
     /// (e.g. `"square"`, `"logistic"`, `"zero_one"`).
@@ -30,6 +32,12 @@ pub trait ErrorMetric: Send + Sync {
 
     /// The error of a (possibly noise-perturbed) model instance.
     fn evaluate(&self, model: &LinearModel) -> Result<f64>;
+
+    /// [`ErrorMetric::evaluate`] of every model in `models`, in order, with
+    /// the same bits. The default calls `evaluate` once per model.
+    fn evaluate_batch(&self, models: &[LinearModel]) -> Result<Vec<f64>> {
+        models.iter().map(|m| self.evaluate(m)).collect()
+    }
 
     /// Exact expected error at noise level δ, when known in closed form.
     ///
@@ -134,6 +142,10 @@ impl ErrorMetric for LossMetric {
         self.loss.value(model, &self.data)
     }
 
+    fn evaluate_batch(&self, models: &[LinearModel]) -> Result<Vec<f64>> {
+        self.loss.value_batch(models, &self.data)
+    }
+
     fn convexity(&self) -> Convexity {
         self.loss.convexity()
     }
@@ -187,6 +199,26 @@ mod tests {
         assert_eq!(hinge.convexity(), Convexity::Strict);
         assert!(hinge.evaluate(&strong).unwrap().is_finite());
         assert!(LossMetric::hinge(cls_data(), 0.0).is_err());
+    }
+
+    #[test]
+    fn batch_evaluation_matches_one_call_per_model() {
+        let models: Vec<LinearModel> = [-1.5, -0.25, 0.0, 0.7, 3.0]
+            .iter()
+            .map(|&w| LinearModel::new(Vector::from_vec(vec![w])))
+            .collect();
+        let metrics: Vec<Box<dyn ErrorMetric>> = vec![
+            Box::new(SquareDistanceMetric::new(LinearModel::zeros(1))),
+            Box::new(LossMetric::logistic(cls_data())),
+            Box::new(LossMetric::hinge(cls_data(), 0.1).unwrap()),
+            Box::new(LossMetric::zero_one(cls_data())),
+        ];
+        for metric in &metrics {
+            let batch = metric.evaluate_batch(&models).unwrap();
+            let single: Vec<f64> = models.iter().map(|m| metric.evaluate(m).unwrap()).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batch), bits(&single), "{}", metric.name());
+        }
     }
 
     #[test]

@@ -34,6 +34,15 @@ pub trait Loss {
     /// Average loss of `model` on `data` (plus any regularization term).
     fn value(&self, model: &LinearModel, data: &Dataset) -> Result<f64>;
 
+    /// [`Loss::value`] of every model in `models`, in order — the entry
+    /// point Monte-Carlo curve estimation scores a δ point's noisy models
+    /// through. The default calls `value` once per model; the losses of
+    /// this module score all the models in one batched pass over `data`
+    /// and return the same bits.
+    fn value_batch(&self, models: &[LinearModel], data: &Dataset) -> Result<Vec<f64>> {
+        models.iter().map(|m| self.value(m, data)).collect()
+    }
+
     /// Gradient with respect to the model weights. Losses that are not
     /// differentiable everywhere return a subgradient; the 0/1 loss errors.
     fn gradient(&self, model: &LinearModel, data: &Dataset) -> Result<Vector>;
@@ -46,6 +55,50 @@ pub trait Loss {
     fn trainable(&self) -> bool {
         true
     }
+}
+
+/// For each model, `Σ_i term(hᵀx_i, y_i)` over the rows of `data`, added
+/// in ascending row order from `+0.0` — the sum a row loop calling
+/// [`LinearModel::score`] makes, bit for bit, since every batched score has
+/// the bits of `score`. Each model is checked as [`Loss::value`] checks it,
+/// with the task check when `classification` is set.
+fn row_sums(
+    models: &[LinearModel],
+    data: &Dataset,
+    classification: bool,
+    term: impl Fn(f64, f64) -> f64,
+) -> Result<Vec<f64>> {
+    for model in models {
+        check_dims(model, data)?;
+        if classification && data.task() != Task::BinaryClassification {
+            return Err(MlError::TaskMismatch {
+                expected: "classification",
+            });
+        }
+    }
+    let weights: Vec<&[f64]> = models.iter().map(|m| m.weights().as_slice()).collect();
+    let y = data.targets().as_slice();
+    let mut totals = vec![0.0; models.len()];
+    data.features().for_each_score(&weights, |i, m0, scores| {
+        for (total, &s) in totals[m0..].iter_mut().zip(scores) {
+            *total += term(s, y[i]);
+        }
+    })?;
+    Ok(totals)
+}
+
+/// `total / denom + mu·‖h‖²` for each model and its row sum.
+fn averaged(models: &[LinearModel], totals: Vec<f64>, denom: f64, mu: f64) -> Vec<f64> {
+    models
+        .iter()
+        .zip(totals)
+        .map(|(m, total)| total / denom + mu * m.weights().norm2_squared())
+        .collect()
+}
+
+/// The single-model case of a loss's batched [`Loss::value_batch`].
+fn value_of(loss: &dyn Loss, model: &LinearModel, data: &Dataset) -> Result<f64> {
+    Ok(loss.value_batch(std::slice::from_ref(model), data)?[0])
 }
 
 fn check_dims(model: &LinearModel, data: &Dataset) -> Result<()> {
@@ -99,15 +152,16 @@ impl Loss for SquaredLoss {
     }
 
     fn value(&self, model: &LinearModel, data: &Dataset) -> Result<f64> {
-        check_dims(model, data)?;
+        value_of(self, model, data)
+    }
+
+    fn value_batch(&self, models: &[LinearModel], data: &Dataset) -> Result<Vec<f64>> {
         let n = data.len() as f64;
-        let mut sse = 0.0;
-        for i in 0..data.len() {
-            let (x, y) = data.example(i);
-            let r = model.score(x) - y;
-            sse += r * r;
-        }
-        Ok(sse / (2.0 * n) + self.mu * model.weights().norm2_squared())
+        let sse = row_sums(models, data, false, |s, y| {
+            let r = s - y;
+            r * r
+        })?;
+        Ok(averaged(models, sse, 2.0 * n, self.mu))
     }
 
     fn gradient(&self, model: &LinearModel, data: &Dataset) -> Result<Vector> {
@@ -156,12 +210,18 @@ impl LogisticLoss {
     }
 }
 
-/// Numerically stable `log(1 + e^{-z})`.
+/// Numerically stable `log(1 + e^{-z})`: `log1p(e^{-|z|})`, plus `-z`
+/// when `z ≤ 0`. Both signs share one `exp`/`ln_1p` call on `-|z|`
+/// (written as a select, so `±0.0` and NaN take the `z ≤ 0` side exactly
+/// as a two-branch form would), and the result is selected, not branched
+/// to, on the sign of `z`.
 pub fn log1p_exp_neg(z: f64) -> f64 {
-    if z > 0.0 {
-        (-z).exp().ln_1p()
+    let positive = z > 0.0;
+    let l = (if positive { -z } else { z }).exp().ln_1p();
+    if positive {
+        l
     } else {
-        -z + z.exp().ln_1p()
+        -z + l
     }
 }
 
@@ -181,19 +241,13 @@ impl Loss for LogisticLoss {
     }
 
     fn value(&self, model: &LinearModel, data: &Dataset) -> Result<f64> {
-        check_dims(model, data)?;
-        if data.task() != Task::BinaryClassification {
-            return Err(MlError::TaskMismatch {
-                expected: "classification",
-            });
-        }
+        value_of(self, model, data)
+    }
+
+    fn value_batch(&self, models: &[LinearModel], data: &Dataset) -> Result<Vec<f64>> {
         let n = data.len() as f64;
-        let mut total = 0.0;
-        for i in 0..data.len() {
-            let (x, y) = data.example(i);
-            total += log1p_exp_neg(signed(y) * model.score(x));
-        }
-        Ok(total / n + self.mu * model.weights().norm2_squared())
+        let totals = row_sums(models, data, true, |s, y| log1p_exp_neg(signed(y) * s))?;
+        Ok(averaged(models, totals, n, self.mu))
     }
 
     fn gradient(&self, model: &LinearModel, data: &Dataset) -> Result<Vector> {
@@ -259,19 +313,13 @@ impl Loss for HingeLoss {
     }
 
     fn value(&self, model: &LinearModel, data: &Dataset) -> Result<f64> {
-        check_dims(model, data)?;
-        if data.task() != Task::BinaryClassification {
-            return Err(MlError::TaskMismatch {
-                expected: "classification",
-            });
-        }
+        value_of(self, model, data)
+    }
+
+    fn value_batch(&self, models: &[LinearModel], data: &Dataset) -> Result<Vec<f64>> {
         let n = data.len() as f64;
-        let mut total = 0.0;
-        for i in 0..data.len() {
-            let (x, y) = data.example(i);
-            total += (1.0 - signed(y) * model.score(x)).max(0.0);
-        }
-        Ok(total / n + self.mu * model.weights().norm2_squared())
+        let totals = row_sums(models, data, true, |s, y| (1.0 - signed(y) * s).max(0.0))?;
+        Ok(averaged(models, totals, n, self.mu))
     }
 
     fn gradient(&self, model: &LinearModel, data: &Dataset) -> Result<Vector> {
@@ -317,20 +365,22 @@ impl Loss for ZeroOneLoss {
     }
 
     fn value(&self, model: &LinearModel, data: &Dataset) -> Result<f64> {
-        check_dims(model, data)?;
-        if data.task() != Task::BinaryClassification {
-            return Err(MlError::TaskMismatch {
-                expected: "classification",
-            });
-        }
-        let mut wrong = 0usize;
-        for i in 0..data.len() {
-            let (x, y) = data.example(i);
-            if model.classify(x) != y {
-                wrong += 1;
+        value_of(self, model, data)
+    }
+
+    /// Counts each model's mistakes as a float sum of `1.0`s, exact below
+    /// `2^53` rows, so the rate has the bits of `wrong as f64 / n`.
+    fn value_batch(&self, models: &[LinearModel], data: &Dataset) -> Result<Vec<f64>> {
+        let n = data.len() as f64;
+        let wrong = row_sums(models, data, true, |s, y| {
+            let predicted = if s > 0.0 { 1.0 } else { 0.0 };
+            if predicted != y {
+                1.0
+            } else {
+                0.0
             }
-        }
-        Ok(wrong as f64 / data.len() as f64)
+        })?;
+        Ok(wrong.into_iter().map(|w| w / n).collect())
     }
 
     fn gradient(&self, _model: &LinearModel, _data: &Dataset) -> Result<Vector> {
@@ -490,6 +540,175 @@ mod tests {
         );
         assert_eq!(HingeLoss::new(0.1).unwrap().convexity(), Convexity::Strict);
         assert_eq!(ZeroOneLoss.convexity(), Convexity::NonConvex);
+    }
+
+    /// The two-branch form `log1p_exp_neg` had before it shared one
+    /// `exp`/`ln_1p` pair between its sides.
+    fn two_branch_log1p_exp_neg(z: f64) -> f64 {
+        if z > 0.0 {
+            (-z).exp().ln_1p()
+        } else {
+            -z + z.exp().ln_1p()
+        }
+    }
+
+    #[test]
+    fn log1p_exp_neg_matches_the_two_branch_form_bit_for_bit() {
+        let mut zs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            f64::EPSILON,
+            36.0,
+            37.0,
+            709.0,
+            709.8,
+            745.0,
+            745.2,
+            750.5,
+            800.0,
+            1e300,
+            f64::MAX,
+        ];
+        zs.extend(zs.clone().iter().map(|z| -z));
+        // A dense sweep over the range where both sides do real work, and
+        // random bit patterns over every exponent.
+        zs.extend((-200_000..=200_000).map(|k| k as f64 * 2.5e-4));
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        zs.extend((0..200_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        }));
+        for z in zs {
+            let (new, old) = (log1p_exp_neg(z), two_branch_log1p_exp_neg(z));
+            assert_eq!(
+                new.to_bits(),
+                old.to_bits(),
+                "z = {z:e} ({:#x})",
+                z.to_bits()
+            );
+        }
+    }
+
+    /// The row loops the batched losses replaced: one `score` per row,
+    /// summed in row order.
+    fn row_loop(loss: &str, mu: f64, model: &LinearModel, data: &Dataset) -> f64 {
+        let n = data.len() as f64;
+        let rows = (0..data.len()).map(|i| data.example(i));
+        let reg = mu * model.weights().norm2_squared();
+        match loss {
+            "square" => {
+                let mut sse = 0.0;
+                for (x, y) in rows {
+                    let r = model.score(x) - y;
+                    sse += r * r;
+                }
+                sse / (2.0 * n) + reg
+            }
+            "logistic" => {
+                let mut total = 0.0;
+                for (x, y) in rows {
+                    total += two_branch_log1p_exp_neg(signed(y) * model.score(x));
+                }
+                total / n + reg
+            }
+            "hinge" => {
+                let mut total = 0.0;
+                for (x, y) in rows {
+                    total += (1.0 - signed(y) * model.score(x)).max(0.0);
+                }
+                total / n + reg
+            }
+            _ => rows.filter(|&(x, y)| model.classify(x) != y).count() as f64 / n,
+        }
+    }
+
+    /// Deterministic values with zeros of both signs, subnormals and
+    /// large magnitudes among ordinary ones.
+    fn values(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0;
+                match (state >> 3) % 9 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => u * 1e-310,
+                    3 => u * 1e3,
+                    _ => u,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn batched_values_match_the_row_loop_bit_for_bit(
+            n in 1usize..=60,
+            d in 1usize..=20,
+            count in 1usize..=9,
+            seed in 0u64..1_000_000,
+        ) {
+            let x = Matrix::from_row_major(n, d, values(n * d, seed)).unwrap();
+            let labels: Vec<f64> = values(n, seed ^ 1).iter().map(|v| f64::from(*v > 0.0)).collect();
+            let targets = values(n, seed ^ 2);
+            let cls = Dataset::new(x.clone(), Vector::from_vec(labels), Task::BinaryClassification).unwrap();
+            let reg = Dataset::new(x, Vector::from_vec(targets), Task::Regression).unwrap();
+            let models: Vec<LinearModel> = (0..count)
+                .map(|m| LinearModel::new(Vector::from_vec(values(d, seed ^ (m as u64 + 3) << 20))))
+                .collect();
+            let cases: [(&str, Box<dyn Loss>, &Dataset, f64); 5] = [
+                ("square", Box::new(SquaredLoss::ridge(0.25)), &reg, 0.25),
+                ("logistic", Box::new(LogisticLoss::regularized(0.5)), &cls, 0.5),
+                ("logistic", Box::new(LogisticLoss::plain()), &cls, 0.0),
+                ("hinge", Box::new(HingeLoss::new(1e-3).unwrap()), &cls, 1e-3),
+                ("zero_one", Box::new(ZeroOneLoss), &cls, 0.0),
+            ];
+            for (name, loss, data, mu) in cases {
+                let batch = loss.value_batch(&models, data).unwrap();
+                proptest::prop_assert_eq!(batch.len(), count);
+                for (model, got) in models.iter().zip(&batch) {
+                    let want = row_loop(name, mu, model, data);
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{} batch, n={} d={}", name, n, d);
+                    let single = loss.value(model, data).unwrap();
+                    proptest::prop_assert_eq!(single.to_bits(), want.to_bits(), "{} value, n={} d={}", name, n, d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_values_check_every_model() {
+        let d = cls_data();
+        let good = LinearModel::zeros(1);
+        let wide = LinearModel::zeros(2);
+        assert!(matches!(
+            LogisticLoss::plain().value_batch(&[good.clone(), wide], &d),
+            Err(MlError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            ZeroOneLoss.value_batch(std::slice::from_ref(&good), &reg_data()),
+            Err(MlError::TaskMismatch { .. })
+        ));
+        assert_eq!(
+            HingeLoss::new(0.1).unwrap().value_batch(&[], &d).unwrap(),
+            vec![]
+        );
+        assert_eq!(
+            SquaredLoss::plain().value_batch(&[good], &d).unwrap().len(),
+            1
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! 1. **Listing** — takes a [`Seller`]'s dataset and market-research curves.
 //! 2. **One-time training** — [`BrokerBuilder::build`] trains the optimal
-//!    model `h*_λ(D)` once, and every published snapshot shares it (the
-//!    "train once, sell many" economics of §4 that make real-time
-//!    interaction possible).
+//!    model `h*_λ(D)` once, then drops `D`; every published snapshot
+//!    shares `h*` (the "train once, sell many" economics of §4 that make
+//!    real-time interaction possible).
 //! 3. **Market opening** — transforms the curves onto the inverse-NCP axis,
 //!    builds the [`RevenueProblem`], runs the Algorithm 1 DP, re-verifies
 //!    arbitrage-freeness of the posted table *after* the error-inverse map
@@ -61,7 +61,7 @@
 use crate::account::BuyerAccounts;
 use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, Recovery, SaleRecord};
 use crate::ledger::{Ledger, LedgerShard, Transaction};
-use crate::seller::Seller;
+use crate::seller::{Seller, SellerTerms};
 use crate::{MarketError, Result};
 use nimbus_core::arbitrage::check_arbitrage_free_after_phi;
 use nimbus_core::mechanism::RandomizedMechanism;
@@ -540,7 +540,11 @@ impl BrokerBuilder {
                 });
             }
         }
-        let optimal = Arc::new(self.trainer.train(&self.seller.dataset().train)?);
+        // Serving needs h*, the curves and the books, never `D`: drop it as
+        // soon as h* is trained.
+        let Seller { dataset, terms } = self.seller;
+        let optimal = Arc::new(self.trainer.train(&dataset.train)?);
+        drop(dataset);
         let shards: Vec<Mutex<LedgerShard>> = (0..LEDGER_SHARDS)
             .map(|_| Mutex::new(LedgerShard::new()))
             .collect();
@@ -576,7 +580,7 @@ impl BrokerBuilder {
             accounts.seed(&rec.accounts);
         }
         Ok(Broker {
-            seller: self.seller,
+            terms,
             mechanism: self.mechanism,
             metric: self.metric,
             config: self.config,
@@ -671,7 +675,7 @@ impl DedupTable {
 
 /// The broker.
 pub struct Broker {
-    seller: Seller,
+    terms: SellerTerms,
     mechanism: Box<dyn RandomizedMechanism + Send + Sync>,
     /// The buyer-facing metric the market is denominated in; `None` means
     /// the square-loss default with its analytic Lemma 3 curve.
@@ -717,9 +721,10 @@ impl Broker {
         BrokerBuilder::new(seller)
     }
 
-    /// The seller whose dataset this broker sells.
-    pub fn seller(&self) -> &Seller {
-        &self.seller
+    /// The seller's name and market research: all the broker keeps of the
+    /// [`Seller`] once `h*` is trained.
+    pub fn terms(&self) -> &SellerTerms {
+        &self.terms
     }
 
     /// The commission rate.
@@ -745,7 +750,7 @@ impl Broker {
     /// The menu's δ grid: the reciprocals of an `n`-point uniform inverse-NCP
     /// grid over the seller's `[x_lo, x_hi]` support.
     fn menu_deltas(&self) -> Result<Vec<Ncp>> {
-        let curves = self.seller.curves();
+        let curves = &self.terms.curves;
         let n = self.config.n_price_points;
         (0..n)
             .map(|i| {
@@ -776,7 +781,7 @@ impl Broker {
     /// Re-opening publishes a fresh snapshot with the next epoch;
     /// outstanding quotes against the old epoch are rejected at commit.
     pub fn open_market(&self) -> Result<f64> {
-        let curves = *self.seller.curves();
+        let curves = self.terms.curves;
         let (problem, curve, metric_name) = match self.metric.as_deref() {
             None => {
                 let problem = curves.build_problem(self.config.n_price_points)?;
@@ -1394,12 +1399,17 @@ mod tests {
     use crate::curves::{DemandCurve, MarketCurves, ValueCurve};
     use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 
-    fn test_builder() -> BrokerBuilder {
+    /// The dataset [`test_builder`] lists; the broker drops its own copy.
+    fn test_data() -> nimbus_data::TrainTest {
         let (tt, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 600)
             .materialize(7)
             .unwrap();
+        tt
+    }
+
+    fn test_builder() -> BrokerBuilder {
         let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-        let seller = Seller::new("test", tt, curves);
+        let seller = Seller::new("test", test_data(), curves);
         Broker::builder(seller)
             .trainer(LinearRegressionTrainer::ridge(1e-6))
             .mechanism(GaussianMechanism)
@@ -1461,8 +1471,8 @@ mod tests {
         broker.open_market().unwrap();
         let epoch = broker.snapshot().unwrap().epoch();
         let problem = broker
-            .seller()
-            .curves()
+            .terms()
+            .curves
             .build_problem(MAX_PRICE_POINTS + 1)
             .unwrap();
         assert!(matches!(
@@ -1800,9 +1810,10 @@ mod tests {
 
     #[test]
     fn optimal_model_is_trained_at_build_and_shared_by_every_snapshot() {
+        let data = test_data();
         let broker = test_broker();
         let trained = LinearRegressionTrainer::ridge(1e-6)
-            .train(&broker.seller().dataset().train)
+            .train(&data.train)
             .unwrap();
         let bits = |m: &LinearModel| -> Vec<u64> {
             m.weights().as_slice().iter().map(|w| w.to_bits()).collect()
@@ -2155,7 +2166,7 @@ mod tests {
     fn price_error_curve_for_test_mse() {
         let broker = test_broker();
         broker.open_market().unwrap();
-        let test_set = broker.seller().dataset().test.clone();
+        let test_set = test_data().test;
         let curve = broker
             .price_error_curve(move |m| nimbus_ml::metrics::mse(m, &test_set).map_err(Into::into))
             .unwrap();

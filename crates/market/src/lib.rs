@@ -11,11 +11,11 @@
 //! * the [`seller::Seller`] lists a dataset together with the value and
 //!   demand curves obtained from market research ([`curves`]);
 //! * the [`broker::Broker`] trains the optimal model once, when it is
-//!   built (the one-time cost of §4), transforms the curves
-//!   through the error-inverse, optimizes prices with `nimbus-optim`, and
-//!   serves buyers through the three §3.2 purchase options via an explicit
-//!   quote→commit protocol, recording every sale in a sharded
-//!   [`ledger::Ledger`];
+//!   built (the one-time cost of §4), and then drops the dataset. It
+//!   transforms the curves through the error-inverse, optimizes prices
+//!   with `nimbus-optim`, and serves buyers through the three §3.2
+//!   purchase options via an explicit quote→commit protocol, recording
+//!   every sale in a sharded [`ledger::Ledger`];
 //! * [`buyer::BuyerPopulation`] draws buyers from the demand curve, each
 //!   with a valuation from the value curve, who decide to buy iff the
 //!   posted price does not exceed their valuation.
@@ -100,7 +100,7 @@ pub use marketplace::{
     MenuEntry,
 };
 pub use persist::PostedMarket;
-pub use seller::Seller;
+pub use seller::{Seller, SellerTerms};
 pub use simulation::{compare_strategies, PricingStrategy, StrategyOutcome};
 pub use transform::transform_research;
 

@@ -2,8 +2,10 @@
 //!
 //! The seller owns a commercially valuable dataset `D = (D_train, D_test)`
 //! and, via market research, the value/demand curves for models trained on
-//! it (Figure 1(A)). Listing with a broker hands over the dataset and the
-//! curves; the broker takes it from there.
+//! it (Figure 1(A)). Listing with a broker hands over both. The broker
+//! trains `h*` on `D` once and then drops it: serving needs `h*`, the
+//! curves and the books, never the data. What it keeps of the seller is
+//! the [`SellerTerms`].
 
 use crate::curves::MarketCurves;
 use nimbus_data::TrainTest;
@@ -11,40 +13,32 @@ use nimbus_data::TrainTest;
 /// A seller listing a dataset for model-based sale.
 #[derive(Debug, Clone)]
 pub struct Seller {
+    /// The dataset on offer, dropped by the broker once `h*` is trained.
+    pub(crate) dataset: TrainTest,
+    /// What the broker keeps for the listing's lifetime.
+    pub(crate) terms: SellerTerms,
+}
+
+/// What a broker keeps of its [`Seller`]: the name and the market
+/// research. It has no dataset field.
+#[derive(Debug, Clone)]
+pub struct SellerTerms {
     /// Display name of the seller.
     pub name: String,
-    dataset: TrainTest,
-    curves: MarketCurves,
+    /// The market research curves.
+    pub curves: MarketCurves,
 }
 
 impl Seller {
     /// Creates a seller from a dataset and market-research curves.
     pub fn new(name: impl Into<String>, dataset: TrainTest, curves: MarketCurves) -> Self {
         Seller {
-            name: name.into(),
             dataset,
-            curves,
+            terms: SellerTerms {
+                name: name.into(),
+                curves,
+            },
         }
-    }
-
-    /// The dataset on offer.
-    pub fn dataset(&self) -> &TrainTest {
-        &self.dataset
-    }
-
-    /// The market research curves.
-    pub fn curves(&self) -> &MarketCurves {
-        &self.curves
-    }
-
-    /// Number of training examples (`n₁`).
-    pub fn train_size(&self) -> usize {
-        self.dataset.train.len()
-    }
-
-    /// Number of test examples (`n₂`).
-    pub fn test_size(&self) -> usize {
-        self.dataset.test.len()
     }
 }
 
@@ -61,9 +55,9 @@ mod tests {
             .unwrap();
         let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
         let seller = Seller::new("uci-proteins", tt, curves);
-        assert_eq!(seller.name, "uci-proteins");
-        assert!(seller.train_size() > 0);
-        assert!(seller.test_size() > 0);
-        assert_eq!(seller.curves().value.name(), "concave");
+        assert_eq!(seller.terms.name, "uci-proteins");
+        assert!(!seller.dataset.train.is_empty());
+        assert!(!seller.dataset.test.is_empty());
+        assert_eq!(seller.terms.curves.value.name(), "concave");
     }
 }

@@ -106,6 +106,7 @@ pub mod prelude {
         BatchCommitItem, Broker, BrokerBuilder, Buyer, BuyerPopulation, FaultPlan, Journal,
         JournalError, ListingBuilder, ListingMeta, ListingState, ListingStats, MarketSnapshot,
         Marketplace, MarketplaceStats, MenuEntry, PurchaseRequest, Quote, Recovery, Sale, Seller,
+        SellerTerms,
     };
     pub use nimbus_ml::{
         metrics, ErrorMetric, LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer,

@@ -87,7 +87,7 @@ fn main() {
     }
 
     // A population of buyers sampled from the demand curve walks in.
-    let problem = broker.seller().curves().build_problem(60).expect("problem");
+    let problem = broker.terms().curves.build_problem(60).expect("problem");
     let mut rng = seeded_rng(2024);
     let population = BuyerPopulation::sample(&problem, 500, &mut rng).expect("population");
 

@@ -4,11 +4,16 @@
 
 use nimbus::prelude::*;
 
-fn build_broker(seed: u64) -> Broker {
+/// The dataset `build_broker(seed)` lists; the broker drops its own copy
+/// once h* is trained.
+fn dataset(seed: u64) -> TrainTest {
     let spec = DatasetSpec::scaled(PaperDataset::Simulated1, 2_000);
-    let (dataset, _) = spec.materialize(seed).unwrap();
+    spec.materialize(seed).unwrap().0
+}
+
+fn build_broker(seed: u64) -> Broker {
     let curves = MarketCurves::new(ValueCurve::standard_concave(), DemandCurve::Uniform);
-    let seller = Seller::new("e2e", dataset, curves);
+    let seller = Seller::new("e2e", dataset(seed), curves);
     Broker::builder(seller)
         .trainer(LinearRegressionTrainer::ridge(1e-6))
         .mechanism(GaussianMechanism)
@@ -66,7 +71,7 @@ fn noisier_versions_cost_less_and_err_more() {
 
     // And the actual delivered models reflect it on the test set, in
     // expectation over repeated purchases.
-    let test = broker.seller().dataset().test.clone();
+    let test = dataset(13).test;
     let reps = 60;
     let mut cheap_mse = 0.0;
     let mut sharp_mse = 0.0;
@@ -86,7 +91,7 @@ fn noisier_versions_cost_less_and_err_more() {
 fn buyer_facing_curve_uses_buyer_error_function() {
     let broker = build_broker(17);
     broker.open_market().unwrap();
-    let test = broker.seller().dataset().test.clone();
+    let test = dataset(17).test;
     let curve = broker
         .price_error_curve(move |m| metrics::mse(m, &test).map_err(Into::into))
         .unwrap();

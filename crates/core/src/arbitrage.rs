@@ -8,7 +8,11 @@
 //! 2. *monotone* — `δ₁ ≤ δ₂ ⟹ p(δ₁) ≥ p(δ₂)` (non-increasing in δ,
 //!    non-decreasing in `x`).
 //!
-//! [`check_arbitrage_free`] verifies both numerically over a grid.
+//! [`certify_menu`] proves both for a piecewise-linear menu, exactly and in
+//! `O(n)`, from its knots alone: it is the gate every published menu
+//! passes, and [`clamp_menu`] is the pass that makes optimizer output meet
+//! it. [`check_arbitrage_free`] samples both conditions over a grid, an
+//! oracle for tests and figures.
 //! [`ArbitrageAttack`] is the *constructive* half of the theorem's proof:
 //! when subadditivity fails, a buyer purchases `k` cheap high-noise
 //! instances `h^{δ_i}` and averages them with inverse-variance weights
@@ -20,6 +24,82 @@
 use crate::pricing::PricingFunction;
 use crate::{CoreError, InverseNcp, Ncp, Result};
 use nimbus_ml::LinearModel;
+
+/// Certifies a piecewise-linear menu (knots `a_i`, prices `z_i`, as in
+/// [`crate::PiecewiseLinearPricing`]) arbitrage-free for every `x`, exactly
+/// and in `O(n)`: knots finite, positive and strictly increasing; prices
+/// finite and non-negative; and for each consecutive pair `z_i ≤ z_{i+1}`
+/// and `z_{i+1}·a_i ≤ z_i·a_{i+1}`, products compared exactly (tolerance 0).
+///
+/// These are the relaxed constraints of program (5): every chord of the
+/// interpolant then has a non-negative intercept, so `p(x)/x` is
+/// non-increasing and `p` monotone and subadditive (Lemma 8, Proposition 1;
+/// DESIGN.md gives the argument). The error names the first failing knot.
+pub fn certify_menu(knots: &[f64], prices: &[f64]) -> Result<()> {
+    if knots.is_empty() || knots.len() != prices.len() {
+        return Err(CoreError::EmptyCurve);
+    }
+    for (i, (&a, &z)) in knots.iter().zip(prices).enumerate() {
+        let reason = if !(a.is_finite() && a > 0.0) || (i > 0 && a <= knots[i - 1]) {
+            "knots must be positive, finite and strictly increasing"
+        } else if !(z.is_finite() && z >= 0.0) {
+            "prices must be non-negative and finite"
+        } else if i > 0 && z < prices[i - 1] {
+            "price decreases: a buyer pays less for a better model"
+        } else if i > 0 && !unit_price_holds(prices[i - 1], knots[i - 1], z, a) {
+            "unit price rises: smaller versions undercut it"
+        } else {
+            continue;
+        };
+        return Err(CoreError::InvalidCurvePoint { index: i, reason });
+    }
+    Ok(())
+}
+
+/// Moves each `z_i` (`i ≥ 1`) into `[z_{i−1}, B_i]`, `B_i` the largest `f64`
+/// with `B_i·a_{i−1} ≤ z_{i−1}·a_i` exactly, so [`certify_menu`] accepts the
+/// result (given valid knots and `z_0 ≥ 0`). A certified menu is unchanged.
+/// On a non-decreasing input whose unit prices exceed no earlier one by more
+/// than a relative `ρ`, no price rises, and one at the end of a run of `m`
+/// lowered knots falls by at most a relative `ρ + m·2⁻⁵²`: each lowered knot
+/// loses under an ulp of unit price to rounding down.
+pub fn clamp_menu(knots: &[f64], prices: &mut [f64]) {
+    for i in 1..prices.len().min(knots.len()) {
+        let lo = prices[i - 1];
+        let hi = unit_price_bound(lo, knots[i - 1], knots[i]);
+        prices[i] = prices[i].max(lo).min(hi);
+    }
+}
+
+/// Whether `z_next·a ≤ z·a_next` holds exactly. Each product is split into
+/// an unevaluated sum `hi + lo` by one fused multiply-add, which is exact
+/// unless a product is below 2⁻⁹⁷⁰ (and non-zero); equal high parts then
+/// compare their low parts. A product that overflows fails the test.
+fn unit_price_holds(z: f64, a: f64, z_next: f64, a_next: f64) -> bool {
+    let two_product = |x: f64, y: f64| {
+        let hi = x * y;
+        (hi, x.mul_add(y, -hi))
+    };
+    let (right_hi, right_lo) = two_product(z, a_next);
+    right_hi.is_finite() && two_product(z_next, a) <= (right_hi, right_lo)
+}
+
+/// The largest `f64` `B ≥ z` with `B·a ≤ z·a_next` exactly (`0 < a < a_next`,
+/// `z ≥ 0`), stepping from the rounded `z·a_next/a`, a few ulps away. Returns
+/// `z` when that is zero or overflows.
+fn unit_price_bound(z: f64, a: f64, a_next: f64) -> f64 {
+    let mut bound = z * a_next / a;
+    if !(bound.is_finite() && bound > 0.0) {
+        return z;
+    }
+    while bound > z && !unit_price_holds(z, a, bound, a_next) {
+        bound = bound.next_down();
+    }
+    while unit_price_holds(z, a, bound.next_up(), a_next) {
+        bound = bound.next_up();
+    }
+    bound
+}
 
 /// Outcome of the numeric arbitrage-freeness check.
 #[derive(Debug, Clone)]
@@ -89,15 +169,6 @@ pub fn check_arbitrage_free<P: PricingFunction + ?Sized>(
         monotonicity_violations,
         subadditivity_violations,
     })
-}
-
-/// Convenience wrapper around [`check_arbitrage_free`] returning a bool.
-pub fn is_arbitrage_free_on_points<P: PricingFunction + ?Sized>(
-    pricing: &P,
-    xs: &[f64],
-    tol: f64,
-) -> Result<bool> {
-    Ok(check_arbitrage_free(pricing, xs, tol)?.is_arbitrage_free())
 }
 
 /// A concrete arbitrage opportunity: buy `purchases` (inverse-NCP, count)
@@ -218,52 +289,13 @@ pub fn find_attack<P: PricingFunction + ?Sized>(
     }))
 }
 
-/// Theorem 6: verifies arbitrage-freeness of a pricing function expressed
-/// over the buyer's **expected error** rather than the NCP.
-///
-/// For a strictly convex `ε`, the error-inverse `φ` of the (estimated or
-/// analytic) [`crate::ErrorCurve`] gives the bijection `error ↦ δ`, and the
-/// pricing function is arbitrage-free iff its composition
-/// `p(x) = price_over_error(E[ε](1/x))` is monotone and subadditive in
-/// `x = 1/δ`. This helper performs that composition on the curve's own δ
-/// grid and delegates to [`check_arbitrage_free`].
-pub fn check_arbitrage_free_via_error_curve<F>(
-    price_over_error: F,
-    error_curve: &crate::ErrorCurve,
-    tol: f64,
-) -> Result<ArbitrageReport>
-where
-    F: Fn(f64) -> f64,
-{
-    if error_curve.is_empty() {
-        return Err(CoreError::EmptyCurve);
-    }
-    // Composed pricing over x: for a grid x we need E[ε](1/x), which the
-    // curve interpolates. Wrap as a PricingFunction on the fly.
-    struct Composed<'a, G: Fn(f64) -> f64> {
-        curve: &'a crate::ErrorCurve,
-        price: G,
-    }
-    impl<G: Fn(f64) -> f64> PricingFunction for Composed<'_, G> {
-        fn price(&self, x: InverseNcp) -> f64 {
-            let err = self.curve.expected_error_at(x.ncp());
-            (self.price)(err)
-        }
-        fn name(&self) -> &'static str {
-            "composed_over_error"
-        }
-    }
-    let composed = Composed {
-        curve: error_curve,
-        price: price_over_error,
-    };
-    let xs: Vec<f64> = error_curve.points().iter().map(|p| p.inverse).collect();
-    check_arbitrage_free(&composed, &xs, tol)
-}
-
 /// Re-verifies a pricing function *after* the error-inverse map `φ` has been
-/// threaded through it — the Theorem 6 sanity check the broker runs before
-/// publishing a snapshot for a non-square metric.
+/// threaded through it — a Theorem 6 check by sampling.
+///
+/// This is an oracle for tests, figures and benchmarks, not the publish
+/// gate: it checks pairs of grid points only, in `O(n²)`, with a slack.
+/// Published menus pass [`certify_menu`] instead, which proves both
+/// conditions for every `x` (and therefore after `φ`) from the knots.
 ///
 /// Buyers of a general metric name an error budget `e`; the broker serves
 /// the NCP `δ = φ(e)` and charges `pricing` at `x = 1/δ`. Arbitrage lives in
@@ -342,12 +374,25 @@ mod tests {
         (1..=40).map(|i| i as f64).collect()
     }
 
+    fn sampled_free<P: PricingFunction>(pricing: &P, xs: &[f64], tol: f64) -> bool {
+        check_arbitrage_free(pricing, xs, tol)
+            .unwrap()
+            .is_arbitrage_free()
+    }
+
+    /// `30·√x` on 50 knots `0.2, 0.4, …, 10`: strictly concave, certified.
+    fn sqrt_menu() -> (Vec<f64>, Vec<f64>) {
+        let knots: Vec<f64> = (1..=50).map(|i| i as f64 * 0.2).collect();
+        let prices = knots.iter().map(|x| 30.0 * x.sqrt()).collect();
+        (knots, prices)
+    }
+
     #[test]
     fn constant_and_linear_prices_are_arbitrage_free() {
         let c = ConstantPricing::new(5.0).unwrap();
-        assert!(is_arbitrage_free_on_points(&c, &grid(), 1e-9).unwrap());
+        assert!(sampled_free(&c, &grid(), 1e-9));
         let l = LinearPricing::new(2.0, 1.0).unwrap();
-        assert!(is_arbitrage_free_on_points(&l, &grid(), 1e-9).unwrap());
+        assert!(sampled_free(&l, &grid(), 1e-9));
     }
 
     #[test]
@@ -356,8 +401,86 @@ mod tests {
         let p =
             PiecewiseLinearPricing::new(vec![(1.0, 10.0), (2.0, 16.0), (4.0, 24.0), (8.0, 30.0)])
                 .unwrap();
-        assert!(p.satisfies_relaxed_constraints(1e-12));
-        assert!(is_arbitrage_free_on_points(&p, &grid(), 1e-9).unwrap());
+        certify_menu(p.breakpoints(), p.values()).unwrap();
+        assert!(sampled_free(&p, &grid(), 1e-9));
+    }
+
+    #[test]
+    fn certificate_checks_each_relaxed_constraint() {
+        let a = [1.0, 2.0, 4.0];
+        let refused = |prices: &[f64]| match certify_menu(&a, prices) {
+            Err(CoreError::InvalidCurvePoint { index, .. }) => Some(index),
+            _ => None,
+        };
+        certify_menu(&a, &[1.0, 1.5, 2.0]).unwrap();
+        // Constant unit price and flat prices are the two boundaries.
+        certify_menu(&a, &[1.0, 2.0, 4.0]).unwrap();
+        certify_menu(&a, &[3.0, 3.0, 3.0]).unwrap();
+        // Unit price rises 1 → 1.25.
+        assert_eq!(refused(&[1.0, 2.5, 2.6]), Some(1));
+        // Price decreases.
+        assert_eq!(refused(&[2.0, 1.0, 1.0]), Some(1));
+        // Negative or non-finite price.
+        assert_eq!(refused(&[-1.0, 0.0, 0.0]), Some(0));
+        assert_eq!(refused(&[1.0, f64::NAN, 2.0]), Some(1));
+        // Knots out of order.
+        assert!(certify_menu(&[1.0, 4.0, 2.0], &[1.0, 1.5, 2.0]).is_err());
+        // Length mismatch, empty menu.
+        assert!(certify_menu(&a, &[1.0]).is_err());
+        assert!(certify_menu(&[], &[]).is_err());
+    }
+
+    #[test]
+    fn one_ulp_over_the_unit_price_bound_is_refused() {
+        // Raise the last price to the largest value its predecessor's unit
+        // price allows, then one ulp more: exact arithmetic tells the two
+        // apart, and only the first is certified.
+        let (knots, mut prices) = sqrt_menu();
+        let last = prices.len() - 1;
+        prices[last] = f64::MAX;
+        clamp_menu(&knots, &mut prices);
+        certify_menu(&knots, &prices).unwrap();
+        prices[last] = prices[last].next_up();
+        assert!(matches!(
+            certify_menu(&knots, &prices),
+            Err(CoreError::InvalidCurvePoint { index, .. }) if index == last
+        ));
+
+        // The sampled post-φ oracle, at a 1e-6 slack, cannot see a
+        // violation that small.
+        let pricing =
+            PiecewiseLinearPricing::new(knots.iter().copied().zip(prices).collect()).unwrap();
+        let deltas: Vec<Ncp> = knots.iter().map(|x| Ncp::new(1.0 / x).unwrap()).collect();
+        let curve = crate::ErrorCurve::analytic_square_loss(&deltas).unwrap();
+        let report = check_arbitrage_free_after_phi(&pricing, &curve, 1e-6).unwrap();
+        assert!(report.is_arbitrage_free());
+    }
+
+    #[test]
+    fn clamp_repairs_rounding_and_keeps_certified_menus() {
+        let (knots, prices) = sqrt_menu();
+        let mut clamped = prices.clone();
+        clamp_menu(&knots, &mut clamped);
+        assert_eq!(clamped, prices);
+
+        // A constant unit price on irregular knots: each rounded product
+        // can sit an ulp above its predecessor's unit price.
+        let knots: Vec<f64> = (1..=500).map(|i| 0.37 * i as f64 + 0.011).collect();
+        let ray: Vec<f64> = knots.iter().map(|x| 0.1 * x).collect();
+        assert!(certify_menu(&knots, &ray).is_err());
+        let mut clamped = ray.clone();
+        clamp_menu(&knots, &mut clamped);
+        certify_menu(&knots, &clamped).unwrap();
+        // At most a relative 2⁻⁵² per lowered knot, and never upward.
+        let bound = knots.len() as f64 * f64::EPSILON;
+        for (z, r) in clamped.iter().zip(&ray) {
+            assert!(z <= r && r - z <= bound * r, "{z} vs {r}");
+        }
+
+        // A price below its predecessor is raised to it.
+        let mut dip = vec![4.0, 3.0, 5.0];
+        clamp_menu(&[1.0, 2.0, 3.0], &mut dip);
+        assert_eq!(dip, vec![4.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -465,18 +588,29 @@ mod tests {
             .map(|i| Ncp::new(i as f64 * 0.1).unwrap())
             .collect();
         let curve = crate::ErrorCurve::analytic_square_loss(&deltas).unwrap();
-        let report =
-            check_arbitrage_free_via_error_curve(|err| 50.0 / (1.0 + err), &curve, 1e-9).unwrap();
+        let xs: Vec<f64> = curve.points().iter().map(|p| p.inverse).collect();
+        let over_error = |price_of_error: fn(f64) -> f64| {
+            let menu = xs
+                .iter()
+                .map(|&x| {
+                    (
+                        x,
+                        price_of_error(curve.expected_error_at(Ncp::new(1.0 / x).unwrap())),
+                    )
+                })
+                .collect();
+            check_arbitrage_free(&PiecewiseLinearPricing::new(menu).unwrap(), &xs, 1e-9).unwrap()
+        };
+        let report = over_error(|err| 50.0 / (1.0 + err));
         assert!(report.is_arbitrage_free(), "{report:?}");
 
         // Pricing that *rises* with the error is not monotone in x.
-        let report = check_arbitrage_free_via_error_curve(|err| err * 10.0, &curve, 1e-9).unwrap();
+        let report = over_error(|err| err * 10.0);
         assert!(!report.is_arbitrage_free());
         assert!(!report.monotonicity_violations.is_empty());
 
         // Pricing convex in x (superadditive): p = 1/err² = x² under ε_s.
-        let report =
-            check_arbitrage_free_via_error_curve(|err| 1.0 / (err * err), &curve, 1e-9).unwrap();
+        let report = over_error(|err| 1.0 / (err * err));
         assert!(!report.subadditivity_violations.is_empty());
     }
 

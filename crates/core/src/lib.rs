@@ -36,7 +36,8 @@
 //!   inverse NCP plus the concrete families (piecewise-linear from the
 //!   optimizer's points per Proposition 1, constant, linear).
 //! * [`arbitrage`] — Theorem 5's characterization: arbitrage-freeness ⟺
-//!   monotone + subadditive in `x = 1/δ`; validators over point sets, plus
+//!   monotone + subadditive in `x = 1/δ`; the exact `O(n)` certificate
+//!   every published menu passes, sampled validators over point sets, plus
 //!   the constructive *attack* from the theorem's proof (inverse-variance
 //!   combination of cheap noisy instances) used to demonstrate arbitrage
 //!   against badly priced curves.
@@ -56,7 +57,7 @@ pub mod pricing;
 pub mod properties;
 pub mod square_loss;
 
-pub use arbitrage::{is_arbitrage_free_on_points, ArbitrageAttack, ArbitrageReport};
+pub use arbitrage::{certify_menu, ArbitrageAttack, ArbitrageReport};
 pub use curve_provider::CurveProvider;
 pub use error::CoreError;
 pub use error_curve::{ErrorCurve, ErrorCurvePoint};

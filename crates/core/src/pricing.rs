@@ -103,16 +103,6 @@ impl PiecewiseLinearPricing {
     pub fn support(&self) -> (f64, f64) {
         (self.xs[0], self.xs[self.xs.len() - 1])
     }
-
-    /// Checks the relaxed constraints of program (5): `z` non-decreasing and
-    /// the unit price `z_i/a_i` non-increasing. By Lemma 8 + Proposition 1,
-    /// these imply the interpolant is arbitrage-free everywhere.
-    pub fn satisfies_relaxed_constraints(&self, tol: f64) -> bool {
-        let monotone = self.zs.windows(2).all(|w| w[1] >= w[0] - tol);
-        let unit: Vec<f64> = self.zs.iter().zip(&self.xs).map(|(z, a)| z / a).collect();
-        let decreasing_unit = unit.windows(2).all(|w| w[1] <= w[0] + tol);
-        monotone && decreasing_unit
-    }
 }
 
 impl PricingFunction for PiecewiseLinearPricing {
@@ -268,16 +258,19 @@ mod tests {
 
     #[test]
     fn relaxed_constraints_detection() {
+        let certified = |p: &PiecewiseLinearPricing| {
+            crate::arbitrage::certify_menu(p.breakpoints(), p.values()).is_ok()
+        };
         // z increasing, z/a decreasing: 10/1 ≥ 15/2 ≥ 18/3.
         let good =
             PiecewiseLinearPricing::new(vec![(1.0, 10.0), (2.0, 15.0), (3.0, 18.0)]).unwrap();
-        assert!(good.satisfies_relaxed_constraints(1e-12));
+        assert!(certified(&good));
         // Unit price increases: violates the relaxed subadditivity.
         let bad = PiecewiseLinearPricing::new(vec![(1.0, 1.0), (2.0, 5.0)]).unwrap();
-        assert!(!bad.satisfies_relaxed_constraints(1e-12));
+        assert!(!certified(&bad));
         // Price decreases: violates monotonicity.
         let bad2 = PiecewiseLinearPricing::new(vec![(1.0, 5.0), (2.0, 3.0)]).unwrap();
-        assert!(!bad2.satisfies_relaxed_constraints(1e-12));
+        assert!(!certified(&bad2));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!    shares `h*` (the "train once, sell many" economics of §4 that make
 //!    real-time interaction possible).
 //! 3. **Market opening** — transforms the curves onto the inverse-NCP axis,
-//!    builds the [`RevenueProblem`], runs the Algorithm 1 DP, re-verifies
-//!    arbitrage-freeness of the posted table *after* the error-inverse map
-//!    `φ` ([`nimbus_core::arbitrage::check_arbitrage_free_after_phi`]), and
-//!    publishes the result as an immutable [`MarketSnapshot`].
+//!    builds the [`RevenueProblem`], runs the Algorithm 1 DP, certifies the
+//!    posted table arbitrage-free for every `x` from its own knots
+//!    ([`nimbus_core::certify_menu`], exact and `O(n)`; it holds after the
+//!    error-inverse map `φ` too, since `φ` only picks which `x` a buyer
+//!    gets), and publishes the result as an immutable [`MarketSnapshot`].
 //! 4. **Sales** — serves the three §3.2 buyer options through an explicit
 //!    quote→commit protocol: [`Broker::quote_request`] resolves a
 //!    [`PurchaseRequest`] to a priced [`Quote`] against the published
@@ -63,10 +64,11 @@ use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, Recovery
 use crate::ledger::{Ledger, LedgerShard, Transaction};
 use crate::seller::{Seller, SellerTerms};
 use crate::{MarketError, Result};
-use nimbus_core::arbitrage::check_arbitrage_free_after_phi;
 use nimbus_core::mechanism::RandomizedMechanism;
 use nimbus_core::pricing::{PiecewiseLinearPricing, PricingFunction};
-use nimbus_core::{CurveProvider, ErrorCurve, GaussianMechanism, InverseNcp, Ncp, PriceErrorCurve};
+use nimbus_core::{
+    certify_menu, CurveProvider, ErrorCurve, GaussianMechanism, InverseNcp, Ncp, PriceErrorCurve,
+};
 use nimbus_ml::{ErrorMetric, LinearModel, LinearRegressionTrainer, Trainer};
 use nimbus_optim::{solve_revenue_dp, RevenueProblem};
 use nimbus_randkit::{seeded_rng, split_stream};
@@ -824,37 +826,7 @@ impl Broker {
                 (problem, curve, metric.name())
             }
         };
-        let solution = solve_revenue_dp(&problem)?;
-        let pricing = PiecewiseLinearPricing::new(
-            problem
-                .parameters()
-                .into_iter()
-                .zip(solution.prices.iter().copied())
-                .collect(),
-        )?;
-        // Theorem 6 sanity check: the posted table must stay monotone and
-        // subadditive once buyer-facing error levels are pushed back
-        // through φ onto the inverse-NCP axis.
-        let report = check_arbitrage_free_after_phi(&pricing, &curve, 1e-6)?;
-        if !report.is_arbitrage_free() {
-            return Err(MarketError::InvalidCurve {
-                reason: "posted price table failed the post-φ arbitrage re-check",
-            });
-        }
-        let (x_lo, x_hi) = pricing.support();
-        let expected = solution.revenue;
-        self.install_snapshot(MarketSnapshot {
-            problem,
-            pricing,
-            optimal: Arc::clone(&self.optimal),
-            curve: Arc::new(curve),
-            metric_name,
-            expected_revenue: expected,
-            epoch: 0,
-            x_lo,
-            x_hi,
-        });
-        Ok(expected)
+        self.publish(problem, Arc::new(curve), metric_name)
     }
 
     /// Re-publishes the market from a caller-supplied revenue problem —
@@ -865,11 +837,9 @@ impl Broker {
     /// carried over unchanged; only the problem, the DP-optimized price
     /// table, and the epoch are new.
     ///
-    /// The caller's problem should sample the same inverse-NCP grid as
-    /// the posted menu so the carried-over error curve keeps describing
-    /// the posted points. Prices are always re-derived through the
-    /// Algorithm 1 DP and re-checked for post-φ arbitrage-freeness — a
-    /// caller cannot publish a table that violates Theorem 6.
+    /// Prices are always re-derived through the Algorithm 1 DP and
+    /// certified over the knots of the new table — a caller cannot
+    /// publish a table that admits arbitrage at any `x`.
     ///
     /// Publishing bumps the epoch exactly like [`Broker::open_market`]:
     /// every outstanding quote dies with [`MarketError::QuoteExpired`]
@@ -885,34 +855,44 @@ impl Broker {
             });
         }
         let current = self.published()?;
+        self.publish(problem, Arc::clone(&current.curve), current.metric_name)
+    }
+
+    /// Prices `problem` with the Algorithm 1 DP and publishes the table if
+    /// its own knots pass the exact arbitrage certificate
+    /// ([`certify_menu`]); returns its expected revenue.
+    fn publish(
+        &self,
+        problem: RevenueProblem,
+        curve: Arc<ErrorCurve>,
+        metric_name: &'static str,
+    ) -> Result<f64> {
         let solution = solve_revenue_dp(&problem)?;
         let pricing = PiecewiseLinearPricing::new(
             problem
                 .parameters()
                 .into_iter()
-                .zip(solution.prices.iter().copied())
+                .zip(solution.prices)
                 .collect(),
         )?;
-        let report = check_arbitrage_free_after_phi(&pricing, &current.curve, 1e-6)?;
-        if !report.is_arbitrage_free() {
-            return Err(MarketError::InvalidCurve {
-                reason: "re-published price table failed the post-φ arbitrage re-check",
-            });
-        }
+        certify_menu(pricing.breakpoints(), pricing.values()).map_err(|_| {
+            MarketError::InvalidCurve {
+                reason: "posted price table failed the arbitrage certificate",
+            }
+        })?;
         let (x_lo, x_hi) = pricing.support();
-        let expected = solution.revenue;
         self.install_snapshot(MarketSnapshot {
             problem,
             pricing,
-            optimal: Arc::clone(&current.optimal),
-            curve: Arc::clone(&current.curve),
-            metric_name: current.metric_name,
-            expected_revenue: expected,
+            optimal: Arc::clone(&self.optimal),
+            curve,
+            metric_name,
+            expected_revenue: solution.revenue,
             epoch: 0,
             x_lo,
             x_hi,
         });
-        Ok(expected)
+        Ok(solution.revenue)
     }
 
     /// Stamps `snapshot` with the next epoch — one above the live
@@ -1936,12 +1916,10 @@ mod tests {
             assert!(w[1].1 >= w[0].1 - 1e-9);
             assert!(w[1].1 / w[1].0 <= w[0].1 / w[0].0 + 1e-9);
         }
-        // The snapshot itself certifies the relaxed constraints.
-        assert!(broker
-            .snapshot()
-            .unwrap()
-            .pricing()
-            .satisfies_relaxed_constraints(1e-9));
+        // The snapshot itself passes the exact certificate.
+        let snapshot = broker.snapshot().unwrap();
+        let pricing = snapshot.pricing();
+        certify_menu(pricing.breakpoints(), pricing.values()).unwrap();
     }
 
     #[test]

@@ -4,15 +4,25 @@
 //! research or re-optimizing prices: the posted menu *is* the public
 //! contract with buyers. This module round-trips a posted market — the
 //! `(a_j, b_j, v_j)` problem plus the optimized prices — through the
-//! workspace CSV layer, and re-validates arbitrage-freeness on load so a
-//! tampered or corrupted file can never resurrect an exploitable menu.
+//! workspace CSV layer, and re-certifies the menu on load, with the same
+//! exact certificate the broker publishes through, so a tampered or
+//! corrupted file can never resurrect an exploitable menu.
 
 use crate::{MarketError, Result};
-use nimbus_core::arbitrage::check_arbitrage_free;
+use nimbus_core::arbitrage::{certify_menu, clamp_menu};
 use nimbus_core::pricing::PiecewiseLinearPricing;
 use nimbus_data::csv::{read_table_from_path, write_table_to_path, NumericTable};
 use nimbus_optim::{PricePoint, RevenueProblem};
 use std::path::Path;
+
+/// Columns of a posted-market file: the problem's `(a_j, b_j, v_j)` and the
+/// posted price `z_j`. A file saved before menus were certified names the
+/// last column `price` and holds the DP's unclamped prices; loading one
+/// through the DP's clamp may move a price by a relative [`UNCLAMPED_SLACK`]
+/// (rounding moves a 4 096-point menu's by about 2·10⁻¹³), an edit further.
+const COLUMNS: [&str; 4] = ["a", "b", "v", "z"];
+const UNCLAMPED_COLUMNS: [&str; 4] = ["a", "b", "v", "price"];
+const UNCLAMPED_SLACK: f64 = 1e-12;
 
 /// A persisted posted market: problem points plus posted prices.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +59,7 @@ impl PostedMarket {
         .map_err(Into::into)
     }
 
-    /// Saves the market to a CSV file (columns `a, b, v, price`).
+    /// Saves the market to a CSV file (columns `a, b, v, z`).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         let rows: Vec<Vec<f64>> = self
             .problem
@@ -58,22 +68,24 @@ impl PostedMarket {
             .zip(&self.prices)
             .map(|(p, &z)| vec![p.a, p.b, p.v, z])
             .collect();
-        write_table_to_path(path, &["a", "b", "v", "price"], &rows)?;
+        write_table_to_path(path, &COLUMNS, &rows)?;
         Ok(())
     }
 
-    /// Loads a market from CSV and **re-validates** it: the problem must be
-    /// well formed and the posted prices arbitrage-free on the menu grid.
+    /// Loads a market from CSV and **re-certifies** it: the problem must be
+    /// well formed and the posted prices must pass [`certify_menu`]. A file
+    /// with the older `a, b, v, price` columns loads through the DP's own
+    /// [`clamp_menu`], giving the menu today's DP posts for its problem.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
         let table = read_table_from_path(path, true)?;
         Self::from_table(&table)
     }
 
     fn from_table(table: &NumericTable) -> Result<Self> {
-        let expected = ["a", "b", "v", "price"];
-        if table.columns != expected {
+        let unclamped = table.columns == UNCLAMPED_COLUMNS;
+        if !unclamped && table.columns != COLUMNS {
             return Err(MarketError::InvalidCurve {
-                reason: "posted-market CSV must have columns a,b,v,price",
+                reason: "posted-market CSV must have columns a,b,v,z",
             });
         }
         let mut points = Vec::with_capacity(table.num_rows());
@@ -87,16 +99,20 @@ impl PostedMarket {
             prices.push(row[3]);
         }
         let problem = RevenueProblem::new(points).map_err(MarketError::Optim)?;
-        let market = PostedMarket::new(problem, prices)?;
-        // Tamper check: a menu that admits arbitrage must not load.
-        let pricing = market.pricing()?;
-        let grid = market.problem.parameters();
-        let report = check_arbitrage_free(&pricing, &grid, 1e-7)?;
-        if !report.is_arbitrage_free() {
-            return Err(MarketError::InvalidCurve {
-                reason: "persisted menu is not arbitrage-free (corrupted or tampered)",
-            });
+        let mut market = PostedMarket::new(problem, prices)?;
+        let knots = market.problem.parameters();
+        let refused = || MarketError::InvalidCurve {
+            reason: "persisted menu is not arbitrage-free (corrupted or tampered)",
+        };
+        if unclamped {
+            let raw = market.prices.clone();
+            clamp_menu(&knots, &mut market.prices);
+            let moved = |(z, r): (&f64, &f64)| (z - r).abs() > UNCLAMPED_SLACK * r.abs();
+            if market.prices.iter().zip(&raw).any(moved) {
+                return Err(refused());
+            }
         }
+        certify_menu(&knots, &market.prices).map_err(|_| refused())?;
         Ok(market)
     }
 }
@@ -171,6 +187,56 @@ mod tests {
             "tampered menu must be rejected, got {err:?}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn one_ulp_over_the_unit_price_bound_is_refused() {
+        // Raise the last price to the largest value its predecessor's unit
+        // price allows: it loads. One ulp more and it must not, although a
+        // pairwise check with any slack passes it.
+        let mut market = posted_market();
+        let knots = market.problem.parameters();
+        let last = market.prices.len() - 1;
+        market.prices[last] = f64::MAX;
+        clamp_menu(&knots, &mut market.prices);
+        let path = temp_path("ulp");
+        market.save(&path).unwrap();
+        assert_eq!(PostedMarket::load(&path).unwrap(), market);
+        market.prices[last] = market.prices[last].next_up();
+        market.save(&path).unwrap();
+        let err = PostedMarket::load(&path);
+        assert!(
+            matches!(err, Err(MarketError::InvalidCurve { .. })),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn menu_saved_before_certification_loads_as_todays_dp_menu() {
+        // Saved by the DP and `save` as they were before menus were
+        // certified (columns a,b,v,price): 23 of its 50 prices miss the
+        // exact certificate by rounding.
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/posted_market_unclamped.csv");
+        let table = read_table_from_path(&fixture, true).unwrap();
+        let raw: Vec<f64> = table.rows.iter().map(|row| row[3]).collect();
+        let knots: Vec<f64> = table.rows.iter().map(|row| row[0]).collect();
+        assert!(certify_menu(&knots, &raw).is_err());
+
+        let loaded = PostedMarket::load(&fixture).unwrap();
+        let posted_today = solve_revenue_dp(&loaded.problem).unwrap().prices;
+        assert_eq!(loaded.prices, posted_today);
+        for (z, r) in loaded.prices.iter().zip(&raw) {
+            assert!(z <= r && r - z <= UNCLAMPED_SLACK * r, "{z} vs {r}");
+        }
+
+        // An edit beyond rounding is refused, in either format.
+        let mut edited = table.clone();
+        edited.rows[30][3] *= 1.0 + 1e-9;
+        assert!(PostedMarket::from_table(&edited).is_err());
+        edited.columns = COLUMNS.iter().map(|c| c.to_string()).collect();
+        assert!(PostedMarket::from_table(&edited).is_err());
     }
 
     #[test]

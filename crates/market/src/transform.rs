@@ -110,10 +110,6 @@ mod tests {
         let dp = nimbus_optim::solve_revenue_dp(&problem).unwrap();
         assert!(dp.revenue > 0.0);
         // Prices respect the relaxed constraints on the transformed axis.
-        assert!(nimbus_optim::objective::satisfies_relaxed_constraints(
-            &dp.prices,
-            &problem.parameters(),
-            1e-9
-        ));
+        nimbus_core::certify_menu(&problem.parameters(), &dp.prices).unwrap();
     }
 }

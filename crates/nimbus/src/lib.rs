@@ -86,7 +86,8 @@ pub mod prelude {
     };
     pub use nimbus_core::{
         arbitrage::{
-            check_arbitrage_free, check_arbitrage_free_after_phi, combine_instances, find_attack,
+            certify_menu, check_arbitrage_free, check_arbitrage_free_after_phi, combine_instances,
+            find_attack,
         },
         inverse_ncp_grid, parallel_map, ConstantPricing, CurveProvider, ErrorCurve,
         GaussianMechanism, InverseNcp, LaplaceMechanism, LinearPricing, Ncp,

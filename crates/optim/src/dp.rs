@@ -18,12 +18,14 @@
 use crate::objective::revenue;
 use crate::problem::RevenueProblem;
 use crate::Result;
+use nimbus_core::arbitrage::clamp_menu;
 
 /// Output of the revenue DP.
 #[derive(Debug, Clone)]
 pub struct DpSolution {
     /// Optimal prices `z_j = p(a_j)`, aligned with the problem's sorted
-    /// points. Feasible for the relaxed program (5), hence arbitrage-free.
+    /// points. They pass [`nimbus_core::certify_menu`] exactly: feasible
+    /// for the relaxed program (5), hence arbitrage-free.
     pub prices: Vec<f64>,
     /// The achieved revenue `T_BV(z)`.
     pub revenue: f64,
@@ -137,20 +139,17 @@ pub fn solve_revenue_dp_with_sale_bonus(
             di = k; // Δ := v_k / a_k
         }
     }
-    // Monotone repair for skipped points. A skip prices `k` at the unit
-    // price of `k+1`, which can dip below `z_{k-1}` when `k-1` was capped
-    // at its valuation and the unit price drops faster than `a` grows —
-    // violating the `z` non-decreasing constraint of program (5). Raising
-    // a price to the running maximum keeps every unit-price constraint
-    // (`z̃_k/a_k ≥ z_k/a_k ≥ u_{k+1}`, and `z̃_k/a_k ≤ z_j/a_j` for the
-    // maximizing `j < k` since `a_j < a_k`) and cannot price a served
-    // buyer out (`z_j ≤ v_j ≤ v_k` by valuation monotonicity), so the DP
-    // value is preserved exactly.
-    let mut run = 0.0f64;
-    for z in &mut prices {
-        run = run.max(*z);
-        *z = run;
-    }
+    // Repair pass: `clamp_menu` moves each `z_k` into `[z_{k−1}, B_k]`, `B_k`
+    // the largest `f64` with `B_k·a_{k−1} ≤ z_{k−1}·a_k` exactly. Raising
+    // repairs skips: a skip prices `k` at the unit price of `k+1`, which can
+    // dip below a valuation-capped `z_{k−1}`; the running maximum keeps every
+    // unit-price constraint and prices no served buyer out (`z_j ≤ v_j ≤
+    // v_k`), so the DP value is kept. Lowering repairs rounding: a knot can
+    // sit an ulp over its predecessor's unit price. It prices no served buyer
+    // out either; `clamp_menu` bounds the move, and revenue falls by at most
+    // `Σ b_k·(z_k − z'_k)` (it could rise only where a price lies within that
+    // distance above its buyer's valuation).
+    clamp_menu(&problem.parameters(), &mut prices);
 
     let achieved = revenue(&prices, problem)?;
     #[cfg(debug_assertions)]
@@ -176,8 +175,9 @@ pub fn solve_revenue_dp_with_sale_bonus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{affordability_ratio, satisfies_relaxed_constraints};
+    use crate::objective::affordability_ratio;
     use crate::problem::RevenueProblem;
+    use nimbus_core::certify_menu;
 
     #[test]
     fn figure5_example_matches_hand_computation() {
@@ -193,11 +193,7 @@ mod tests {
     fn solution_is_relaxed_feasible() {
         let problem = RevenueProblem::figure5_example();
         let sol = solve_revenue_dp(&problem).unwrap();
-        assert!(satisfies_relaxed_constraints(
-            &sol.prices,
-            &problem.parameters(),
-            1e-9
-        ));
+        certify_menu(&problem.parameters(), &sol.prices).unwrap();
     }
 
     #[test]
@@ -264,7 +260,7 @@ mod tests {
                 for &z2 in &grid {
                     for &z3 in &grid {
                         let z = [z1, z2, z3];
-                        if satisfies_relaxed_constraints(&z, &a, 1e-12) {
+                        if certify_menu(&a, &z).is_ok() {
                             let r = revenue(&z, &problem).unwrap();
                             best = best.max(r);
                         }
@@ -327,7 +323,7 @@ mod tests {
             "prices must be non-decreasing: {:?}",
             sol.prices
         );
-        assert!(satisfies_relaxed_constraints(&sol.prices, &a, 1e-9));
+        certify_menu(&a, &sol.prices).unwrap();
     }
 
     #[test]
@@ -339,7 +335,7 @@ mod tests {
         let b = vec![1.0; n];
         let problem = RevenueProblem::from_slices(&a, &b, &v).unwrap();
         let sol = solve_revenue_dp(&problem).unwrap();
-        assert!(satisfies_relaxed_constraints(&sol.prices, &a, 1e-6));
+        certify_menu(&a, &sol.prices).unwrap();
         // Concave curve: full extraction.
         let total: f64 = v.iter().sum();
         assert!((sol.revenue - total).abs() < 1e-6 * total);

@@ -135,7 +135,7 @@ pub fn maximize_revenue_with_affordability_floor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::satisfies_relaxed_constraints;
+    use nimbus_core::certify_menu;
 
     /// Convex-valued instance where pure revenue maximization prices the
     /// low end out.
@@ -187,7 +187,7 @@ mod tests {
         let a = p.parameters();
         for point in fairness_frontier(&p, &[0.0, 1.0, 10.0]).unwrap() {
             assert!(
-                satisfies_relaxed_constraints(&point.prices, &a, 1e-9),
+                certify_menu(&a, &point.prices).is_ok(),
                 "λ = {}: {:?}",
                 point.lambda,
                 point.prices

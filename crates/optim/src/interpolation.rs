@@ -16,9 +16,10 @@
 //!   subgradient descent with a decaying step, keeping the best feasible
 //!   iterate. Proposition 2 still bounds the loss of the relaxation itself.
 
-use crate::objective::{satisfies_relaxed_constraints, tpi_l1};
+use crate::objective::tpi_l1;
 use crate::problem::InterpolationProblem;
 use crate::Result;
+use nimbus_core::arbitrage::clamp_menu;
 use nimbus_core::isotonic::{isotonic_decreasing, isotonic_increasing};
 
 /// Tolerance on Dykstra's fixed-point iteration.
@@ -86,15 +87,11 @@ pub fn project_relaxed_feasible(parameters: &[f64], targets: &[f64]) -> Vec<f64>
             break;
         }
     }
-    // Snap to exact feasibility: one final clean-up pass removes the
-    // residual O(tol) constraint violations left by truncating Dykstra.
-    let p1 = isotonic_increasing(&z, &unit_weights);
-    let u: Vec<f64> = p1.iter().zip(parameters).map(|(z, a)| z / a).collect();
-    let pu = isotonic_decreasing(&u, &a2);
-    pu.iter()
-        .zip(parameters)
-        .map(|(u, a)| (u * a).max(0.0))
-        .collect()
+    // Snap to exact feasibility: `z` is non-negative after set 3, and the
+    // certificate's clamp removes the residual O(tol) violations left by
+    // truncating Dykstra, and the rounding ones.
+    clamp_menu(parameters, &mut z);
+    z
 }
 
 /// Solves the `T²_PI` interpolation problem exactly.
@@ -130,7 +127,7 @@ pub fn interpolate_l1(problem: &InterpolationProblem, iterations: usize) -> Resu
             best = z.clone();
         }
     }
-    debug_assert!(satisfies_relaxed_constraints(&best, &a, 1e-7));
+    debug_assert!(nimbus_core::certify_menu(&a, &best).is_ok());
     Ok(best)
 }
 
@@ -138,6 +135,7 @@ pub fn interpolate_l1(problem: &InterpolationProblem, iterations: usize) -> Resu
 mod tests {
     use super::*;
     use crate::objective::tpi_l2;
+    use nimbus_core::certify_menu;
 
     #[test]
     fn feasible_targets_are_unchanged() {
@@ -155,7 +153,7 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let p = vec![5.0, 30.0, 20.0, 100.0]; // wildly infeasible
         let z = project_relaxed_feasible(&a, &p);
-        assert!(satisfies_relaxed_constraints(&z, &a, 1e-8), "{z:?}");
+        assert!(certify_menu(&a, &z).is_ok(), "{z:?}");
     }
 
     #[test]
@@ -176,7 +174,7 @@ mod tests {
             for &c2 in &grid {
                 for &c3 in &grid {
                     let cand = [c1, c2, c3];
-                    if satisfies_relaxed_constraints(&cand, &a, 1e-12) {
+                    if certify_menu(&a, &cand).is_ok() {
                         let obj = -tpi_l2(&cand, &problem).unwrap();
                         assert!(
                             obj >= base - 1e-6,
@@ -204,11 +202,7 @@ mod tests {
                 .unwrap();
         let l2 = interpolate_l2(&problem).unwrap();
         let l1 = interpolate_l1(&problem, 200).unwrap();
-        assert!(satisfies_relaxed_constraints(
-            &l1,
-            &problem.parameters(),
-            1e-7
-        ));
+        certify_menu(&problem.parameters(), &l1).unwrap();
         let obj_l1 = tpi_l1(&l1, &problem).unwrap();
         let obj_l2_start = tpi_l1(&l2, &problem).unwrap();
         assert!(obj_l1 >= obj_l2_start - 1e-9);

@@ -134,8 +134,9 @@ mod tests {
     use super::*;
     use crate::dp::solve_revenue_dp;
     use crate::problem::RevenueProblem;
+    use nimbus_core::arbitrage::check_arbitrage_free;
     use nimbus_core::pricing::PiecewiseLinearPricing;
-    use nimbus_core::{is_arbitrage_free_on_points, PricingFunction};
+    use nimbus_core::PricingFunction;
 
     #[test]
     fn integer_units_handles_decimals() {
@@ -194,7 +195,9 @@ mod tests {
         .unwrap();
         // Check the interpolant numerically on a fine grid.
         let grid: Vec<f64> = (1..=80).map(|i| i as f64 * 0.05).collect();
-        assert!(is_arbitrage_free_on_points(&pl, &grid, 1e-9).unwrap());
+        assert!(check_arbitrage_free(&pl, &grid, 1e-9)
+            .unwrap()
+            .is_arbitrage_free());
         let _ = pl.price(nimbus_core::InverseNcp::new(2.5).unwrap());
     }
 

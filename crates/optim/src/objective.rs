@@ -75,25 +75,6 @@ pub fn tpi_l1(prices: &[f64], problem: &InterpolationProblem) -> Result<f64> {
         .sum::<f64>())
 }
 
-/// Verifies the relaxed program (5) constraints on a candidate price vector:
-/// `z_j ≥ 0`, `z` non-decreasing, and unit prices `z_j/a_j` non-increasing.
-pub fn satisfies_relaxed_constraints(prices: &[f64], parameters: &[f64], tol: f64) -> bool {
-    if prices.len() != parameters.len() || prices.is_empty() {
-        return false;
-    }
-    if prices.iter().any(|&z| !(z.is_finite() && z >= -tol)) {
-        return false;
-    }
-    let monotone = prices.windows(2).all(|w| w[1] >= w[0] - tol);
-    let units: Vec<f64> = prices
-        .iter()
-        .zip(parameters)
-        .map(|(&z, &a)| z / a)
-        .collect();
-    let unit_dec = units.windows(2).all(|w| w[1] <= w[0] + tol);
-    monotone && unit_dec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,19 +129,5 @@ mod tests {
         assert_eq!(tpi_l2(&[11.0, 18.0], &ip).unwrap(), -(1.0 + 4.0));
         assert_eq!(tpi_l1(&[11.0, 18.0], &ip).unwrap(), -3.0);
         assert!(tpi_l2(&[1.0], &ip).is_err());
-    }
-
-    #[test]
-    fn relaxed_constraint_checker() {
-        let a = [1.0, 2.0, 4.0];
-        assert!(satisfies_relaxed_constraints(&[1.0, 1.5, 2.0], &a, 1e-12));
-        // Unit price increases 1 → 1.25.
-        assert!(!satisfies_relaxed_constraints(&[1.0, 2.5, 2.6], &a, 1e-12));
-        // Price decreases.
-        assert!(!satisfies_relaxed_constraints(&[2.0, 1.0, 1.0], &a, 1e-12));
-        // Negative price.
-        assert!(!satisfies_relaxed_constraints(&[-1.0, 0.0, 0.0], &a, 1e-12));
-        // Length mismatch.
-        assert!(!satisfies_relaxed_constraints(&[1.0], &a, 1e-12));
     }
 }

@@ -1,10 +1,12 @@
 //! Property-based tests for the revenue optimizer beyond the cross-crate
-//! suite: covering DP laws, fairness monotonicity, feasibility decisions.
+//! suite: covering DP laws, fairness monotonicity, feasibility decisions,
+//! and certified DP menus against the arbitrage attack search.
 
+use nimbus_core::arbitrage::find_attack;
+use nimbus_core::{certify_menu, PiecewiseLinearPricing};
 use nimbus_optim::fairness::fairness_frontier;
 use nimbus_optim::feasibility::{subadditive_interpolation_feasible, unbounded_subset_sum};
 use nimbus_optim::interpolation::project_relaxed_feasible;
-use nimbus_optim::objective::satisfies_relaxed_constraints;
 use nimbus_optim::{
     solve_revenue_dp, solve_revenue_dp_with_sale_bonus, InterpolationProblem, RevenueProblem,
 };
@@ -28,6 +30,32 @@ fn random_problem() -> impl Strategy<Value = RevenueProblem> {
                 v.push(acc);
             }
             RevenueProblem::from_slices(&a, &masses, &v).expect("valid")
+        })
+}
+
+/// Random problems on irregular knots: gaps, demand masses and valuation
+/// steps are all random, so the DP's unit prices are rounded quotients.
+fn irregular_problem() -> impl Strategy<Value = RevenueProblem> {
+    (2usize..16)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(0.05..3.0f64, n),
+                prop::collection::vec(0.0..2.0f64, n),
+                prop::collection::vec(0.0..20.0f64, n),
+            )
+        })
+        .prop_map(|(gaps, masses, steps)| {
+            let cumulative = |xs: &[f64]| {
+                xs.iter()
+                    .scan(0.0, |acc, x| {
+                        *acc += x;
+                        Some(*acc)
+                    })
+                    .collect::<Vec<f64>>()
+            };
+            let mut b = masses;
+            b[0] += 0.1;
+            RevenueProblem::from_slices(&cumulative(&gaps), &b, &cumulative(&steps)).expect("valid")
         })
 }
 
@@ -55,7 +83,7 @@ proptest! {
         // Every frontier point is relaxed-feasible.
         let a = problem.parameters();
         for p in &frontier {
-            prop_assert!(satisfies_relaxed_constraints(&p.prices, &a, 1e-9));
+            prop_assert!(certify_menu(&a, &p.prices).is_ok());
         }
     }
 
@@ -132,5 +160,33 @@ proptest! {
         let points: Vec<(f64, f64)> = xs.iter().map(|&x| (x, 2.5 * x)).collect();
         let problem = InterpolationProblem::new(points).unwrap();
         prop_assert!(subadditive_interpolation_feasible(&problem).unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn certified_dp_menus_resist_a_fine_attack_search(
+        problem in irregular_problem(),
+        fractions in prop::collection::vec(0.0..1.0f64, 6),
+    ) {
+        // The certificate is a proof over all x, so no combination of
+        // purchases, at knots or between them, undercuts any target: at a
+        // knot, between knots, or past the last knot up to twice it.
+        let dp = solve_revenue_dp(&problem).unwrap();
+        let a = problem.parameters();
+        prop_assert!(certify_menu(&a, &dp.prices).is_ok(), "{:?}", dp.prices);
+        let pricing =
+            PiecewiseLinearPricing::new(a.iter().copied().zip(dp.prices).collect()).unwrap();
+        let mut candidates = a.clone();
+        candidates.push(0.5 * a[0]);
+        candidates.extend(a.windows(2).map(|w| 0.5 * (w[0] + w[1])));
+        let top = 2.0 * a[a.len() - 1];
+        let between = fractions.iter().map(|f| (0.01 + 0.99 * f) * top);
+        for target in a.iter().copied().chain([top]).chain(between) {
+            let attack = find_attack(&pricing, target, &candidates, 4_000).unwrap();
+            prop_assert!(attack.is_none(), "attack at {target}: {attack:?}");
+        }
     }
 }

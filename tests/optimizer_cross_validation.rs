@@ -1,8 +1,8 @@
 //! Cross-validation of the revenue optimizers against each other and
 //! against the paper's guarantees (Propositions 2 and 3, Theorem 13).
 
+use nimbus::core::arbitrage::clamp_menu;
 use nimbus::optim::interpolation::interpolate_l2;
-use nimbus::optim::objective::satisfies_relaxed_constraints;
 use nimbus::prelude::*;
 use proptest::prelude::*;
 
@@ -52,11 +52,7 @@ proptest! {
     #[test]
     fn dp_solutions_satisfy_program5(problem in small_problem()) {
         let dp = solve_revenue_dp(&problem).unwrap();
-        prop_assert!(satisfies_relaxed_constraints(
-            &dp.prices,
-            &problem.parameters(),
-            1e-9
-        ));
+        prop_assert!(certify_menu(&problem.parameters(), &dp.prices).is_ok());
         // Every charged price respects the valuation cap or yields zero
         // revenue for that point.
         let rev = revenue(&dp.prices, &problem).unwrap();
@@ -84,15 +80,16 @@ proptest! {
         let dp = solve_revenue_dp(&problem).unwrap();
         let a = problem.parameters();
         let vmax = *problem.valuations().last().unwrap();
-        // Coarse deterministic candidate sweep: constant-unit-price rays
-        // clipped at the valuations, a rich feasible family.
+        // Coarse deterministic candidate sweep: constant-unit-price rays,
+        // a rich feasible family once the clamp has removed the rounding
+        // of each product.
         for k in 1..=20 {
             let unit = vmax * k as f64 / (20.0 * a.last().unwrap());
-            let candidate: Vec<f64> = a.iter().map(|&ai| unit * ai).collect();
-            if satisfies_relaxed_constraints(&candidate, &a, 1e-9) {
-                let r = revenue(&candidate, &problem).unwrap();
-                prop_assert!(dp.revenue >= r - 1e-9);
-            }
+            let mut candidate: Vec<f64> = a.iter().map(|&ai| unit * ai).collect();
+            clamp_menu(&a, &mut candidate);
+            prop_assert!(certify_menu(&a, &candidate).is_ok());
+            let r = revenue(&candidate, &problem).unwrap();
+            prop_assert!(dp.revenue >= r - 1e-9);
         }
     }
 
@@ -107,11 +104,11 @@ proptest! {
                 .collect(),
         ).unwrap();
         let z = interpolate_l2(&ip).unwrap();
-        prop_assert!(satisfies_relaxed_constraints(&z, &ip.parameters(), 1e-7));
+        prop_assert!(certify_menu(&ip.parameters(), &z).is_ok());
         // The projection never increases any target that is already
         // feasible as a whole.
         let targets = ip.targets();
-        if satisfies_relaxed_constraints(&targets, &ip.parameters(), 1e-9) {
+        if certify_menu(&ip.parameters(), &targets).is_ok() {
             for (zi, ti) in z.iter().zip(&targets) {
                 prop_assert!((zi - ti).abs() < 1e-6);
             }

@@ -74,7 +74,10 @@ fn lemma8_relaxed_constraints_imply_subadditivity() {
     let xs: Vec<f64> = (1..=16).map(|i| i as f64 * 0.5).collect();
     for points in grids {
         let pricing = PiecewiseLinearPricing::new(points.clone()).unwrap();
-        assert!(pricing.satisfies_relaxed_constraints(1e-12), "{points:?}");
+        assert!(
+            certify_menu(pricing.breakpoints(), pricing.values()).is_ok(),
+            "{points:?}"
+        );
         let report = check_arbitrage_free(&pricing, &xs, 1e-9).unwrap();
         assert!(
             report.is_arbitrage_free(),

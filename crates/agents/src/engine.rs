@@ -423,8 +423,8 @@ fn menu_lens(menus: &[MenuState]) -> Vec<usize> {
     menus.iter().map(|m| m.points.len()).collect()
 }
 
-/// The wire-v5 buyer identity agent `agent` commits under, or `None`
-/// (anonymous, pre-v5 behavior) when the scenario defines no identities.
+/// The buyer identity agent `agent` commits under, or `None` (an
+/// anonymous commit) when the scenario defines no identities.
 fn buyer_identity(scenario: &Scenario, agent: usize) -> Option<u64> {
     if scenario.buyers == 0 {
         None

@@ -665,11 +665,7 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
     match action {
         ClientAction::Menu { listing } => {
             let mut conn = NimbusClient::connect(addr, &config).map_err(|e| e.to_string())?;
-            let menu = match &listing {
-                Some(name) => conn.menu_on(name),
-                None => conn.menu(),
-            }
-            .map_err(|e| e.to_string())?;
+            let menu = conn.menu(listing.as_deref()).map_err(|e| e.to_string())?;
             let _ = writeln!(
                 out,
                 "menu from {addr} (epoch {}, {} metric, {} versions):",
@@ -683,11 +679,7 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
         }
         ClientAction::Info { listing } => {
             let mut conn = NimbusClient::connect(addr, &config).map_err(|e| e.to_string())?;
-            let info = match &listing {
-                Some(name) => conn.info_on(name),
-                None => conn.info(),
-            }
-            .map_err(|e| e.to_string())?;
+            let info = conn.info(listing.as_deref()).map_err(|e| e.to_string())?;
             let _ = writeln!(out, "listing {:?} at {addr}:", info.listing);
             let _ = writeln!(out, "  metric           : {}", info.metric);
             let _ = writeln!(out, "  snapshot epoch   : {}", info.epoch);
@@ -797,11 +789,9 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
         }
         ClientAction::Account { buyer, listing } => {
             let mut conn = NimbusClient::connect(addr, &config).map_err(|e| e.to_string())?;
-            let account = match &listing {
-                Some(name) => conn.account_on(name, buyer),
-                None => conn.account(buyer),
-            }
-            .map_err(|e| e.to_string())?;
+            let account = conn
+                .account(listing.as_deref(), buyer)
+                .map_err(|e| e.to_string())?;
             let _ = writeln!(
                 out,
                 "account for buyer {} on listing {:?} at {addr}:",
@@ -830,11 +820,9 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
                 BuyRequest::PriceBudget(p) => PurchaseRequest::PriceBudget(p),
                 BuyRequest::AtInverseNcp(x) => PurchaseRequest::AtInverseNcp(x),
             };
-            let quote = match &listing {
-                Some(name) => conn.quote_on(name, req),
-                None => conn.quote(req),
-            }
-            .map_err(|e| e.to_string())?;
+            let quote = conn
+                .quote(listing.as_deref(), req)
+                .map_err(|e| e.to_string())?;
             let sale = conn
                 .commit(&quote, quote.price)
                 .map_err(|e| e.to_string())?;
@@ -855,10 +843,10 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
             );
             let _ = writeln!(out, "  transaction   : #{}", sale.transaction);
             if let Some(buyer) = buyer {
-                // On a pre-v5 server the purchase still went through
-                // (anonymously); just skip the account line.
-                if let Ok(account) = conn.account(buyer) {
-                    let _ = writeln!(
+                // The purchase has already succeeded, so a failed account
+                // lookup is reported on its line, not as a failure.
+                let _ = match conn.account(listing.as_deref(), buyer) {
+                    Ok(account) => writeln!(
                         out,
                         "  buyer {buyer:<8}: spent {:.4}{}",
                         account.spent,
@@ -866,8 +854,9 @@ fn client(addr: &str, action: ClientAction) -> Result<String, String> {
                             Some(r) => format!(", remaining {r:.4}"),
                             None => " (unmetered)".to_string(),
                         }
-                    );
-                }
+                    ),
+                    Err(e) => writeln!(out, "  buyer {buyer:<8}: account lookup failed: {e}"),
+                };
             }
         }
         ClientAction::Load {
@@ -1299,7 +1288,7 @@ mod tests {
         // A server with a tight per-buyer noise budget: one x=25 purchase
         // fits, the second (identical) one must be rejected with the
         // typed error, and `client account` reads the ledger truth.
-        let datasets = vec!["Simulated1".to_string()];
+        let datasets = vec!["Simulated1".to_string(), "Simulated2".to_string()];
         let server = start_marketplace_server(
             "127.0.0.1:0",
             &datasets,
@@ -1332,6 +1321,25 @@ mod tests {
         // An anonymous buy on the same listing is unmetered.
         let anon = run(&["client", "buy", "--at", "25", "--addr", &addr]).unwrap();
         assert!(anon.contains("purchased over the wire"), "{anon}");
+
+        // A routed buy reports the buyer's account on the listing it sold on.
+        let routed = run(&[
+            "client",
+            "buy",
+            "--at",
+            "10",
+            "--buyer",
+            "9",
+            "--listing",
+            "Simulated2",
+            "--addr",
+            &addr,
+        ])
+        .unwrap();
+        assert!(
+            routed.contains("spent 10.0000, remaining 30.0000"),
+            "{routed}"
+        );
 
         let account = run(&["client", "account", "9", "--addr", &addr]).unwrap();
         assert!(account.contains("buyer 9"), "{account}");

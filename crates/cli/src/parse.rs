@@ -190,11 +190,12 @@ pub enum ClientAction {
         /// Weighted per-listing traffic mix (`name=weight` pairs);
         /// empty = all traffic on the default listing.
         mix: Vec<(String, u32)>,
-        /// Correlated requests kept in flight per thread (pipelining);
-        /// 0/1 = classic blocking requests.
+        /// Correlated frames kept in flight per thread (pipelining);
+        /// 0/1 = one frame at a time. Combines with `mix` and `batch`.
         pipeline: usize,
-        /// Commits grouped into one `BATCH_COMMIT` frame per window
-        /// (pipelined `--buy` only); 0/1 = one `COMMIT` per request.
+        /// Commits grouped into one `BATCH_COMMIT` frame per listing
+        /// window (`--buy` only, at any depth); 0/1 = one keyed `COMMIT`
+        /// per request.
         batch: usize,
         /// Buyer identity every generated commit is charged to
         /// (`None` = anonymous).
@@ -291,7 +292,8 @@ pub fn usage() -> String {
      [--buyer B] [--addr HOST:PORT]\n  \
      nimbus client publish|retire --listing NAME [--addr HOST:PORT]\n  \
      nimbus client load [--threads N] [--requests M] [--buy] [--busy-retries R] \
-     [--mix NAME=W,NAME=W] [--pipeline D] [--batch B] [--buyer ID] [--addr HOST:PORT]\n  \
+     [--mix NAME=W,NAME=W] [--pipeline D] [--batch B] [--buyer ID] [--addr HOST:PORT]\n    \
+     (--mix, --pipeline and --batch combine; --batch applies to --buy)\n  \
      nimbus sim run [--scenario NAME | --file PATH] [--seed N] [--out FILE]\n  \
      nimbus sim report FILE\n  \
      nimbus sim scenarios\n  \

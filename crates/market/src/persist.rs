@@ -59,17 +59,23 @@ impl PostedMarket {
         .map_err(Into::into)
     }
 
-    /// Saves the market to a CSV file (columns `a, b, v, z`).
+    /// Saves the market to a CSV file (columns `a, b, v, z`). A menu
+    /// that fails [`certify_menu`] is refused with the error
+    /// [`PostedMarket::load`] would return, so every saved file loads.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let rows: Vec<Vec<f64>> = self
-            .problem
+        certify_menu(&self.problem.parameters(), &self.prices).map_err(|_| refused())?;
+        write_table_to_path(path, &COLUMNS, &self.rows())?;
+        Ok(())
+    }
+
+    /// The file's rows: `(a_j, b_j, v_j, z_j)` per price point.
+    fn rows(&self) -> Vec<Vec<f64>> {
+        self.problem
             .points()
             .iter()
             .zip(&self.prices)
             .map(|(p, &z)| vec![p.a, p.b, p.v, z])
-            .collect();
-        write_table_to_path(path, &COLUMNS, &rows)?;
-        Ok(())
+            .collect()
     }
 
     /// Loads a market from CSV and **re-certifies** it: the problem must be
@@ -101,9 +107,6 @@ impl PostedMarket {
         let problem = RevenueProblem::new(points).map_err(MarketError::Optim)?;
         let mut market = PostedMarket::new(problem, prices)?;
         let knots = market.problem.parameters();
-        let refused = || MarketError::InvalidCurve {
-            reason: "persisted menu is not arbitrage-free (corrupted or tampered)",
-        };
         if unclamped {
             let raw = market.prices.clone();
             clamp_menu(&knots, &mut market.prices);
@@ -114,6 +117,13 @@ impl PostedMarket {
         }
         certify_menu(&knots, &market.prices).map_err(|_| refused())?;
         Ok(market)
+    }
+}
+
+/// The refusal of a menu that fails [`certify_menu`], on save or load.
+fn refused() -> MarketError {
+    MarketError::InvalidCurve {
+        reason: "persisted menu is not arbitrage-free (corrupted or tampered)",
     }
 }
 
@@ -202,14 +212,32 @@ mod tests {
         let path = temp_path("ulp");
         market.save(&path).unwrap();
         assert_eq!(PostedMarket::load(&path).unwrap(), market);
+        // `save` refuses the tampered menu, so write it through the CSV
+        // layer as a tampered file would be.
         market.prices[last] = market.prices[last].next_up();
-        market.save(&path).unwrap();
+        write_table_to_path(&path, &COLUMNS, &market.rows()).unwrap();
         let err = PostedMarket::load(&path);
         assert!(
             matches!(err, Err(MarketError::InvalidCurve { .. })),
             "{err:?}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_refuses_a_menu_one_ulp_over_its_unit_price_bound() {
+        let mut market = posted_market();
+        let knots = market.problem.parameters();
+        let last = market.prices.len() - 1;
+        market.prices[last] = f64::MAX;
+        clamp_menu(&knots, &mut market.prices);
+        market.prices[last] = market.prices[last].next_up();
+        let path = temp_path("save_ulp");
+        std::fs::remove_file(&path).ok();
+        let err = market.save(&path).unwrap_err();
+        assert!(matches!(err, MarketError::InvalidCurve { .. }), "{err:?}");
+        assert_eq!(err.to_string(), refused().to_string());
+        assert!(!path.exists(), "a refused menu must not be written");
     }
 
     #[test]

@@ -174,44 +174,32 @@ impl NimbusClient {
         self.buyer
     }
 
-    /// Fetches the posted `(inverse NCP, price)` menu of the server's
-    /// default listing.
-    pub fn menu(&mut self) -> Result<MenuMsg> {
-        self.menu_on_opt(None)
-    }
-
-    /// Fetches the posted menu of the named listing.
-    pub fn menu_on(&mut self, listing: &str) -> Result<MenuMsg> {
-        self.menu_on_opt(Some(listing.to_string()))
-    }
-
-    fn menu_on_opt(&mut self, listing: Option<String>) -> Result<MenuMsg> {
+    /// Fetches the posted `(inverse NCP, price)` menu of `listing`
+    /// (`None` = the server's default listing).
+    pub fn menu(&mut self, listing: Option<&str>) -> Result<MenuMsg> {
+        let listing = listing.map(str::to_string);
         match self.call(&Request::Menu { listing }, true)? {
             Response::Menu(m) => Ok(m),
             other => Err(unexpected(&other)),
         }
     }
 
-    /// Prices a purchase request against the server's default listing;
-    /// the quote pins the snapshot epoch (and echoes the listing).
-    pub fn quote(&mut self, request: PurchaseRequest) -> Result<QuoteMsg> {
-        self.quote_on_opt(None, request)
-    }
-
-    /// Prices a purchase request against the named listing.
-    pub fn quote_on(&mut self, listing: &str, request: PurchaseRequest) -> Result<QuoteMsg> {
-        self.quote_on_opt(Some(listing.to_string()), request)
-    }
-
-    fn quote_on_opt(
-        &mut self,
-        listing: Option<String>,
-        request: PurchaseRequest,
-    ) -> Result<QuoteMsg> {
+    /// Prices a purchase request against `listing` (`None` = the
+    /// server's default listing); the quote pins the snapshot epoch and
+    /// echoes the listing.
+    pub fn quote(&mut self, listing: Option<&str>, request: PurchaseRequest) -> Result<QuoteMsg> {
+        let listing = listing.map(str::to_string);
         match self.call(&Request::Quote { listing, request }, true)? {
             Response::Quote(q) => Ok(q),
             other => Err(unexpected(&other)),
         }
+    }
+
+    /// [`NimbusClient::quote`] against a named listing. The serving
+    /// benchmark's set-up calls it; new code passes the listing to
+    /// `quote`.
+    pub fn quote_on(&mut self, listing: &str, request: PurchaseRequest) -> Result<QuoteMsg> {
+        self.quote(Some(listing), request)
     }
 
     /// Redeems a quote with a payment; the sale carries the noisy weights.
@@ -222,81 +210,61 @@ impl NimbusClient {
     /// provably happened before the request was sent — prefer
     /// [`NimbusClient::commit_idempotent`] under lossy conditions.
     pub fn commit(&mut self, quote: &QuoteMsg, payment: f64) -> Result<SaleMsg> {
-        let request = Request::Commit {
-            listing: quoted_listing(quote),
-            x: quote.x,
-            snapshot_epoch: quote.snapshot_epoch,
-            payment,
-            nonce: None,
-            buyer: self.buyer,
-        };
-        match self.call(&request, false)? {
-            Response::Commit(s) => Ok(s),
-            other => Err(unexpected(&other)),
-        }
+        self.commit_keyed(quote, payment, None)
     }
 
     /// Redeems a quote under a fresh idempotency key, so retries after a
     /// lost ACK replay the journalled sale exactly once instead of
     /// charging twice. Routes to the listing the quote echoes.
     pub fn commit_idempotent(&mut self, quote: &QuoteMsg, payment: f64) -> Result<SaleMsg> {
+        let nonce = self.next_u64();
+        self.commit_keyed(quote, payment, Some(nonce))
+    }
+
+    /// A `COMMIT` of `quote`; only a keyed one is retried after a failure
+    /// that may have reached the server.
+    fn commit_keyed(
+        &mut self,
+        quote: &QuoteMsg,
+        payment: f64,
+        nonce: Option<u64>,
+    ) -> Result<SaleMsg> {
         let request = Request::Commit {
-            listing: quoted_listing(quote),
+            listing: Some(quote.listing.clone()).filter(|l| !l.is_empty()),
             x: quote.x,
             snapshot_epoch: quote.snapshot_epoch,
             payment,
-            nonce: Some(self.next_nonce()),
+            nonce,
             buyer: self.buyer,
         };
-        match self.call(&request, true)? {
+        match self.call(&request, nonce.is_some())? {
             Response::Commit(s) => Ok(s),
             other => Err(unexpected(&other)),
         }
     }
 
     /// Quote then commit at exactly the quoted price, idempotently,
-    /// against the server's default listing.
-    pub fn buy(&mut self, request: PurchaseRequest) -> Result<SaleMsg> {
-        let quote = self.quote(request)?;
+    /// against `listing` (`None` = the server's default listing).
+    pub fn buy(&mut self, listing: Option<&str>, request: PurchaseRequest) -> Result<SaleMsg> {
+        let quote = self.quote(listing, request)?;
         self.commit_idempotent(&quote, quote.price)
     }
 
-    /// Quote then commit at exactly the quoted price, idempotently,
-    /// against the named listing.
-    pub fn buy_on(&mut self, listing: &str, request: PurchaseRequest) -> Result<SaleMsg> {
-        let quote = self.quote_on(listing, request)?;
-        self.commit_idempotent(&quote, quote.price)
-    }
-
-    /// Fetches metadata and ledger accounting of the default listing.
-    pub fn info(&mut self) -> Result<InfoMsg> {
-        self.info_on_opt(None)
-    }
-
-    /// Fetches metadata and ledger accounting of the named listing.
-    pub fn info_on(&mut self, listing: &str) -> Result<InfoMsg> {
-        self.info_on_opt(Some(listing.to_string()))
-    }
-
-    fn info_on_opt(&mut self, listing: Option<String>) -> Result<InfoMsg> {
+    /// Fetches metadata and ledger accounting of `listing` (`None` = the
+    /// server's default listing).
+    pub fn info(&mut self, listing: Option<&str>) -> Result<InfoMsg> {
+        let listing = listing.map(str::to_string);
         match self.call(&Request::Info { listing }, true)? {
             Response::Info(i) => Ok(i),
             other => Err(unexpected(&other)),
         }
     }
 
-    /// Queries a buyer's noise-budget account against the default
-    /// listing: precision spent, budget, and remaining.
-    pub fn account(&mut self, buyer: u64) -> Result<AccountMsg> {
-        self.account_on_opt(None, buyer)
-    }
-
-    /// Queries a buyer's noise-budget account against the named listing.
-    pub fn account_on(&mut self, listing: &str, buyer: u64) -> Result<AccountMsg> {
-        self.account_on_opt(Some(listing.to_string()), buyer)
-    }
-
-    fn account_on_opt(&mut self, listing: Option<String>, buyer: u64) -> Result<AccountMsg> {
+    /// Queries a buyer's noise-budget account against `listing` (`None`
+    /// = the server's default listing): precision spent, budget, and
+    /// remaining.
+    pub fn account(&mut self, listing: Option<&str>, buyer: u64) -> Result<AccountMsg> {
+        let listing = listing.map(str::to_string);
         match self.call(&Request::Account { listing, buyer }, true)? {
             Response::Account(a) => Ok(a),
             other => Err(unexpected(&other)),
@@ -373,28 +341,33 @@ impl NimbusClient {
     }
 
     /// Quotes every request, then redeems all of them in one idempotent
-    /// `BATCH_COMMIT` at exactly the quoted prices, against the server's
-    /// default listing. Returns per-item outcomes in request order.
+    /// `BATCH_COMMIT` at exactly the quoted prices, against `listing`
+    /// (`None` = the server's default listing). Returns per-item outcomes
+    /// in request order.
     ///
     /// Compared with [`NimbusClient::buy`] in a loop this pays one
     /// commit round trip — and one journal fsync server-side — for the
     /// whole batch.
-    pub fn buy_batch(&mut self, requests: &[PurchaseRequest]) -> Result<Vec<BatchOutcomeMsg>> {
+    pub fn buy_batch(
+        &mut self,
+        listing: Option<&str>,
+        requests: &[PurchaseRequest],
+    ) -> Result<Vec<BatchOutcomeMsg>> {
         let mut items = Vec::with_capacity(requests.len());
         for request in requests {
-            let quote = self.quote(*request)?;
+            let quote = self.quote(listing, *request)?;
             items.push(BatchItemMsg {
                 x: quote.x,
                 snapshot_epoch: quote.snapshot_epoch,
                 payment: quote.price,
-                nonce: Some(self.next_nonce()),
+                nonce: Some(self.next_u64()),
                 buyer: self.buyer,
             });
         }
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        self.commit_batch(None, items)
+        self.commit_batch(listing, items)
     }
 
     /// One request with bounded retries. `idempotent` gates whether
@@ -449,37 +422,11 @@ impl NimbusClient {
     /// Returns the live connection, dialing every configured address in
     /// order if there is none.
     fn ensure_connected(&mut self) -> std::result::Result<&mut TcpStream, Failure> {
-        let mut last_err: Option<std::io::Error> = None;
-        if self.stream.is_none() {
-            for candidate in &self.addrs {
-                match TcpStream::connect_timeout(candidate, self.config.connect_timeout) {
-                    Ok(stream) => {
-                        stream
-                            .set_read_timeout(Some(self.config.read_timeout))
-                            .map_err(|e| Failure::BeforeSend(e.into()))?;
-                        stream
-                            .set_write_timeout(Some(self.config.write_timeout))
-                            .map_err(|e| Failure::BeforeSend(e.into()))?;
-                        let _ = stream.set_nodelay(true);
-                        self.stream = Some(stream);
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-        }
-        match self.stream.as_mut() {
-            Some(stream) => Ok(stream),
-            None => {
-                let err = last_err.unwrap_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::AddrNotAvailable,
-                        "no addresses to dial",
-                    )
-                });
-                Err(Failure::BeforeSend(err.into()))
-            }
-        }
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => dial(&self.addrs, &self.config).map_err(Failure::BeforeSend)?,
+        };
+        Ok(self.stream.insert(stream))
     }
 
     /// Sleeps the jittered exponential backoff for retry `attempt`
@@ -501,10 +448,6 @@ impl NimbusClient {
         std::thread::sleep(wait);
     }
 
-    fn next_nonce(&mut self) -> u64 {
-        self.next_u64()
-    }
-
     /// splitmix64 step over the client's private state.
     fn next_u64(&mut self) -> u64 {
         self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -519,11 +462,10 @@ impl NimbusClient {
 /// returns without waiting; [`PipelinedClient::recv`] blocks for the
 /// *next* response on the socket, which may answer any outstanding id —
 /// the server executes frames concurrently and answers as they
-/// complete. This is the transport under the load generator's pipelined
-/// mode; unlike [`NimbusClient`] it does no retrying or reconnecting of
-/// its own (in-flight requests cannot be transparently replayed), so a
-/// transport error poisons the connection and the caller starts a new
-/// one.
+/// complete. It is the load generator's transport. Unlike
+/// [`NimbusClient`] it does no retrying or reconnecting of its own
+/// (in-flight requests cannot be transparently replayed), so a transport
+/// error poisons the connection and the caller starts a new one.
 pub struct PipelinedClient {
     stream: TcpStream,
     next_corr: u64,
@@ -534,29 +476,14 @@ impl PipelinedClient {
     /// Connects under `config`'s timeouts (the retry policy is unused:
     /// pipelined transport errors are not retryable).
     pub fn connect(addr: impl ToSocketAddrs, config: &ClientConfig) -> Result<PipelinedClient> {
-        let mut last_err: Option<std::io::Error> = None;
-        for candidate in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&candidate, config.connect_timeout) {
-                Ok(stream) => {
-                    stream.set_read_timeout(Some(config.read_timeout))?;
-                    stream.set_write_timeout(Some(config.write_timeout))?;
-                    let _ = stream.set_nodelay(true);
-                    return Ok(PipelinedClient {
-                        stream,
-                        // Corr ids start at 1: 0 is what loop-originated
-                        // frames (timeout sheds) are stamped with.
-                        next_corr: 1,
-                        in_flight: 0,
-                    });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no addresses to dial")
-            })
-            .into())
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        Ok(PipelinedClient {
+            stream: dial(&addrs, config)?,
+            // Corr ids start at 1: 0 is what loop-originated frames
+            // (timeout sheds) are stamped with.
+            next_corr: 1,
+            in_flight: 0,
+        })
     }
 
     /// Sends `request` stamped with a fresh correlation id, returning the
@@ -586,7 +513,29 @@ impl PipelinedClient {
     }
 }
 
-fn splitmix_finalize(v: u64) -> u64 {
+/// Dials each address in order and returns the first connection, with
+/// `config`'s read and write timeouts set and Nagle off.
+fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> Result<TcpStream> {
+    let mut last_err: Option<std::io::Error> = None;
+    for candidate in addrs {
+        match TcpStream::connect_timeout(candidate, config.connect_timeout) {
+            Ok(stream) => {
+                stream.set_read_timeout(Some(config.read_timeout))?;
+                stream.set_write_timeout(Some(config.write_timeout))?;
+                let _ = stream.set_nodelay(true);
+                return Ok(stream);
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err
+        .unwrap_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no addresses to dial")
+        })
+        .into())
+}
+
+pub(crate) fn splitmix_finalize(v: u64) -> u64 {
     let mut z = v;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -596,7 +545,7 @@ fn splitmix_finalize(v: u64) -> u64 {
 /// Seeds the jitter/nonce stream: a fixed non-zero seed is deterministic;
 /// seed 0 mixes wall-clock nanos with the process id so concurrent
 /// clients draw distinct nonces.
-fn seed_entropy(seed: u64) -> u64 {
+pub(crate) fn seed_entropy(seed: u64) -> u64 {
     if seed != 0 {
         return splitmix_finalize(seed);
     }
@@ -611,16 +560,6 @@ fn seed_entropy(seed: u64) -> u64 {
 /// opposed to a protocol violation or typed server error.
 fn transient(e: &ServerError) -> bool {
     matches!(e, ServerError::Io(_) | ServerError::ConnectionClosed)
-}
-
-/// The listing a commit should route back to: the one the quote echoed,
-/// or `None` (default listing) when the quote names none.
-fn quoted_listing(quote: &QuoteMsg) -> Option<String> {
-    if quote.listing.is_empty() {
-        None
-    } else {
-        Some(quote.listing.clone())
-    }
 }
 
 fn unexpected(response: &Response) -> ServerError {

@@ -38,8 +38,9 @@
 //!   [`PipelinedClient`] keeps many correlated requests in flight on one
 //!   connection; `buy_batch` amortizes commits over `BATCH_COMMIT`.
 //! * [`loadgen`] — the N-threads × M-requests loopback load generator
-//!   behind `nimbus client load` and the end-to-end tests, with
-//!   pipelined/batched modes and p50/p99 latency reporting.
+//!   behind `nimbus client load` and the end-to-end tests: one request
+//!   loop over [`PipelinedClient`] at any pipeline depth, batch size and
+//!   listing mix, with p50/p99 latency reporting.
 //! * [`stats`] — [`StatsRegistry`]: lock-free counters and log-linear
 //!   latency histograms (p50/p99) served by `STATS`.
 //! * [`sys`] — the raw `epoll`/`poll(2)` syscall shim the event loop
@@ -64,10 +65,11 @@
 //! )?;
 //! let addr = server.local_addr();
 //!
-//! // Client side: quote → commit, epochs checked end to end. The
-//! // `*_on` variants route explicitly by listing name.
+//! // Client side: quote → commit, epochs checked end to end. Every
+//! // listing-scoped call names its listing, or passes `None` for the
+//! // server's default.
 //! let mut client = NimbusClient::connect(addr, &ClientConfig::default())?;
-//! let quote = client.quote_on("acme-data", PurchaseRequest::ErrorBudget(0.05))?;
+//! let quote = client.quote(Some("acme-data"), PurchaseRequest::ErrorBudget(0.05))?;
 //! let sale = client.commit(&quote, quote.price)?;
 //! assert_eq!(sale.weights.is_empty(), false);
 //! server.shutdown();

@@ -2,19 +2,54 @@
 //! server, reporting throughput, latency quantiles and shed rate.
 //!
 //! Shared by the `nimbus client load` CLI subcommand and the end-to-end
-//! tests. Each thread owns its own connection(s) and issues its
-//! requests; when a connection is shed (`BUSY`) or fails, the thread
-//! reconnects and keeps going, counting every outcome. With
-//! [`LoadConfig::busy_retries`] > 0, a shed request
-//! is retried after honoring the server's `retry_after_ms` hint; retried
-//! sheds are counted separately from final ones, and a request that is
-//! shed then succeeds counts **once** in `ok` and zero times in `busy`
-//! (see `run_request`'s unit tests). The report therefore reconciles
-//! exactly: `attempted == ok + busy + budget_rejected + errors` and —
-//! on the classic per-request path — the server's `busy_rejections`
-//! counter equals `busy + busy_retried`; for [`LoadMode::Buy`] the
-//! client-observed revenue can be checked against the server-side
-//! ledger.
+//! tests. Every [`LoadConfig`] runs the same per-thread loop over one
+//! [`PipelinedClient`]: it keeps up to [`LoadConfig::pipeline_depth`]
+//! correlated frames in flight, and settles each request as its answers
+//! arrive, in whatever order they come. Depth `0` or `1` is one frame in
+//! flight, i.e. blocking request/response.
+//!
+//! # Requests and frames
+//!
+//! A [`LoadMode::Quote`] request is one `QUOTE`. A [`LoadMode::Buy`]
+//! request is a `QUOTE` and then, with [`LoadConfig::batch_size`] `0` or
+//! `1`, one keyed `COMMIT` at the quoted price. With a larger batch size
+//! the quoted requests wait in a window per listing, and one
+//! `BATCH_COMMIT` redeems each full window (one group-committed journal
+//! write server-side); windows still partly filled when the last quote
+//! answers are redeemed as they are. Every commit carries an idempotency
+//! nonce keyed by the retry seed of [`LoadConfig::client`] (`0` =
+//! wall-clock entropy), so a resent commit never charges twice and two
+//! runs against one server do not collide.
+//!
+//! # Shed retries and accounting
+//!
+//! A `BUSY` answer with retries left sleeps the server's
+//! `retry_after_ms` hint and resends the same frame. A request's `QUOTE`
+//! and `COMMIT` share its [`LoadConfig::busy_retries`]; a `BATCH_COMMIT`
+//! has its own. Every request settles exactly once, as `ok`, `busy`,
+//! `budget_rejected` or `errors`, so the report reconciles exactly:
+//! `attempted == ok + busy + budget_rejected + errors`. A request that is
+//! shed and then succeeds counts once in `ok` and not in `busy`; each
+//! absorbed shed counts in `busy_retried`. When every shed frame carries
+//! one request (batch size `0` or `1`), the server's `busy_rejections`
+//! counter equals `busy + busy_retried`. A `BATCH_COMMIT` whose retries
+//! run out counts every request in its window as `busy` (one shed frame,
+//! many shed requests), so the equality does not hold for batched runs.
+//! For [`LoadMode::Buy`] the client-observed revenue can be checked
+//! against the server-side ledger.
+//!
+//! A transport failure settles every request with a frame in flight on
+//! that connection as an error; quoted requests waiting in a window keep
+//! their quotes. The thread then dials a new connection for its next
+//! frame and goes on; a failed dial settles that frame's requests as
+//! errors.
+//!
+//! # Latency
+//!
+//! One latency sample is taken per successful request: from its first
+//! `QUOTE` send to the answer that completes it (the `QUOTE` in quote
+//! mode; its `COMMIT`, or its window's `BATCH_COMMIT`, in buy mode).
+//! Shed retries and their sleeps fall inside the sample.
 //!
 //! # Buyer identity and budget sheds
 //!
@@ -26,21 +61,6 @@
 //! run that drains its buyer's budget reports exactly how much of the
 //! offered load the server refused for exhaustion.
 //!
-//! # Pipelining and batching
-//!
-//! With [`LoadConfig::pipeline_depth`] > 1 each thread drives one
-//! [`PipelinedClient`] with up to that many correlated requests in
-//! flight. [`LoadMode::Buy`] additionally groups commits:
-//! [`LoadConfig::batch_size`] quotes pipeline first, then one
-//! `BATCH_COMMIT` frame redeems the window (one group-committed journal
-//! write server-side). A shed `BATCH_COMMIT` is retried like any shed
-//! request (its items carry nonces, so replays are deduplicated); if its
-//! retry budget runs out, *every* request in the window counts as `busy`
-//! — one shed frame, `batch_size` shed requests — so the server-side
-//! `busy_rejections` equality above does not hold for batched runs.
-//! The pipelined path targets the server's default listing; a non-empty
-//! [`LoadConfig::mix`] falls back to the classic per-request path.
-//!
 //! # Idle connections
 //!
 //! [`LoadConfig::idle_connections`] extra sockets are opened before the
@@ -50,24 +70,21 @@
 //!
 //! # Per-listing traffic mix
 //!
-//! [`LoadConfig::mix`] drives the marketplace routing path: each entry is
-//! a `(listing, weight)` pair. Request `i` of thread `t` takes slot
-//! `(t·M + i) mod W` of a cycle of `W` = total weight, in which each
-//! listing holds as many consecutive slots as its weight, so a mix of
-//! `[("a", 3), ("b", 1)]` sends 3 of every 4 requests to `"a"`.
-//! An empty mix preserves the classic behavior: every request goes to the
+//! [`LoadConfig::mix`] drives the marketplace routing path at every
+//! depth and batch size: each entry is a `(listing, weight)` pair.
+//! Request `i` of thread `t` takes slot `(t·M + i) mod W` of a cycle of
+//! `W` = total weight, in which each listing holds as many consecutive
+//! slots as its weight, so a mix of `[("a", 3), ("b", 1)]` sends 3 of
+//! every 4 requests to `"a"`. An empty mix sends every request to the
 //! server's default listing. [`LoadReport::per_listing`] breaks `ok` and
 //! `revenue` down by listing so each ledger reconciles independently.
 
-use crate::client::{ClientConfig, NimbusClient, PipelinedClient, RetryPolicy};
-use crate::error::ServerError;
+use crate::client::{seed_entropy, splitmix_finalize, ClientConfig, PipelinedClient};
 use crate::stats::LatencyHistogram;
 use crate::wire::{BatchItemMsg, BatchOutcomeMsg, ErrorCode, QuoteMsg, Request, Response};
-use crate::Result;
 use nimbus_market::PurchaseRequest;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What each load-generator request does.
@@ -89,23 +106,24 @@ pub struct LoadConfig {
     pub requests_per_thread: usize,
     /// Per-request mode.
     pub mode: LoadMode,
-    /// Socket timeouts for every connection. The retry policy inside is
-    /// overridden to [`RetryPolicy::none`]: the load generator does its
-    /// own shed accounting and must see every `BUSY` individually.
+    /// Socket timeouts for every connection. Its retry schedule is
+    /// unused: the load generator paces and counts every `BUSY` itself.
+    /// Its [`crate::RetryPolicy::seed`] keys the commit nonces (`0` =
+    /// wall-clock entropy).
     pub client: ClientConfig,
     /// Times a shed request is retried (after the server's
     /// `retry_after_ms` hint) before counting as a final `busy`. `0`
-    /// preserves the classic one-shot accounting.
+    /// makes every shed final.
     pub busy_retries: u32,
     /// Weighted per-listing traffic mix. Empty = every request targets
     /// the server's default listing; entries with weight 0 are skipped.
     pub mix: Vec<(String, u32)>,
-    /// Correlated requests kept in flight per thread. `0` or
-    /// `1` = classic blocking request/response.
+    /// Correlated frames kept in flight per thread. `0` or `1` = one
+    /// frame at a time (blocking request/response).
     pub pipeline_depth: usize,
     /// Commits grouped into one `BATCH_COMMIT` frame per window
-    /// ([`LoadMode::Buy`] on the pipelined path only). `0` or `1` =
-    /// one `COMMIT` per request.
+    /// ([`LoadMode::Buy`] only). `0` or `1` = one keyed `COMMIT` per
+    /// request.
     pub batch_size: usize,
     /// Extra connections opened before the run and held silent until it
     /// ends, to measure serving latency under connection pressure.
@@ -210,90 +228,6 @@ impl LoadReport {
     }
 }
 
-/// Final resolution of one load-generator request, after retries.
-#[derive(Debug, Default, PartialEq)]
-struct RequestOutcome {
-    /// The request succeeded (exactly one of `ok`/`busy`/`error`).
-    ok: bool,
-    /// Sale price (`Buy`) or `0.0` (`Quote`) when `ok`.
-    price: f64,
-    /// The final outcome was a `BUSY` shed.
-    busy: bool,
-    /// The final outcome was a `BUDGET_EXHAUSTED` rejection.
-    budget: bool,
-    /// The final outcome was some other failure.
-    error: bool,
-    /// `BUSY` sheds absorbed by retries along the way.
-    busy_retried: u64,
-}
-
-/// Resolves one request under the shed-retry budget. Every call of
-/// `attempt` is one wire round trip; a `BUSY` with budget left sleeps
-/// the server's hint and tries again. The outcome is **mutually
-/// exclusive**: a request that was shed and then succeeded reports `ok`
-/// (with its sheds in `busy_retried`), never both `ok` and `busy` —
-/// this is what keeps `attempted == ok + busy + errors` exact.
-fn run_request<F>(busy_retries: u32, mut attempt: F) -> RequestOutcome
-where
-    F: FnMut() -> Result<f64>,
-{
-    let mut outcome = RequestOutcome::default();
-    let mut sheds_left = busy_retries;
-    loop {
-        match attempt() {
-            Ok(price) => {
-                outcome.ok = true;
-                outcome.price = price;
-                return outcome;
-            }
-            Err(ServerError::Busy { retry_after_ms }) => {
-                if sheds_left > 0 {
-                    sheds_left -= 1;
-                    outcome.busy_retried += 1;
-                    std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms).max(1)));
-                    continue;
-                }
-                outcome.busy = true;
-                return outcome;
-            }
-            // Budget exhaustion is deterministic: retrying cannot
-            // succeed, so it resolves immediately regardless of the
-            // shed-retry budget.
-            Err(ServerError::Remote {
-                code: ErrorCode::BudgetExhausted,
-                ..
-            }) => {
-                outcome.budget = true;
-                return outcome;
-            }
-            Err(_) => {
-                outcome.error = true;
-                return outcome;
-            }
-        }
-    }
-}
-
-/// Folds one resolved request into the running report.
-fn apply_outcome(report: &mut LoadReport, outcome: &RequestOutcome) {
-    report.attempted += 1;
-    report.busy_retried += outcome.busy_retried;
-    if outcome.ok {
-        report.ok += 1;
-        // Wire-sourced price: never let a corrupt frame poison the
-        // running revenue total.
-        if outcome.price.is_finite() {
-            report.revenue += outcome.price;
-        }
-    } else if outcome.busy {
-        report.busy += 1;
-    } else if outcome.budget {
-        report.budget_rejected += 1;
-    } else {
-        report.errors += 1;
-    }
-}
-
 /// The request issued for attempt `i` of thread `t`: a deterministic
 /// spread over the menu support.
 fn request_for(thread: usize, i: usize, per_thread: usize) -> PurchaseRequest {
@@ -332,7 +266,7 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
     let targets = expand_mix(&config.mix);
     // One histogram shared by every thread: the buckets are atomic, so
     // recording through a shared reference needs no merge step.
-    let latency = Arc::new(LatencyHistogram::default());
+    let latency = LatencyHistogram::default();
     // Idle connections open before the load starts and stay silent until
     // after it ends: the server must carry them while serving the real
     // traffic. They are opened from a small pool of threads (a loopback
@@ -364,26 +298,19 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                 .collect()
         })
     };
+    let nonce_key = seed_entropy(config.client.retry.seed);
     let started = Instant::now();
-    let pipelined = config.pipeline_depth > 1 && config.mix.is_empty();
-    let per_thread: Vec<LoadReport> = std::thread::scope(|scope| {
+    let per_thread: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|t| {
-                let targets = &targets;
-                let latency = Arc::clone(&latency);
-                scope.spawn(move || {
-                    if pipelined {
-                        thread_load_pipelined(addr, config, &latency, t)
-                    } else {
-                        thread_load(addr, config, targets, &latency, t)
-                    }
-                })
+                let (targets, latency) = (&targets, &latency);
+                scope.spawn(move || thread_load(addr, config, targets, nonce_key, latency, t))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(report) => report,
+                Ok(tally) => tally,
                 // Surface the worker's own panic payload instead of
                 // minting a second, less informative one here.
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -396,8 +323,8 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
         ..LoadReport::default()
     };
     drop(idle);
-    let mut by_listing: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    for r in per_thread {
+    let mut by_listing: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
+    for (r, slices) in per_thread {
         total.attempted += r.attempted;
         total.ok += r.ok;
         total.busy += r.busy;
@@ -406,17 +333,17 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
         total.errors += r.errors;
         // nimbus-audit: allow(money-safety) — per-run totals were finiteness-guarded where each price was accumulated
         total.revenue += r.revenue;
-        for slice in r.per_listing {
-            let entry = by_listing.entry(slice.listing).or_insert((0, 0.0));
-            entry.0 += slice.ok;
+        for (listing, (ok, revenue)) in slices {
+            let entry = by_listing.entry(listing).or_insert((0, 0.0));
+            entry.0 += ok;
             // nimbus-audit: allow(money-safety) — per-listing slices carry revenue already guarded in the worker loop
-            entry.1 += slice.revenue;
+            entry.1 += revenue;
         }
     }
     total.per_listing = by_listing
         .into_iter()
         .map(|(listing, (ok, revenue))| ListingLoad {
-            listing,
+            listing: listing.to_string(),
             ok,
             revenue,
         })
@@ -428,333 +355,281 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
     total
 }
 
-/// Classic blocking path: one request at a time per thread.
-fn thread_load(
-    addr: SocketAddr,
-    config: &LoadConfig,
-    targets: &[(u64, &str)],
-    latency: &LatencyHistogram,
-    thread: usize,
-) -> LoadReport {
-    let mut report = LoadReport::default();
-    let mut by_listing: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    let mut client: Option<NimbusClient> = None;
-    for i in 0..config.requests_per_thread {
-        let target = target_for(targets, thread, i, config.requests_per_thread);
-        let mut last_latency = Duration::ZERO;
-        let outcome = run_request(config.busy_retries, || {
-            let attempt_started = Instant::now();
-            let result = attempt(&mut client, addr, config, target, thread, i);
-            last_latency = attempt_started.elapsed();
-            if result.is_err() {
-                // The connection state is unknown after any failure;
-                // reconnect before the next attempt.
-                client = None;
-            }
-            result
-        });
-        if outcome.ok {
-            latency.record(last_latency);
-            if !config.mix.is_empty() {
-                let entry = by_listing
-                    .entry(target.unwrap_or("").to_string())
-                    .or_insert((0, 0.0));
-                entry.0 += 1;
-                // Wire-sourced price: never let a corrupt frame poison
-                // the per-listing revenue total.
-                if outcome.price.is_finite() {
-                    entry.1 += outcome.price;
-                }
-            }
-        }
-        apply_outcome(&mut report, &outcome);
-    }
-    report.per_listing = by_listing
-        .into_iter()
-        .map(|(listing, (ok, revenue))| ListingLoad {
-            listing,
-            ok,
-            revenue,
-        })
-        .collect();
-    report
+/// A request on its way through the loop.
+#[derive(Clone, Copy)]
+struct Pending<'a> {
+    /// The idempotency nonce its commit carries.
+    nonce: u64,
+    /// Its target listing (`None` = the default listing).
+    listing: Option<&'a str>,
+    /// When its first `QUOTE` was sent.
+    started: Instant,
 }
 
-/// One request on a cached connection (re-established on demand).
-/// Returns the sale price for `Buy`, `0.0` for `Quote`.
-fn attempt(
-    client: &mut Option<NimbusClient>,
-    addr: SocketAddr,
-    config: &LoadConfig,
-    target: Option<&str>,
-    thread: usize,
-    i: usize,
-) -> Result<f64> {
-    let conn = match client {
-        Some(conn) => conn,
-        None => {
-            // Force off the client's internal retries: the generator
-            // counts and paces every shed itself.
-            let client_config = ClientConfig {
-                retry: RetryPolicy::none(),
-                ..config.client
-            };
-            let conn = client.insert(NimbusClient::connect(addr, &client_config)?);
-            conn.set_buyer(config.buyer);
-            conn
-        }
-    };
-    let request = request_for(thread, i, config.requests_per_thread);
-    match (config.mode, target) {
-        (LoadMode::Quote, None) => {
-            conn.quote(request)?;
-            Ok(0.0)
-        }
-        (LoadMode::Quote, Some(listing)) => {
-            conn.quote_on(listing, request)?;
-            Ok(0.0)
-        }
-        (LoadMode::Buy, None) => Ok(conn.buy(request)?.price),
-        (LoadMode::Buy, Some(listing)) => Ok(conn.buy_on(listing, request)?.price),
-    }
+/// A frame a thread awaits the answer to.
+struct InFlight<'a> {
+    /// The frame itself, kept so a shed can resend it unchanged. Commits
+    /// carry their nonces, so a resend never charges twice.
+    frame: Request,
+    /// The requests the frame settles: one for a `QUOTE` or `COMMIT`,
+    /// the window for a `BATCH_COMMIT`.
+    requests: Vec<Pending<'a>>,
+    /// Sheds the frame may still absorb before it settles as `busy`.
+    sheds_left: u32,
 }
 
-/// splitmix64 finalizer — the generator's nonce stream for batched
-/// commits (must never repeat within a run, or the journal dedups a
-/// genuine purchase).
-fn splitmix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One listing's quoted requests awaiting their `BATCH_COMMIT`.
+type Window<'a> = (Vec<Pending<'a>>, Vec<BatchItemMsg>);
+
+/// One thread's run: its connection, the frames in flight on it, the
+/// quoted requests waiting for a `BATCH_COMMIT`, and its tallies.
+struct Worker<'a> {
+    addr: SocketAddr,
+    config: &'a LoadConfig,
+    latency: &'a LatencyHistogram,
+    conn: Option<PipelinedClient>,
+    in_flight: BTreeMap<u64, InFlight<'a>>,
+    windows: BTreeMap<Option<&'a str>, Window<'a>>,
+    report: LoadReport,
+    /// `ok` and revenue per listing, kept when the run has a mix.
+    by_listing: BTreeMap<&'a str, (u64, f64)>,
 }
 
-/// Pipelined path: up to `pipeline_depth` quotes in flight on
-/// one connection; `Buy` windows redeem through `BATCH_COMMIT`.
-fn thread_load_pipelined(
+/// Runs thread `thread`'s share of the load through the one request
+/// loop, returning its report and its per-listing tallies.
+fn thread_load<'a>(
     addr: SocketAddr,
-    config: &LoadConfig,
-    latency: &LatencyHistogram,
+    config: &'a LoadConfig,
+    cumulative: &[(u64, &'a str)],
+    nonce_key: u64,
+    latency: &'a LatencyHistogram,
     thread: usize,
-) -> LoadReport {
-    let mut report = LoadReport::default();
+) -> (LoadReport, BTreeMap<&'a str, (u64, f64)>) {
     let total = config.requests_per_thread;
-    let window = match config.mode {
-        LoadMode::Quote => total.max(1),
-        LoadMode::Buy => config.batch_size.max(1),
-    };
-    let client_config = ClientConfig {
-        retry: RetryPolicy::none(),
-        ..config.client
-    };
-    let mut conn = match PipelinedClient::connect(addr, &client_config) {
-        Ok(conn) => conn,
-        Err(_) => {
-            report.attempted = total as u64;
-            report.errors = total as u64;
-            return report;
-        }
-    };
-    // Seeded per thread, chained across windows: every nonce in the run
-    // is distinct.
-    let mut nonce_state = splitmix((thread as u64) ^ 0xD1B5_4A32_D192_ED03);
-    let mut issued = 0usize;
-    while issued < total {
-        let batch = window.min(total - issued);
-        let quotes = pipeline_quotes(
-            &mut conn,
-            config,
-            latency,
-            &mut report,
-            thread,
-            issued,
-            batch,
-        );
-        issued += batch;
-        let Some(quotes) = quotes else {
-            // Transport death: everything not yet resolved (including
-            // all still-unissued requests) counts as an error.
-            let resolved = report.ok + report.busy + report.budget_rejected + report.errors;
-            report.attempted = total as u64;
-            report.errors += (total as u64).saturating_sub(resolved);
-            return report;
-        };
-        if config.mode == LoadMode::Buy
-            && !quotes.is_empty()
-            && !batch_commit_window(
-                &mut conn,
-                config,
-                latency,
-                &mut report,
-                &mut nonce_state,
-                &quotes,
-            )
-        {
-            let resolved = report.ok + report.busy + report.budget_rejected + report.errors;
-            report.attempted = total as u64;
-            report.errors += (total as u64).saturating_sub(resolved);
-            return report;
-        }
-    }
-    report.attempted = total as u64;
-    report
-}
-
-/// Pipelines `count` quote requests starting at request index `base`,
-/// resolving each as it answers (responses may arrive out of order). In
-/// `Quote` mode a successful quote is a successful request; in `Buy`
-/// mode the quotes come back for the window's `BATCH_COMMIT` and the
-/// requests they price stay unresolved until it answers. A shed quote
-/// with retry budget left is re-issued immediately under a fresh
-/// correlation id — the pipeline keeps moving, so the `retry_after_ms`
-/// hint is not slept on here. Returns `None` on transport death.
-fn pipeline_quotes(
-    conn: &mut PipelinedClient,
-    config: &LoadConfig,
-    latency: &LatencyHistogram,
-    report: &mut LoadReport,
-    thread: usize,
-    base: usize,
-    count: usize,
-) -> Option<Vec<QuoteMsg>> {
     let depth = config.pipeline_depth.max(1);
-    // corr id -> (request index, sheds left, send time)
-    let mut pending: BTreeMap<u64, (usize, u32, Instant)> = BTreeMap::new();
-    let mut quotes = Vec::new();
-    let mut next = 0usize;
-    let mut resolved = 0usize;
-    while resolved < count {
-        while next < count && pending.len() < depth {
-            let corr = send_quote(conn, config, thread, base + next)?;
-            pending.insert(corr, (next, config.busy_retries, Instant::now()));
+    let mut w = Worker {
+        addr,
+        config,
+        latency,
+        conn: None,
+        in_flight: BTreeMap::new(),
+        windows: BTreeMap::new(),
+        report: LoadReport::default(),
+        by_listing: BTreeMap::new(),
+    };
+    let mut next = 0;
+    loop {
+        while next < total && w.in_flight.len() < depth {
+            let listing = target_for(cumulative, thread, next, total);
+            let frame = Request::Quote {
+                listing: listing.map(str::to_string),
+                request: request_for(thread, next, total),
+            };
+            // Request `i` of thread `t` commits under the nonce
+            // `splitmix(key + (t·M + i + 1)·γ)`: distinct across the run.
+            let k = (thread * total + next + 1) as u64;
+            let request = Pending {
+                nonce: splitmix_finalize(
+                    nonce_key.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                ),
+                listing,
+                started: Instant::now(),
+            };
+            w.send(InFlight {
+                frame,
+                requests: vec![request],
+                sheds_left: config.busy_retries,
+            });
             next += 1;
         }
-        let (corr, response) = conn.recv().ok()?;
-        let Some((idx, sheds_left, sent_at)) = pending.remove(&corr) else {
-            continue; // unmatched id (e.g. a corr-0 loop-originated shed)
-        };
-        match response {
-            Response::Quote(quote) => {
-                latency.record(sent_at.elapsed());
-                if config.mode == LoadMode::Quote {
-                    report.ok += 1;
-                } else {
-                    quotes.push(quote);
-                }
-                resolved += 1;
-            }
-            Response::Busy { .. } if sheds_left > 0 => {
-                report.busy_retried += 1;
-                let corr = send_quote(conn, config, thread, base + idx)?;
-                pending.insert(corr, (idx, sheds_left - 1, Instant::now()));
-            }
-            Response::Busy { .. } => {
-                report.busy += 1;
-                resolved += 1;
+        // Once no quote is left to join a window, redeem the partial ones.
+        let quoting = w
+            .in_flight
+            .values()
+            .any(|f| matches!(f.frame, Request::Quote { .. }));
+        while next == total && !quoting && w.in_flight.len() < depth {
+            let Some((listing, window)) = w.windows.pop_first() else {
+                break;
+            };
+            w.send_window(listing, window);
+        }
+        if !w.in_flight.is_empty() {
+            w.receive();
+        } else if next == total && w.windows.is_empty() {
+            break;
+        }
+    }
+    w.report.attempted = total as u64;
+    (w.report, w.by_listing)
+}
+
+impl<'a> Worker<'a> {
+    /// Sends `frame`, dialing first if the thread has no connection. A
+    /// failed dial or write settles the frame's requests as errors.
+    fn send(&mut self, frame: InFlight<'a>) {
+        if self.conn.is_none() {
+            self.conn = PipelinedClient::connect(self.addr, &self.config.client).ok();
+        }
+        match self.conn.as_mut().map(|conn| conn.send(&frame.frame)) {
+            Some(Ok(corr)) => {
+                self.in_flight.insert(corr, frame);
             }
             _ => {
-                report.errors += 1;
-                resolved += 1;
+                self.report.errors += frame.requests.len() as u64;
+                self.lose_connection();
             }
         }
     }
-    Some(quotes)
-}
 
-/// Sends one default-listing quote for request index `i` of `thread`,
-/// returning its correlation id (`None` on transport death).
-fn send_quote(
-    conn: &mut PipelinedClient,
-    config: &LoadConfig,
-    thread: usize,
-    i: usize,
-) -> Option<u64> {
-    let request = Request::Quote {
-        listing: None,
-        request: request_for(thread, i, config.requests_per_thread),
-    };
-    conn.send(&request).ok()
-}
+    /// Waits for the next answer and settles the frame it answers.
+    fn receive(&mut self) {
+        match self.conn.as_mut().map(PipelinedClient::recv) {
+            Some(Ok((corr, response))) => {
+                // An id nobody awaits is a loop-originated shed (corr 0);
+                // the server hangs up after it, and the next read fails.
+                if let Some(frame) = self.in_flight.remove(&corr) {
+                    self.settle(frame, response);
+                }
+            }
+            _ => self.lose_connection(),
+        }
+    }
 
-/// Redeems one window of quotes with a single idempotent `BATCH_COMMIT`.
-/// Returns `false` on transport death.
-fn batch_commit_window(
-    conn: &mut PipelinedClient,
-    config: &LoadConfig,
-    latency: &LatencyHistogram,
-    report: &mut LoadReport,
-    nonce_state: &mut u64,
-    quotes: &[QuoteMsg],
-) -> bool {
-    let items: Vec<BatchItemMsg> = quotes
-        .iter()
-        .map(|q| {
-            *nonce_state = splitmix(*nonce_state);
-            BatchItemMsg {
-                x: q.x,
-                snapshot_epoch: q.snapshot_epoch,
-                payment: q.price,
-                nonce: Some(*nonce_state),
-                buyer: config.buyer,
+    /// The connection failed: every frame in flight on it is lost, so its
+    /// requests settle as errors. The next send dials afresh.
+    fn lose_connection(&mut self) {
+        self.conn = None;
+        for frame in std::mem::take(&mut self.in_flight).into_values() {
+            self.report.errors += frame.requests.len() as u64;
+        }
+    }
+
+    /// Settles (or resends) `frame` under its answer.
+    fn settle(&mut self, mut frame: InFlight<'a>, response: Response) {
+        let n = frame.requests.len() as u64;
+        match (&frame.frame, response) {
+            (Request::Quote { .. }, Response::Quote(quote)) => self.quoted(frame, &quote),
+            (Request::Commit { .. }, Response::Commit(sale)) => {
+                for request in frame.requests {
+                    self.succeed(request, sale.price);
+                }
             }
-        })
-        .collect();
-    let request = Request::BatchCommit {
-        listing: None,
-        items,
-    };
-    let mut sheds_left = config.busy_retries;
-    loop {
-        let sent_at = Instant::now();
-        let Ok(corr) = conn.send(&request) else {
-            return false;
-        };
-        let outcome = loop {
-            let Ok((got, response)) = conn.recv() else {
-                return false;
-            };
-            if got == corr {
-                break response;
-            }
-        };
-        match outcome {
-            Response::BatchCommit(batch) => {
-                latency.record(sent_at.elapsed());
-                for item in batch.items {
-                    match item {
-                        BatchOutcomeMsg::Sale(sale) => {
-                            report.ok += 1;
-                            // Wire-sourced price: never let a corrupt
-                            // frame poison the running revenue total.
-                            if sale.price.is_finite() {
-                                report.revenue += sale.price;
-                            }
-                        }
-                        BatchOutcomeMsg::Error {
+            (Request::BatchCommit { .. }, Response::BatchCommit(batch)) => {
+                // Outcomes are index-aligned with the window; an answer
+                // short of items leaves the rest as errors.
+                let mut outcomes = batch.items.into_iter();
+                for request in frame.requests {
+                    match outcomes.next() {
+                        Some(BatchOutcomeMsg::Sale(sale)) => self.succeed(request, sale.price),
+                        Some(BatchOutcomeMsg::Error {
                             code: ErrorCode::BudgetExhausted,
                             ..
-                        } => report.budget_rejected += 1,
-                        BatchOutcomeMsg::Error { .. } => report.errors += 1,
+                        }) => self.report.budget_rejected += 1,
+                        _ => self.report.errors += 1,
                     }
                 }
-                return true;
             }
-            Response::Busy { retry_after_ms } if sheds_left > 0 => {
-                // The items carry nonces, so a full replay is safe: the
-                // journal dedups anything that did land.
-                sheds_left -= 1;
-                report.busy_retried += 1;
+            (_, Response::Busy { retry_after_ms }) if frame.sheds_left > 0 => {
+                frame.sheds_left -= 1;
+                self.report.busy_retried += 1;
                 std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms).max(1)));
+                self.send(frame);
             }
-            Response::Busy { .. } => {
-                // One shed frame, `quotes.len()` shed requests.
-                report.busy += quotes.len() as u64;
-                return true;
+            (_, Response::Busy { .. }) => self.report.busy += n,
+            // Budget exhaustion is deterministic: retrying cannot succeed.
+            (
+                _,
+                Response::Error {
+                    code: ErrorCode::BudgetExhausted,
+                    ..
+                },
+            ) => self.report.budget_rejected += n,
+            _ => self.report.errors += n,
+        }
+    }
+
+    /// A request's `QUOTE` answered: it succeeds (quote mode), goes on to
+    /// its keyed `COMMIT`, or joins its listing's batch window.
+    fn quoted(&mut self, frame: InFlight<'a>, quote: &QuoteMsg) {
+        let Some(&request) = frame.requests.first() else {
+            return;
+        };
+        let batch = self.config.batch_size;
+        if self.config.mode == LoadMode::Quote {
+            self.succeed(request, 0.0);
+        } else if batch <= 1 {
+            let BatchItemMsg {
+                x,
+                snapshot_epoch,
+                payment,
+                nonce,
+                buyer,
+            } = self.item(request, quote);
+            let frame = InFlight {
+                frame: Request::Commit {
+                    listing: request.listing.map(str::to_string),
+                    x,
+                    snapshot_epoch,
+                    payment,
+                    nonce,
+                    buyer,
+                },
+                ..frame
+            };
+            self.send(frame);
+        } else {
+            let item = self.item(request, quote);
+            let window = self.windows.entry(request.listing).or_default();
+            window.0.push(request);
+            window.1.push(item);
+            if window.0.len() >= batch {
+                if let Some(window) = self.windows.remove(&request.listing) {
+                    self.send_window(request.listing, window);
+                }
             }
-            _ => {
-                report.errors += quotes.len() as u64;
-                return true;
-            }
+        }
+    }
+
+    /// Redeems one listing's window of quoted requests in one
+    /// `BATCH_COMMIT`.
+    fn send_window(&mut self, listing: Option<&str>, (requests, items): Window<'a>) {
+        let frame = Request::BatchCommit {
+            listing: listing.map(str::to_string),
+            items,
+        };
+        self.send(InFlight {
+            frame,
+            requests,
+            sheds_left: self.config.busy_retries,
+        });
+    }
+
+    /// The commit that redeems `request`'s quote at the quoted price.
+    fn item(&self, request: Pending, quote: &QuoteMsg) -> BatchItemMsg {
+        BatchItemMsg {
+            x: quote.x,
+            snapshot_epoch: quote.snapshot_epoch,
+            payment: quote.price,
+            nonce: Some(request.nonce),
+            buyer: self.config.buyer,
+        }
+    }
+
+    /// `request` succeeded at `price` (`0.0` for a quote).
+    fn succeed(&mut self, request: Pending<'a>, price: f64) {
+        self.latency.record(request.started.elapsed());
+        // Wire-sourced price: never let a corrupt frame poison the
+        // running revenue totals.
+        let price = if price.is_finite() { price } else { 0.0 };
+        self.report.ok += 1;
+        self.report.revenue += price;
+        if !self.config.mix.is_empty() {
+            let slice = self
+                .by_listing
+                .entry(request.listing.unwrap_or(""))
+                .or_insert((0, 0.0));
+            slice.0 += 1;
+            slice.1 += price;
         }
     }
 }
@@ -762,6 +637,9 @@ fn batch_commit_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, SaleMsg};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
     #[test]
     fn empty_mix_targets_the_default_listing() {
@@ -797,27 +675,80 @@ mod tests {
         assert_eq!(target_for(&targets, 0, last_a + 2, 8), Some("a"));
     }
 
+    /// Serves scripted answers on a loopback port, one list per
+    /// connection in accept order: the `k`-th frame read on a connection
+    /// is answered with its `k`-th response under the frame's correlation
+    /// id, and a frame past the end of its list makes the peer hang up.
+    /// The handle yields every request frame read, in order.
+    fn scripted_peer(script: Vec<Vec<Response>>) -> (SocketAddr, JoinHandle<Vec<Request>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for answers in script {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut answers = answers.into_iter();
+                while let Ok(payload) = wire::read_frame(&mut stream) {
+                    let (corr, request) = Request::decode_framed(&payload).unwrap();
+                    seen.push(request);
+                    let Some(answer) = answers.next() else {
+                        break;
+                    };
+                    wire::write_frame(&mut stream, &answer.encode_with_corr(corr)).unwrap();
+                }
+            }
+            seen
+        });
+        (addr, handle)
+    }
+
+    fn one_thread(mode: LoadMode, requests: usize, busy_retries: u32) -> LoadConfig {
+        LoadConfig {
+            threads: 1,
+            requests_per_thread: requests,
+            mode,
+            busy_retries,
+            ..LoadConfig::default()
+        }
+    }
+
+    fn quote_msg() -> Response {
+        Response::Quote(QuoteMsg {
+            x: 5.0,
+            delta: 0.2,
+            price: 2.5,
+            expected_error: 0.1,
+            metric: "mse".into(),
+            snapshot_epoch: 3,
+            listing: String::new(),
+        })
+    }
+
+    fn sale_msg(price: f64) -> Response {
+        Response::Commit(SaleMsg {
+            inverse_ncp: 5.0,
+            price,
+            expected_error: 0.1,
+            metric: "mse".into(),
+            transaction: 1,
+            weights: vec![0.5],
+        })
+    }
+
     #[test]
     fn busy_then_success_counts_once_as_ok() {
         // The accounting bug this guards against: a request shed once and
-        // then served must not show up in both `busy` and `ok`.
-        let mut calls = 0;
-        let outcome = run_request(2, || {
-            calls += 1;
-            if calls == 1 {
-                Err(ServerError::Busy { retry_after_ms: 1 })
-            } else {
-                Ok(2.5)
-            }
-        });
-        assert!(outcome.ok);
-        assert!(!outcome.busy);
-        assert!(!outcome.error);
-        assert_eq!(outcome.busy_retried, 1);
-        assert_eq!(outcome.price, 2.5);
-
-        let mut report = LoadReport::default();
-        apply_outcome(&mut report, &outcome);
+        // then served must not show up in both `busy` and `ok`. The shed
+        // COMMIT is resent unchanged after the server's hint.
+        let hint = 40;
+        let (addr, peer) = scripted_peer(vec![vec![
+            quote_msg(),
+            Response::Busy {
+                retry_after_ms: hint,
+            },
+            sale_msg(2.5),
+        ]]);
+        let report = run_load(addr, &one_thread(LoadMode::Buy, 1, 2));
         assert_eq!(
             (
                 report.attempted,
@@ -829,33 +760,32 @@ mod tests {
         );
         assert_eq!(report.attempted, report.ok + report.busy + report.errors);
         assert!((report.ok_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(report.revenue, 2.5);
+        assert!(report.elapsed >= Duration::from_millis(hint.into()));
+        let seen = peer.join().unwrap();
+        assert_eq!(seen.len(), 3);
+        assert!(matches!(seen[1], Request::Commit { nonce: Some(_), .. }));
+        assert_eq!(seen[1], seen[2]);
     }
 
     #[test]
     fn busy_budget_exhaustion_is_a_final_shed() {
-        let outcome = run_request(1, || Err::<f64, _>(ServerError::Busy { retry_after_ms: 1 }));
-        assert!(outcome.busy);
-        assert!(!outcome.ok);
-        assert_eq!(outcome.busy_retried, 1);
-
-        let mut report = LoadReport::default();
-        apply_outcome(&mut report, &outcome);
+        let busy = || Response::Busy { retry_after_ms: 1 };
+        let (addr, peer) = scripted_peer(vec![vec![busy(), busy()]]);
+        let report = run_load(addr, &one_thread(LoadMode::Quote, 1, 1));
         assert_eq!((report.ok, report.busy, report.busy_retried), (0, 1, 1));
         assert_eq!(report.attempted, report.ok + report.busy + report.errors);
+        assert_eq!(peer.join().unwrap().len(), 2);
     }
 
     #[test]
     fn transport_errors_resolve_without_retry() {
-        let mut calls = 0;
-        let outcome = run_request(3, || {
-            calls += 1;
-            Err::<f64, _>(ServerError::ConnectionClosed)
-        });
-        assert_eq!(calls, 1); // only BUSY is retried
-        assert!(outcome.error);
-
-        let mut report = LoadReport::default();
-        apply_outcome(&mut report, &outcome);
-        assert_eq!((report.ok, report.busy, report.errors), (0, 0, 1));
+        // The first connection hangs up on its first frame: that request
+        // is an error, never resent, and the next request dials afresh.
+        let (addr, peer) = scripted_peer(vec![vec![], vec![quote_msg()]]);
+        let report = run_load(addr, &one_thread(LoadMode::Quote, 2, 3));
+        assert_eq!((report.ok, report.busy, report.errors), (1, 0, 1));
+        assert_eq!(report.attempted, 2);
+        assert_eq!(peer.join().unwrap().len(), 2);
     }
 }

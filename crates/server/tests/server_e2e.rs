@@ -18,7 +18,7 @@ use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_market::{Broker, ListingBuilder, Marketplace, PurchaseRequest, Seller};
 use nimbus_ml::LinearRegressionTrainer;
-use nimbus_server::loadgen::{run_load, LoadConfig, LoadMode};
+use nimbus_server::loadgen::{run_load, LoadConfig, LoadMode, LoadReport};
 use nimbus_server::wire::{self, ErrorCode, Response};
 use nimbus_server::{
     ClientConfig, NimbusClient, NimbusServer, RetryPolicy, ServerConfig, ServerError,
@@ -132,13 +132,15 @@ fn full_session_menu_quote_commit_info_stats() {
     let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
 
     let snapshot = broker.snapshot().unwrap();
-    let menu = client.menu().unwrap();
+    let menu = client.menu(None).unwrap();
     assert_eq!(menu.epoch, snapshot.epoch());
     assert_eq!(menu.metric, snapshot.metric_name());
     assert_eq!(menu.points, snapshot.menu());
 
     // Wire quote matches the in-process quote bit for bit.
-    let wire_quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let wire_quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     let local_quote = broker
         .quote_request(PurchaseRequest::AtInverseNcp(10.0))
         .unwrap();
@@ -157,10 +159,10 @@ fn full_session_menu_quote_commit_info_stats() {
     assert_eq!(sale.transaction, ledger.transactions()[0].sequence);
 
     // The error-budget and price-budget purchase options also cross the wire.
-    let budgeted = client.buy(PurchaseRequest::PriceBudget(1e9)).unwrap();
+    let budgeted = client.buy(None, PurchaseRequest::PriceBudget(1e9)).unwrap();
     assert!(budgeted.price <= 1e9);
 
-    let info = client.info().unwrap();
+    let info = client.info(None).unwrap();
     assert_eq!(info.listing, "e2e-listing");
     assert_eq!(info.epoch, snapshot.epoch());
     assert_eq!(info.menu_len, snapshot.menu().len() as u64);
@@ -234,7 +236,9 @@ fn stale_quotes_and_bad_payments_fail_typed() {
     let server = start_server(marketplace.clone(), ServerConfig::default());
     let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
 
-    let quote = client.quote(PurchaseRequest::AtInverseNcp(5.0)).unwrap();
+    let quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(5.0))
+        .unwrap();
 
     // Underpay: typed InsufficientPayment, no sale recorded.
     match client.commit(&quote, quote.price / 2.0) {
@@ -260,7 +264,9 @@ fn stale_quotes_and_bad_payments_fail_typed() {
     assert_eq!(broker.sales_count(), 0);
 
     // A fresh quote against the new epoch works.
-    let sale = client.buy(PurchaseRequest::AtInverseNcp(5.0)).unwrap();
+    let sale = client
+        .buy(None, PurchaseRequest::AtInverseNcp(5.0))
+        .unwrap();
     assert!(sale.price > 0.0);
     server.shutdown();
 }
@@ -353,7 +359,7 @@ fn malformed_frames_get_typed_errors() {
 
     // A well-behaved client on the same server is unaffected.
     let mut client = NimbusClient::connect(addr, &fast_client()).unwrap();
-    assert!(client.menu().is_ok());
+    assert!(client.menu(None).is_ok());
     let stats = server.stats().snapshot();
     assert!(stats.protocol_errors >= 4);
     server.shutdown();
@@ -550,10 +556,13 @@ fn snapshot_reads_answer_while_workers_are_saturated() {
     let mut client = NimbusClient::connect(addr, &fast_client()).unwrap();
     let sent = std::time::Instant::now();
     assert_eq!(
-        client.quote(PurchaseRequest::AtInverseNcp(5.0)).unwrap().x,
+        client
+            .quote(None, PurchaseRequest::AtInverseNcp(5.0))
+            .unwrap()
+            .x,
         quote.x
     );
-    assert!(!client.menu().unwrap().points.is_empty());
+    assert!(!client.menu(None).unwrap().points.is_empty());
     let waited = sent.elapsed();
     assert!(
         waited < FAST,
@@ -575,7 +584,9 @@ fn stats_text_export_has_gauges() {
     let (marketplace, _broker) = build_marketplace(23);
     let server = start_server(marketplace, ServerConfig::default());
     let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
-    client.buy(PurchaseRequest::AtInverseNcp(5.0)).unwrap();
+    client
+        .buy(None, PurchaseRequest::AtInverseNcp(5.0))
+        .unwrap();
 
     let stats = client.stats().unwrap();
     // Idle server: nothing should be waiting in the admission queues.
@@ -616,7 +627,7 @@ fn listing_routing_and_lifecycle_error_paths() {
     // server cuts it on a char boundary and the reply stays typed.
     let long_name = format!("a{}", "é".repeat(505));
     for name in ["nope", long_name.as_str()] {
-        match client.quote_on(name, PurchaseRequest::AtInverseNcp(5.0)) {
+        match client.quote(Some(name), PurchaseRequest::AtInverseNcp(5.0)) {
             Err(ServerError::Remote { code, message }) => {
                 assert_eq!(code, ErrorCode::InvalidRequest);
                 let head: String = name.chars().take(4).collect();
@@ -629,12 +640,12 @@ fn listing_routing_and_lifecycle_error_paths() {
     // Duplicate publish: rejected, the existing listing keeps serving.
     let err = marketplace.list(listing("second", 69)).unwrap_err();
     assert!(err.to_string().contains("second"), "{err}");
-    assert!(client.menu_on("second").is_ok());
+    assert!(client.menu(Some("second")).is_ok());
 
     // Hot re-publish over the wire bumps the epoch; the quote taken
     // before it dies with the epoch error, a fresh quote commits fine.
     let stale = client
-        .quote_on("second", PurchaseRequest::AtInverseNcp(5.0))
+        .quote(Some("second"), PurchaseRequest::AtInverseNcp(5.0))
         .unwrap();
     assert_eq!(stale.listing, "second");
     let (epoch, expected_revenue) = client.publish("second").unwrap();
@@ -645,7 +656,7 @@ fn listing_routing_and_lifecycle_error_paths() {
         other => panic!("expected QuoteExpired, got {other:?}"),
     }
     let fresh = client
-        .quote_on("second", PurchaseRequest::AtInverseNcp(5.0))
+        .quote(Some("second"), PurchaseRequest::AtInverseNcp(5.0))
         .unwrap();
     assert_eq!(fresh.snapshot_epoch, epoch);
     client.commit(&fresh, fresh.price).unwrap();
@@ -653,7 +664,7 @@ fn listing_routing_and_lifecycle_error_paths() {
     // Retirement: quotes issued before it die with the typed code, and
     // every subsequent touch of the listing answers `Retired`.
     let doomed = client
-        .quote_on("second", PurchaseRequest::AtInverseNcp(5.0))
+        .quote(Some("second"), PurchaseRequest::AtInverseNcp(5.0))
         .unwrap();
     client.retire("second").unwrap();
     match client.commit(&doomed, doomed.price) {
@@ -663,7 +674,7 @@ fn listing_routing_and_lifecycle_error_paths() {
         }
         other => panic!("expected Retired, got {other:?}"),
     }
-    match client.menu_on("second") {
+    match client.menu(Some("second")) {
         Err(ServerError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Retired),
         other => panic!("expected Retired, got {other:?}"),
     }
@@ -681,8 +692,49 @@ fn listing_routing_and_lifecycle_error_paths() {
         }
         other => panic!("expected InvalidRequest, got {other:?}"),
     }
-    assert!(client.menu().is_ok());
+    assert!(client.menu(None).is_ok());
     server.shutdown();
+}
+
+/// A marketplace of `names`, listed with seeds from `seed` up and served
+/// with `names[0]` as the default listing.
+fn serve_listings(names: &[&str], seed: u64) -> (Arc<Marketplace>, NimbusServer) {
+    let marketplace = Marketplace::new();
+    for (i, name) in names.iter().enumerate() {
+        marketplace.list(listing(name, seed + i as u64)).unwrap();
+    }
+    let marketplace = Arc::new(marketplace);
+    let config = ServerConfig {
+        shards: 2,
+        workers_per_shard: 4,
+        queue_capacity: 64,
+        ..ServerConfig::default()
+    };
+    let server = NimbusServer::start(marketplace.clone(), names[0], "127.0.0.1:0", config);
+    (marketplace, server.unwrap())
+}
+
+/// `report.per_listing` holds the `(listing, ok)` slices `expected`, in
+/// order, and each listing's own ledger holds exactly the money its
+/// buyers paid — routing never crosses revenue between listings.
+fn assert_slices_reconcile(
+    marketplace: &Marketplace,
+    report: &LoadReport,
+    expected: &[(&str, u64)],
+) {
+    assert_eq!(report.per_listing.len(), expected.len());
+    for ((name, want_ok), slice) in expected.iter().zip(&report.per_listing) {
+        assert_eq!(slice.listing, *name);
+        assert_eq!(slice.ok, *want_ok, "{name}");
+        let broker = marketplace.route(name).unwrap();
+        assert_eq!(broker.sales_count() as u64, slice.ok);
+        assert!(
+            (broker.collected_revenue() - slice.revenue).abs() < 1e-6,
+            "{name}: ledger {} vs clients {}",
+            broker.collected_revenue(),
+            slice.revenue,
+        );
+    }
 }
 
 /// Tentpole: three listings served concurrently from one socket, routed
@@ -691,23 +743,7 @@ fn listing_routing_and_lifecycle_error_paths() {
 /// marketplace-wide stats snapshot sums them consistently.
 #[test]
 fn multi_listing_buyers_route_and_reconcile_independently() {
-    let marketplace = Marketplace::new();
-    for (i, name) in ["alpha", "beta", "gamma"].iter().enumerate() {
-        marketplace.list(listing(name, 71 + i as u64)).unwrap();
-    }
-    let marketplace = Arc::new(marketplace);
-    let server = NimbusServer::start(
-        marketplace.clone(),
-        "alpha",
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            workers_per_shard: 4,
-            queue_capacity: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let (marketplace, server) = serve_listings(&["alpha", "beta", "gamma"], 71);
     let addr = server.local_addr();
 
     // The directory enumerates over the wire, default flagged.
@@ -740,22 +776,8 @@ fn multi_listing_buyers_route_and_reconcile_independently() {
         },
     );
     assert_eq!(report.ok, 180, "{report:?}");
-    assert_eq!(report.per_listing.len(), 3);
-    let expected = [("alpha", 90u64), ("beta", 60), ("gamma", 30)];
-    for ((name, want_ok), slice) in expected.iter().zip(&report.per_listing) {
-        assert_eq!(slice.listing, *name);
-        assert_eq!(slice.ok, *want_ok, "{name}");
-        // Each listing's own ledger holds exactly the money its buyers
-        // paid — routing never crosses revenue between listings.
-        let broker = marketplace.route(name).unwrap();
-        assert_eq!(broker.sales_count() as u64, slice.ok);
-        assert!(
-            (broker.collected_revenue() - slice.revenue).abs() < 1e-6,
-            "{name}: ledger {} vs clients {}",
-            broker.collected_revenue(),
-            slice.revenue,
-        );
-    }
+    let expected = [("alpha", 90), ("beta", 60), ("gamma", 30)];
+    assert_slices_reconcile(&marketplace, &report, &expected);
 
     // The marketplace snapshot sums the same rows it reports.
     let stats = marketplace.stats();
@@ -945,9 +967,13 @@ fn batch_commit_mixed_outcomes() {
     let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
 
     // A quote from the first epoch goes stale on re-publish.
-    let stale = client.quote(PurchaseRequest::AtInverseNcp(5.0)).unwrap();
+    let stale = client
+        .quote(None, PurchaseRequest::AtInverseNcp(5.0))
+        .unwrap();
     marketplace.publish("e2e-listing").unwrap();
-    let good = client.quote(PurchaseRequest::AtInverseNcp(9.0)).unwrap();
+    let good = client
+        .quote(None, PurchaseRequest::AtInverseNcp(9.0))
+        .unwrap();
 
     let outcomes = client
         .commit_batch(
@@ -999,10 +1025,13 @@ fn batch_commit_mixed_outcomes() {
 
     // buy_batch sugar: quotes then one idempotent batch; all items sell.
     let sales = client
-        .buy_batch(&[
-            PurchaseRequest::AtInverseNcp(3.0),
-            PurchaseRequest::AtInverseNcp(7.0),
-        ])
+        .buy_batch(
+            None,
+            &[
+                PurchaseRequest::AtInverseNcp(3.0),
+                PurchaseRequest::AtInverseNcp(7.0),
+            ],
+        )
         .unwrap();
     assert!(sales.iter().all(|o| matches!(o, BatchOutcomeMsg::Sale(_))));
     assert_eq!(broker.sales_count(), 3);
@@ -1118,7 +1147,9 @@ fn pre_v5_frames_get_unsupported_version_and_a_close() {
     );
 
     let mut client = NimbusClient::connect(server.local_addr(), &fast_client()).unwrap();
-    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     let sale = client.commit(&quote, quote.price).unwrap();
     assert_eq!(sale.price.to_bits(), quote.price.to_bits());
     assert_eq!(broker.sales_count(), 1);
@@ -1287,4 +1318,48 @@ fn batched_load_reconciles(group_commit: Option<Duration>) {
         drop(reopened);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// The one request loop honours a listing mix at any depth and batch
+/// size: a 3:1 mix over two listings at pipeline depth 8 redeems each
+/// listing's quotes in its own `BATCH_COMMIT` windows of 4, and each
+/// listing's ledger reconciles against its per-listing slice.
+#[test]
+fn mixed_listings_pipelined_and_batched_reconcile_per_listing() {
+    let (marketplace, server) = serve_listings(&["alpha", "beta"], 113);
+
+    // 4 threads x 24 buys: each thread sends 18 to alpha and 6 to beta.
+    let report = run_load(
+        server.local_addr(),
+        &LoadConfig {
+            threads: 4,
+            requests_per_thread: 24,
+            mode: LoadMode::Buy,
+            client: fast_client(),
+            busy_retries: 2,
+            mix: vec![("alpha".to_string(), 3), ("beta".to_string(), 1)],
+            pipeline_depth: 8,
+            batch_size: 4,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.attempted, 96);
+    assert_eq!(report.ok, 96, "{report:?}");
+    assert_slices_reconcile(&marketplace, &report, &[("alpha", 72), ("beta", 24)]);
+
+    // Windows are per listing: alpha's 18 per thread fill 4 windows and
+    // leave 2, beta's 6 fill 1 and leave 2, so 4 x (5 + 2) frames.
+    let stats = server.stats().snapshot();
+    let requests = |op: &str| {
+        stats
+            .ops
+            .iter()
+            .find(|o| o.op == op)
+            .map_or(0, |o| o.requests)
+    };
+    assert!(requests("batch_commit") > 0);
+    assert_eq!(requests("batch_commit"), 28);
+    assert_eq!(requests("commit"), 0);
+    assert_eq!(stats.busy_rejections, 0);
+    server.shutdown();
 }

@@ -160,7 +160,9 @@ fn killed_server_recovers_every_acked_commit() {
     )
     .unwrap();
     let mut client = NimbusClient::connect(server.local_addr(), &client_config(0)).unwrap();
-    let sale = client.buy(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let sale = client
+        .buy(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     assert_eq!(sale.transaction, report.ok);
     assert_eq!(broker.sales_count() as u64, report.ok + 1);
     server.shutdown();
@@ -189,7 +191,9 @@ fn same_nonce_retry_across_restart_charges_once() {
     // exactly what a crashed-and-restarted buyer replaying its intent log
     // would do.
     let mut client = NimbusClient::connect(addr, &client_config(99)).unwrap();
-    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     let first = client.commit_idempotent(&quote, quote.price).unwrap();
     assert_eq!(broker.sales_count(), 1);
     server.shutdown();
@@ -259,7 +263,9 @@ fn books_past_the_checkpoint_record_cap_reopen_whole() {
     )
     .unwrap();
     let mut client = NimbusClient::connect(server.local_addr(), &client_config(71)).unwrap();
-    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     let item = |i: usize| BatchItemMsg {
         x: quote.x,
         snapshot_epoch: quote.snapshot_epoch,
@@ -369,7 +375,9 @@ fn budget_survives_kill9_and_same_nonce_retry_charges_once() {
     .unwrap();
     let mut client = NimbusClient::connect(server.local_addr(), &client_config(99)).unwrap();
     client.set_buyer(Some(7));
-    let quote = client.quote(PurchaseRequest::AtInverseNcp(10.0)).unwrap();
+    let quote = client
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
+        .unwrap();
     let first = client.commit_idempotent(&quote, quote.price).unwrap();
     assert_eq!(broker.sales_count(), 1);
     let spent_before = broker.accounts().spent(7);
@@ -416,7 +424,7 @@ fn budget_survives_kill9_and_same_nonce_retry_charges_once() {
     // error before any journal write.
     let journal_len = std::fs::metadata(&journal).unwrap().len();
     let fresh = retry_client
-        .quote(PurchaseRequest::AtInverseNcp(10.0))
+        .quote(None, PurchaseRequest::AtInverseNcp(10.0))
         .unwrap();
     let err = retry_client
         .commit_idempotent(&fresh, fresh.price)
@@ -449,7 +457,7 @@ fn budget_survives_kill9_and_same_nonce_retry_charges_once() {
     // Anonymous buyers are unmetered — the listing still sells.
     retry_client.set_buyer(None);
     let sale = retry_client
-        .buy(PurchaseRequest::AtInverseNcp(10.0))
+        .buy(None, PurchaseRequest::AtInverseNcp(10.0))
         .unwrap();
     assert_eq!(sale.transaction, first.transaction + 1);
     assert_eq!(broker.sales_count(), 2);
@@ -460,7 +468,7 @@ fn budget_survives_kill9_and_same_nonce_retry_charges_once() {
     );
 
     // And the wire-level ACCOUNT view agrees with the replayed ledger.
-    let view = retry_client.account(7).unwrap();
+    let view = retry_client.account(None, 7).unwrap();
     assert_eq!(view.spent.to_bits(), spent_before.to_bits());
     assert_eq!(view.budget.map(f64::to_bits), Some(budget.to_bits()));
     assert_eq!(

@@ -635,11 +635,11 @@ fn serve(
                 continue;
             };
             match broker.recovery() {
-                Some(rec) if !rec.transactions.is_empty() || rec.truncated.is_some() => println!(
+                Some(rec) if rec.sales > 0 || rec.truncated.is_some() => println!(
                     "journal for {name:?}: recovered {} sale(s), revenue {:.2}, \
                      next transaction #{}{}",
-                    rec.transactions.len(),
-                    rec.total_revenue(),
+                    rec.sales,
+                    rec.revenue,
                     rec.next_tx_id,
                     match &rec.truncated {
                         Some(e) => format!(" (salvaged a torn tail: {e})"),

@@ -60,7 +60,7 @@
 //!   to a sequential one and the broker holds no RNG state at all.
 
 use crate::account::BuyerAccounts;
-use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, Recovery, SaleRecord};
+use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, JournalError, SaleRecord};
 use crate::ledger::{Ledger, LedgerShard, Transaction};
 use crate::seller::{Seller, SellerTerms};
 use crate::{MarketError, Result};
@@ -547,39 +547,44 @@ impl BrokerBuilder {
         let Seller { dataset, terms } = self.seller;
         let optimal = Arc::new(self.trainer.train(&dataset.train)?);
         drop(dataset);
-        let shards: Vec<Mutex<LedgerShard>> = (0..LEDGER_SHARDS)
+        let mut shards: Vec<Mutex<LedgerShard>> = (0..LEDGER_SHARDS)
             .map(|_| Mutex::new(LedgerShard::new()))
             .collect();
-        let mut dedup: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut next_tx = 0u64;
-        let mut epoch_base = 0u64;
+        let mut dedup: BTreeMap<(u64, u64), Transaction> = BTreeMap::new();
+        let accounts = BuyerAccounts::new(self.buyer_budget);
         let mut journal = None;
         let mut recovery = None;
         if let Some(path) = self.journal_path {
-            let (j, rec) = Journal::open(path, 0, self.journal_faults)?;
-            // Rebuild the books exactly as the pre-crash broker held them:
-            // every replayed sale back on its stripe, the id sequence
-            // resuming past the highest journaled id, and the idempotency
-            // table primed so retried commits dedup instead of re-selling.
-            for t in &rec.transactions {
+            let (j, mut rec) = Journal::open(path, 0, self.journal_faults)?;
+            let revenue = rec.total_revenue();
+            // Move the replay into the books: every sale onto its stripe,
+            // each keyed one also into the idempotency table beside its key
+            // (the scan holds every key to a replayed sale), and buyer spend
+            // into the accounts. Both lists come in near-id order, so the
+            // sorts are cheap and the keys meet their sales in one merge.
+            rec.transactions.sort_unstable_by_key(|t| t.sequence);
+            rec.dedup.sort_unstable_by_key(|&(_, _, tx_id)| tx_id);
+            let mut keys = std::mem::take(&mut rec.dedup).into_iter().peekable();
+            let sales = rec.transactions.len();
+            for t in std::mem::take(&mut rec.transactions) {
+                while let Some((epoch, nonce, _)) = keys.next_if(|k| k.2 == t.sequence) {
+                    dedup.insert((epoch, nonce), t);
+                }
                 // nimbus-audit: allow(no-panic) — index is sequence % LEDGER_SHARDS
                 shards[t.sequence as usize % LEDGER_SHARDS]
-                    .lock()
-                    .record_assigned(t.sequence, t.inverse_ncp, t.price, t.expected_error);
+                    .get_mut()
+                    .record_assigned(t);
             }
-            for &(epoch, nonce, tx_id) in &rec.dedup {
-                dedup.insert((epoch, nonce), tx_id);
-            }
-            next_tx = rec.next_tx_id;
-            epoch_base = rec.max_epoch;
-            journal = Some(GroupCommit::new(j, self.journal_group_commit_window));
-            recovery = Some(rec);
-        }
-        let accounts = BuyerAccounts::new(self.buyer_budget);
-        if let Some(rec) = &recovery {
-            // Replay buyer spend so budgets survive restarts: accounts
-            // reconcile exactly with the durable (ACKed) sale history.
             accounts.seed(&rec.accounts);
+            journal = Some(GroupCommit::new(j, self.journal_group_commit_window));
+            recovery = Some(RecoverySummary {
+                sales,
+                revenue,
+                next_tx_id: rec.next_tx_id,
+                max_epoch: rec.max_epoch,
+                valid_bytes: rec.valid_bytes,
+                truncated: rec.truncated,
+            });
         }
         Ok(Broker {
             terms,
@@ -590,26 +595,36 @@ impl BrokerBuilder {
             optimal,
             current: Mutex::new(None),
             shards,
-            tx_counter: AtomicU64::new(next_tx),
+            tx_counter: AtomicU64::new(recovery.as_ref().map_or(0, |r| r.next_tx_id)),
             journal,
             dedup: DedupTable::with(dedup),
             accounts,
-            epoch_base,
             recovery,
         })
     }
 }
 
-/// What [`DedupTable::claim`] found for an idempotency key.
-#[derive(Clone, Copy, Debug)]
-enum DedupClaim {
-    /// The key already committed: replay this transaction.
-    Replay(u64),
-    /// The caller owns the key and must [`DedupTable::resolve`] it.
-    Claimed,
+/// What a broker keeps of the [`Recovery`](crate::Recovery) its journal
+/// replayed at build, once the books in it have moved onto the ledger,
+/// the idempotency table and the buyer accounts.
+#[derive(Debug)]
+pub struct RecoverySummary {
+    /// Replayed sales.
+    pub sales: usize,
+    /// Revenue across the replayed sales, folded in journal order.
+    pub revenue: f64,
+    /// The first transaction id handed out after the replay.
+    pub next_tx_id: u64,
+    /// The highest snapshot epoch any replayed sale committed against.
+    pub max_epoch: u64,
+    /// Length of the journal's valid prefix, in bytes.
+    pub valid_bytes: u64,
+    /// The typed error that ended the scan, if a crash left a bad tail.
+    pub truncated: Option<JournalError>,
 }
 
-/// Idempotency table `(quote epoch, client nonce) → transaction id`.
+/// Idempotency table `(quote epoch, client nonce) → transaction`: a retry
+/// reads its sale's ledger row from here, never from a ledger stripe.
 ///
 /// A keyed commit *claims* its key before the durability barrier and
 /// *resolves* it afterwards, so the table is never locked across a journal
@@ -626,12 +641,12 @@ struct DedupTable {
 
 #[derive(Debug, Default)]
 struct DedupState {
-    committed: BTreeMap<(u64, u64), u64>,
+    committed: BTreeMap<(u64, u64), Transaction>,
     in_flight: BTreeSet<(u64, u64)>,
 }
 
 impl DedupTable {
-    fn with(committed: BTreeMap<(u64, u64), u64>) -> Self {
+    fn with(committed: BTreeMap<(u64, u64), Transaction>) -> Self {
         DedupTable {
             state: std::sync::Mutex::new(DedupState {
                 committed,
@@ -647,16 +662,17 @@ impl DedupTable {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Waits out any in-flight commit of `key`, then either reports the
-    /// committed transaction or hands the key to the caller.
-    fn claim(&self, key: (u64, u64)) -> DedupClaim {
+    /// Waits out any in-flight commit of `key`, then either returns the
+    /// committed transaction to replay or, with `None`, hands the key to
+    /// the caller, who must [`DedupTable::resolve`] it.
+    fn claim(&self, key: (u64, u64)) -> Option<Transaction> {
         let mut state = self.lock_state();
         loop {
-            if let Some(&tx_id) = state.committed.get(&key) {
-                return DedupClaim::Replay(tx_id);
+            if let Some(&transaction) = state.committed.get(&key) {
+                return Some(transaction);
             }
             if state.in_flight.insert(key) {
-                return DedupClaim::Claimed;
+                return None;
             }
             state = self.resolved.wait(state).unwrap_or_else(|p| p.into_inner());
         }
@@ -664,11 +680,11 @@ impl DedupTable {
 
     /// Releases a claimed key, recording its transaction on success and
     /// waking every retry parked on it.
-    fn resolve(&self, key: (u64, u64), tx_id: Option<u64>) {
+    fn resolve(&self, key: (u64, u64), transaction: Option<Transaction>) {
         let mut state = self.lock_state();
         state.in_flight.remove(&key);
-        if let Some(tx_id) = tx_id {
-            state.committed.insert(key, tx_id);
+        if let Some(transaction) = transaction {
+            state.committed.insert(key, transaction);
         }
         drop(state);
         self.resolved.notify_all();
@@ -708,13 +724,8 @@ pub struct Broker {
     /// [`Broker::prepare_commit`] — before the durability barrier — and
     /// refunded if the journal append fails. Seeded from journal recovery.
     accounts: BuyerAccounts,
-    /// Highest snapshot epoch replayed from the journal: newly published
-    /// snapshots continue above it, so epochs are monotone across restarts
-    /// and every pre-crash quote fails with `QuoteExpired` rather than
-    /// committing against a rebuilt (different) snapshot.
-    epoch_base: u64,
     /// What the journal replayed at build time (`None` without a journal).
-    recovery: Option<Recovery>,
+    recovery: Option<RecoverySummary>,
 }
 
 impl Broker {
@@ -896,12 +907,13 @@ impl Broker {
     }
 
     /// Stamps `snapshot` with the next epoch — one above the live
-    /// snapshot's, or above the journal's `epoch_base` before the first
-    /// publish — and swaps it in. The superseded snapshot is released
-    /// after the lock, and drops with its last reader.
+    /// snapshot's, or above the highest replayed epoch before the first
+    /// publish, so no pre-crash quote commits against a rebuilt snapshot —
+    /// and swaps it in. The superseded snapshot drops with its last reader.
     fn install_snapshot(&self, mut snapshot: MarketSnapshot) {
+        let replayed = self.recovery.as_ref().map_or(0, |r| r.max_epoch);
         let mut current = self.current.lock();
-        snapshot.epoch = current.as_ref().map_or(self.epoch_base, |s| s.epoch) + 1;
+        snapshot.epoch = current.as_ref().map_or(replayed, |s| s.epoch) + 1;
         let superseded = current.replace(Arc::new(snapshot));
         drop(current);
         drop(superseded);
@@ -1081,16 +1093,16 @@ impl Broker {
     fn record_prepared(&self, prepared: PreparedSale) -> Sale {
         let t = prepared.record.transaction;
         // nimbus-audit: allow(no-panic) — index is tx_id % LEDGER_SHARDS
-        let transaction = self.shards[t.sequence as usize % LEDGER_SHARDS]
+        self.shards[t.sequence as usize % LEDGER_SHARDS]
             .lock()
-            .record_assigned(t.sequence, t.inverse_ncp, t.price, t.expected_error);
+            .record_assigned(t);
         Sale {
             model: prepared.model,
             inverse_ncp: t.inverse_ncp,
             price: t.price,
             expected_error: t.expected_error,
             metric: prepared.metric,
-            transaction,
+            transaction: t,
         }
     }
 
@@ -1132,7 +1144,7 @@ impl Broker {
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let claims: BTreeMap<(u64, u64), DedupClaim> = keys
+        let claims: BTreeMap<(u64, u64), Option<Transaction>> = keys
             .into_iter()
             .map(|key| (key, self.dedup.claim(key)))
             .collect();
@@ -1152,8 +1164,8 @@ impl Broker {
                     })));
                     continue;
                 }
-                if let Some(&DedupClaim::Replay(tx_id)) = claims.get(&key) {
-                    results.push(Some(self.replay_sale(tx_id)));
+                if let Some(&Some(transaction)) = claims.get(&key) {
+                    results.push(Some(self.replay_sale(transaction)));
                     continue;
                 }
             }
@@ -1187,10 +1199,10 @@ impl Broker {
             let outcome = match journal_result {
                 Ok(()) => {
                     // Record before resolving so a parked retry that wakes
-                    // on this key finds the sale already on its stripe.
+                    // on this key finds the sale already in the books.
                     let sale = self.record_prepared(p);
                     if let Some(key) = key {
-                        self.dedup.resolve(key, Some(sale.transaction.sequence));
+                        self.dedup.resolve(key, Some(sale.transaction));
                     }
                     Ok(sale)
                 }
@@ -1221,25 +1233,15 @@ impl Broker {
             .collect()
     }
 
-    /// Reconstructs the exact [`Sale`] of an already-recorded transaction:
-    /// the ledger row is read back off its stripe and the noisy model is
-    /// re-derived from the transaction's private RNG stream, which depends
-    /// only on `(seed, transaction id, x)` — identical across threads,
-    /// re-opens and restarts (training is deterministic).
-    fn replay_sale(&self, tx_id: u64) -> Result<Sale> {
-        // nimbus-audit: allow(no-panic) — index is tx_id % LEDGER_SHARDS
-        let transaction = self.shards[tx_id as usize % LEDGER_SHARDS]
-            .lock()
-            .transactions()
-            .iter()
-            .copied()
-            .find(|t| t.sequence == tx_id)
-            .ok_or_else(|| MarketError::InvalidConfig {
-                reason: format!("idempotency table points at unknown transaction {tx_id}"),
-            })?;
+    /// Reconstructs the exact [`Sale`] of an already-recorded transaction,
+    /// the ledger row its idempotency key was stored with: the noisy model
+    /// is re-derived from the transaction's private RNG stream, which
+    /// depends only on `(seed, transaction id, x)` — identical across
+    /// threads, re-opens and restarts (training is deterministic).
+    fn replay_sale(&self, transaction: Transaction) -> Result<Sale> {
         let snapshot = self.published()?;
         let ncp = InverseNcp::new(transaction.inverse_ncp)?.ncp();
-        let mut rng = seeded_rng(split_stream(self.config.seed, tx_id));
+        let mut rng = seeded_rng(split_stream(self.config.seed, transaction.sequence));
         let model = self.mechanism.perturb(snapshot.optimal(), ncp, &mut rng)?;
         Ok(Sale {
             model,
@@ -1251,9 +1253,11 @@ impl Broker {
         })
     }
 
-    /// What the journal replayed when this broker was built (`None`
-    /// without a journal; an empty recovery for a fresh journal).
-    pub fn recovery(&self) -> Option<&Recovery> {
+    /// A summary of what the journal replayed when this broker was built
+    /// (`None` without a journal; zero sales for a fresh journal). The
+    /// replayed sales themselves live on the ledger and in the idempotency
+    /// table.
+    pub fn recovery(&self) -> Option<&RecoverySummary> {
         self.recovery.as_ref()
     }
 

@@ -48,7 +48,8 @@
 //! [`Journal::open`] scans the log front to back and stops at the first
 //! record that is torn (header or body runs past EOF), corrupt (checksum
 //! mismatch, unknown tag, malformed body) or semantically invalid
-//! (duplicate transaction id, snapshot-epoch regression). What happens
+//! (duplicate transaction id, snapshot-epoch regression, a checkpoint key
+//! naming a transaction the checkpoint does not hold). What happens
 //! next depends on whether a crash can explain that record:
 //!
 //! - **Salvaged:** the 8-byte header, or a body of at most
@@ -470,6 +471,8 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// Everything a broker needs to resume its books after a restart.
+/// [`BrokerBuilder::build`](crate::BrokerBuilder::build) moves it into the
+/// books and keeps only a [`RecoverySummary`](crate::RecoverySummary).
 #[derive(Debug, Default)]
 pub struct Recovery {
     /// Replayed transactions in journal (= commit) order.
@@ -682,6 +685,9 @@ fn decode_payload(
                 let epoch = c.u64().ok_or(bad("short checkpoint"))?;
                 let nonce = c.u64().ok_or(bad("short checkpoint"))?;
                 let tx_id = c.u64().ok_or(bad("short checkpoint"))?;
+                if !fresh_seen.contains(&tx_id) {
+                    return Err(bad("checkpoint key for a transaction it does not hold"));
+                }
                 fresh.dedup.push((epoch, nonce, tx_id));
             }
             // Optional trailing accounts section: checkpoints written

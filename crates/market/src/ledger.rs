@@ -107,22 +107,9 @@ impl LedgerShard {
         LedgerShard::default()
     }
 
-    /// Records a sale under a broker-assigned sequence number.
-    pub fn record_assigned(
-        &mut self,
-        sequence: u64,
-        inverse_ncp: f64,
-        price: f64,
-        expected_error: f64,
-    ) -> Transaction {
-        let tx = Transaction {
-            sequence,
-            inverse_ncp,
-            price,
-            expected_error,
-        };
-        self.transactions.push(tx);
-        tx
+    /// Records a sale under its broker-assigned sequence number.
+    pub fn record_assigned(&mut self, transaction: Transaction) {
+        self.transactions.push(transaction);
     }
 
     /// Transactions on this stripe, in local arrival order.
@@ -145,6 +132,15 @@ impl LedgerShard {
 mod tests {
     use super::*;
 
+    fn tx(sequence: u64, inverse_ncp: f64, price: f64, expected_error: f64) -> Transaction {
+        Transaction {
+            sequence,
+            inverse_ncp,
+            price,
+            expected_error,
+        }
+    }
+
     #[test]
     fn records_in_sequence() {
         let mut l = Ledger::new();
@@ -161,9 +157,9 @@ mod tests {
         let mut a = LedgerShard::new();
         let mut b = LedgerShard::new();
         // Interleaved ids landing on two stripes, recorded out of order.
-        b.record_assigned(1, 20.0, 8.0, 0.05);
-        a.record_assigned(2, 30.0, 9.0, 0.03);
-        a.record_assigned(0, 10.0, 5.0, 0.1);
+        b.record_assigned(tx(1, 20.0, 8.0, 0.05));
+        a.record_assigned(tx(2, 30.0, 9.0, 0.03));
+        a.record_assigned(tx(0, 10.0, 5.0, 0.1));
         let merged = Ledger::from_shards([&a, &b]);
         let seqs: Vec<u64> = merged.transactions().iter().map(|t| t.sequence).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -183,7 +179,7 @@ mod tests {
         let mut shards: Vec<LedgerShard> = (0..n_shards).map(|_| LedgerShard::new()).collect();
         let ids: Vec<u64> = vec![7, 0, 13, 2, 9, 4, 15, 6, 1, 8, 3, 10, 5, 12, 11, 14];
         for &id in &ids {
-            shards[(id % n_shards as u64) as usize].record_assigned(id, id as f64, 1.0, 0.1);
+            shards[(id % n_shards as u64) as usize].record_assigned(tx(id, id as f64, 1.0, 0.1));
         }
         // Stripe 1 received 13 before 9 before 1 — arrival order is not
         // id order inside the stripe.

@@ -85,7 +85,7 @@ pub mod transform;
 pub use account::BuyerAccounts;
 pub use broker::{
     BatchCommitItem, Broker, BrokerBuilder, MarketSnapshot, MarketStats, PurchaseRequest, Quote,
-    Sale, MAX_PRICE_POINTS,
+    RecoverySummary, Sale, MAX_PRICE_POINTS,
 };
 pub use buyer::{Buyer, BuyerPopulation};
 pub use curves::{DemandCurve, MarketCurves, ValueCurve};

@@ -2,7 +2,8 @@
 // hazards — opt out of the workspace panic-hygiene lints.
 #![allow(clippy::unwrap_used, clippy::panic)]
 
-//! A broker keeps `h*`, not the dataset it was trained on.
+//! A broker keeps `h*`, not the dataset it was trained on, and its books
+//! once, not the journal replay they came from.
 //!
 //! `BrokerBuilder::build` trains the optimal model once and then drops the
 //! seller's `D`: serving needs `h*`, the curves and the books. This binary
@@ -11,17 +12,21 @@
 //! dataset behind, while `h*` stays bit for bit what the trainer gives on a
 //! separate copy of the training split. A classification listing still
 //! holds its metric's test split (the curve is re-estimated from it on
-//! every `open_market`), and nothing more.
+//! every `open_market`), and nothing more. A broker reopened on a journal
+//! keeps each replayed sale on its ledger and, when keyed, in its
+//! idempotency table, and nowhere else.
 
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_data::{Dataset, TrainTest};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::{Broker, BrokerBuilder, Seller};
+use nimbus_market::journal::{self, SaleRecord};
+use nimbus_market::{Broker, BrokerBuilder, Seller, Transaction};
 use nimbus_ml::{
     LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer, LossMetric, Trainer,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
 
@@ -132,4 +137,70 @@ fn logistic_listing_keeps_only_its_metric_test_split() {
         .train(&copy.train)
         .unwrap();
     assert_eq!(bits(broker.optimal_model()), bits(&trained));
+}
+
+#[test]
+fn reopened_broker_keeps_each_keyed_sale_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    const SALES: u64 = 20_000;
+    let (copy, _) = DatasetSpec::scaled(PaperDataset::Simulated1, 400)
+        .materialize(3)
+        .unwrap();
+    // N keyed anonymous sales; the nonces are scattered as live buyers'
+    // would be, so the idempotency table fills as it does when serving.
+    let records: Vec<SaleRecord> = (0..SALES)
+        .map(|i| SaleRecord {
+            transaction: Transaction {
+                sequence: i,
+                inverse_ncp: 10.0 + (i % 7) as f64,
+                price: 3.0,
+                expected_error: 0.1,
+            },
+            snapshot_epoch: 1,
+            nonce: Some(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            buyer: None,
+        })
+        .collect();
+    let mut bytes = journal::MAGIC.to_vec();
+    for r in &records {
+        bytes.extend(journal::frame_record(&journal::encode_sale_payload(r)));
+    }
+    let path = std::env::temp_dir().join(format!(
+        "nimbus-per-sale-bytes-{}.journal",
+        std::process::id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+
+    // The books' own cost: a ledger row per sale, in stripes grown by
+    // push (so at most twice their length), plus the idempotency table
+    // built by the same inserts.
+    let ledger_bytes = 2 * SALES as isize * std::mem::size_of::<Transaction>() as isize;
+    let before = LIVE.load(Ordering::SeqCst);
+    let mut table: BTreeMap<(u64, u64), Transaction> = BTreeMap::new();
+    for r in &records {
+        table.insert((r.snapshot_epoch, r.nonce.unwrap()), r.transaction);
+    }
+    let dedup_bytes = LIVE.load(Ordering::SeqCst) - before;
+    drop(table);
+    drop(records);
+
+    let (broker, growth) = build_measured(&copy, |b| {
+        b.trainer(LinearRegressionTrainer::ridge(1e-6))
+            .mechanism(GaussianMechanism)
+            .seed(3)
+            .journal(&path)
+    });
+    assert_eq!(broker.sales_count() as u64, SALES);
+    assert_eq!(broker.recovery().unwrap().sales as u64, SALES);
+    // A fixed allowance covers h*, the curves and the journal handle.
+    let bound = ledger_bytes + dedup_bytes + 64 * 1024;
+    assert!(
+        growth <= bound,
+        "the reopened broker kept {growth} B ({} B per sale); the ledger \
+         and idempotency table account for {} B per sale",
+        growth / SALES as isize,
+        (ledger_bytes + dedup_bytes) / SALES as isize
+    );
+    drop(broker);
+    std::fs::remove_file(&path).unwrap();
 }

@@ -12,7 +12,7 @@ use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
 use nimbus_market::journal::{self, FaultPlan, GroupCommit, Journal, JournalError, SaleRecord};
 use nimbus_market::{
-    BatchCommitItem, Broker, BrokerBuilder, MarketError, PurchaseRequest, Seller, Transaction,
+    BatchCommitItem, Broker, BrokerBuilder, MarketError, PurchaseRequest, Sale, Seller, Transaction,
 };
 use nimbus_ml::LinearRegressionTrainer;
 use std::io::Write;
@@ -60,7 +60,7 @@ fn broker_resumes_books_after_restart() {
     let path = temp_path("resume");
     let (acked_ids, acked_revenue) = {
         let broker = journaled_builder(&path).build().unwrap();
-        assert_eq!(broker.recovery().unwrap().transactions.len(), 0);
+        assert_eq!(broker.recovery().unwrap().sales, 0);
         broker.open_market().unwrap();
         assert_eq!(broker.snapshot().unwrap().epoch(), 1);
         let mut ids = Vec::new();
@@ -80,7 +80,8 @@ fn broker_resumes_books_after_restart() {
     let broker = journaled_builder(&path).build().unwrap();
     let recovery = broker.recovery().unwrap();
     assert!(recovery.truncated.is_none());
-    assert_eq!(recovery.transactions.len(), 4);
+    assert_eq!(recovery.sales, 4);
+    assert!((recovery.revenue - acked_revenue).abs() < 1e-12);
     // Books reconcile exactly: same count, same ids, same revenue.
     assert_eq!(broker.sales_count(), 4);
     assert!((broker.collected_revenue() - acked_revenue).abs() < 1e-12);
@@ -242,25 +243,48 @@ fn faulty_journal_never_acks_an_unjournaled_sale() {
 
 #[test]
 fn concurrent_journaled_commits_replay_in_commit_order() {
+    // Keyed, buyer-attributed sales from several threads: ids can reach the
+    // stripes out of order, and every key must still replay its own sale
+    // after a restart.
     let path = temp_path("concurrent");
     let threads = 4;
     let per_thread = 25;
-    {
+    // (nonce, buyer, the acknowledged sale) per commit.
+    let originals: Vec<(u64, u64, Sale)> = {
         let broker = std::sync::Arc::new(journaled_builder(&path).build().unwrap());
         broker.open_market().unwrap();
         std::thread::scope(|s| {
-            for t in 0..threads {
-                let b = broker.clone();
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        let x = 1.0 + ((t * per_thread + i) % 99) as f64;
-                        let q = b.quote_request(PurchaseRequest::AtInverseNcp(x)).unwrap();
-                        b.commit(q, q.price).unwrap();
-                    }
-                });
-            }
-        });
-    }
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let b = broker.clone();
+                    s.spawn(move || {
+                        (0..per_thread)
+                            .map(|i| {
+                                let n = (t * per_thread + i) as u64;
+                                let x = 1.0 + (n % 99) as f64;
+                                let q = b.quote_request(PurchaseRequest::AtInverseNcp(x)).unwrap();
+                                let (nonce, buyer) = (0xC0DE_0000 + n, 100 + t as u64);
+                                let sale = b
+                                    .commit_at_idempotent_for(
+                                        q.x,
+                                        q.snapshot_epoch,
+                                        q.price,
+                                        nonce,
+                                        Some(buyer),
+                                    )
+                                    .unwrap();
+                                (nonce, buyer, sale)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        })
+    };
     let broker = journaled_builder(&path).build().unwrap();
     assert_eq!(broker.sales_count(), threads * per_thread);
     // Replay order equals commit (transaction-id) order: the merged
@@ -271,6 +295,29 @@ fn concurrent_journaled_commits_replay_in_commit_order() {
         seqs,
         (0..(threads * per_thread) as u64).collect::<Vec<u64>>()
     );
+    // A retry of every key on the restarted broker returns the original
+    // sale bit for bit, adds no sale and charges no budget.
+    broker.open_market().unwrap();
+    let revenue = broker.collected_revenue();
+    let spent: Vec<f64> = (0..threads)
+        .map(|t| broker.accounts().spent(100 + t as u64))
+        .collect();
+    for (nonce, buyer, sale) in &originals {
+        let retry = broker
+            .commit_at_idempotent_for(sale.inverse_ncp, 1, sale.price, *nonce, Some(*buyer))
+            .unwrap();
+        assert_eq!(retry.transaction, sale.transaction);
+        assert_eq!(retry.price.to_bits(), sale.price.to_bits());
+        assert_eq!(
+            retry.model.weights().as_slice(),
+            sale.model.weights().as_slice()
+        );
+    }
+    assert_eq!(broker.sales_count(), threads * per_thread);
+    assert_eq!(broker.collected_revenue().to_bits(), revenue.to_bits());
+    for (t, before) in spent.iter().enumerate() {
+        assert_eq!(broker.accounts().spent(100 + t as u64), *before);
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -495,6 +542,37 @@ fn corpus_checkpoint_with_short_accounts_section() {
     assert_eq!(rec.transactions.len(), 1);
     assert_eq!(rec.accounts, vec![(9, 10.0)]);
     assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn corpus_checkpoint_key_without_its_transaction() {
+    // A checkpoint holding tx 0 whose idempotency key names tx 5: a retry
+    // of that key has no sale to replay, so the record is refused rather
+    // than letting the key vanish and the retry sell again.
+    let good = vec![sale_frame(0, 1)];
+    let mut payload = vec![0x02u8]; // TAG_CHECKPOINT
+    payload.extend_from_slice(&6u64.to_be_bytes()); // next_tx
+    payload.extend_from_slice(&1u64.to_be_bytes()); // max_epoch
+    payload.extend_from_slice(&1u32.to_be_bytes()); // one transaction…
+    payload.extend_from_slice(&0u64.to_be_bytes()); // …tx 0
+    for v in [10.0f64, 3.0, 0.1] {
+        payload.extend_from_slice(&v.to_bits().to_be_bytes());
+    }
+    payload.extend_from_slice(&1u32.to_be_bytes()); // one key…
+    for v in [1u64, 0xBEEF, 5] {
+        payload.extend_from_slice(&v.to_be_bytes()); // …(epoch, nonce, tx 5)
+    }
+    let tail = journal::frame_record(&payload);
+    let path = write_journal("corpus-orphan-key", &tail, &good);
+    let valid_len = (journal::MAGIC.len() + good[0].len()) as u64;
+    let (_, rec) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+    assert!(matches!(
+        rec.truncated,
+        Some(JournalError::BadRecord { offset, .. }) if offset == valid_len
+    ));
+    assert_eq!(rec.transactions.len(), 1);
+    assert!(rec.dedup.is_empty());
     std::fs::remove_file(&path).unwrap();
 }
 

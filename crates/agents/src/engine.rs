@@ -642,7 +642,10 @@ fn fill(
 
 /// Replaces connection `c` and rewinds its cursor so every unanswered
 /// request re-sends on the fresh connection.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the pipelined exchange's cursor state is threaded through by reference"
+)]
 fn reconnect(
     conns: &mut [PipelinedClient],
     c: usize,

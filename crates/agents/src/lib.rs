@@ -21,6 +21,13 @@
 //! plus a `key = value` text format — so experiments are configs, not
 //! code.
 
+// The same (scenario, seed) replays to the same journal, so no module
+// here reads the wall clock, the environment or hash order in shipped code
+// (the lists are in `crates/clippy.toml`), and nothing here unwraps or
+// panics.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::unwrap_used, clippy::panic)]
+
 pub mod agent;
 pub mod demand;
 pub mod engine;

@@ -12,8 +12,6 @@
 //! 3. **Demand response** — a mid-run demand shock moves the optimized
 //!    top-of-menu price in the expected direction (up, for a boom).
 
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 use nimbus_agents::engine::run_scenario;
 use nimbus_agents::harness::SimHarness;
 use nimbus_agents::scenario::{ListingSpec, Scenario, SimEvent};

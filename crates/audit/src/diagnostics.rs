@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (kebab-case), e.g. `no-panic`.
+    /// Rule name (kebab-case), e.g. `float-eq`.
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
@@ -35,11 +35,11 @@ impl Finding {
     /// Renders one finding rustc-style:
     ///
     /// ```text
-    /// error[nimbus-audit::no-panic]: `unwrap()` in the serving hot path
-    ///   --> crates/server/src/client.rs:257:43
+    /// error[nimbus-audit::float-eq]: float `==` comparison in pricing code: …
+    ///   --> crates/optim/src/objective.rs:47:14
     ///    |
-    /// 257 |         let stream = self.stream.as_mut().unwrap();
-    ///     |                                           ^
+    /// 47 |     if total == 0.0 {
+    ///    |              ^
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -70,9 +70,8 @@ impl Finding {
 /// Line and column are deliberately excluded: an unrelated edit that
 /// shifts a violation down three lines must not change its identity, or
 /// CI baselines churn on every commit. The occurrence counter separates
-/// genuinely identical violations (two `unwrap()`s on one line of two
-/// different lines with the same snippet) without reintroducing
-/// position sensitivity.
+/// genuinely identical violations (two different lines with the same
+/// snippet) without reintroducing position sensitivity.
 pub fn finding_id(f: &Finding, occurrence: usize) -> String {
     // FNV-1a, 64-bit — stable across platforms and releases, no std
     // hasher (RandomState is seeded per process).
@@ -167,17 +166,17 @@ mod tests {
     #[test]
     fn render_has_location_and_caret() {
         let f = Finding {
-            rule: "no-panic".into(),
-            file: "crates/server/src/x.rs".into(),
+            rule: "float-eq".into(),
+            file: "crates/optim/src/x.rs".into(),
             line: 12,
-            col: 5,
-            message: "`unwrap()` in the serving hot path".into(),
-            snippet: "    a.unwrap();".into(),
+            col: 14,
+            message: "float `==` comparison in pricing code".into(),
+            snippet: "    if total == 0.0 {".into(),
         };
         let text = f.render();
-        assert!(text.contains("error[nimbus-audit::no-panic]"));
-        assert!(text.contains("--> crates/server/src/x.rs:12:5"));
-        assert!(text.contains("12 |     a.unwrap();"));
+        assert!(text.contains("error[nimbus-audit::float-eq]"));
+        assert!(text.contains("--> crates/optim/src/x.rs:12:14"));
+        assert!(text.contains("12 |     if total == 0.0 {"));
         assert!(text.lines().last().is_some_and(|l| l.ends_with("    ^")));
     }
 

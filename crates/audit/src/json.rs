@@ -236,10 +236,10 @@ mod tests {
 
     #[test]
     fn parses_emitter_shape() {
-        let v = parse(r#"{"findings":[{"rule":"no-panic","line":3}],"count":1}"#).unwrap();
+        let v = parse(r#"{"findings":[{"rule":"float-eq","line":3}],"count":1}"#).unwrap();
         assert_eq!(v.get("count").and_then(Value::as_u64), Some(1));
         let arr = v.get("findings").and_then(Value::as_arr).unwrap();
-        assert_eq!(arr[0].get("rule").and_then(Value::as_str), Some("no-panic"));
+        assert_eq!(arr[0].get("rule").and_then(Value::as_str), Some("float-eq"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum TokenKind {
     Str,
     /// Character or byte literal (`'a'`, `b'x'`).
     Char,
-    /// Line or block comment, text preserved for SAFETY/suppression scans.
+    /// Line or block comment, text preserved for suppression scans.
     Comment,
     /// Punctuation / operator, possibly multi-char (`::`, `==`, `!=`).
     Punct,

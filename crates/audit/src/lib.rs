@@ -2,11 +2,11 @@
 //! path.
 //!
 //! The market's paper-level guarantees rest on code-level invariants the
-//! compiler cannot see: arbitrage-freeness and idempotent replay require
-//! noise to be a pure function of `(seed, tx_id, x)` (no ambient clocks,
-//! RNG, or hash-order dependence), and the snapshot plus WAL
-//! serving path must stay panic-free under load. This crate pins the
-//! implementation to that spec on every CI run:
+//! compiler cannot see: money is charged, journalled, recorded and
+//! refunded in one order, no lock is held across an fsync, money is never
+//! truncated or compared exactly, pricing code does not compare floats
+//! exactly, and the wire tables match the documented protocol. This crate
+//! pins the implementation to that spec on every CI run:
 //!
 //! ```text
 //! cargo run -p nimbus-audit -- check          # human diagnostics
@@ -15,7 +15,9 @@
 //!
 //! See [`rules`] for the rule set and scopes, [`suppress`] for the
 //! mandatory-reason suppression syntax, and [`wire_sync`] for the
-//! DESIGN.md protocol-table cross-check. The lexer underneath
+//! DESIGN.md protocol-table cross-check. Determinism, panic-freedom and
+//! `unsafe` documentation are clippy lints instead (`crates/clippy.toml`
+//! and the root `Cargo.toml`'s `[workspace.lints]`). The lexer underneath
 //! ([`lexer`]) is a purpose-built Rust tokenizer that never matches
 //! rule patterns inside comments, strings, raw strings, or char
 //! literals.

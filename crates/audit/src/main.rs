@@ -26,11 +26,6 @@ OPTIONS:
     --bench-json PATH   write audit runtime (files/s, findings) as JSON
 
 RULES:
-    determinism       no wall-clock / ambient RNG / env reads / HashMap order
-                      in the deterministic quote-commit-noise modules
-    no-panic          no unwrap/expect/panic!/todo!/unimplemented!/indexing
-                      in the non-test serving hot path
-    unsafe-safety     every `unsafe` carries an adjacent // SAFETY: comment
     float-eq          no ==/!= against float literals in pricing code
     wire-sync         wire.rs opcode + ErrorCode tables match DESIGN.md
     lock-order        no lock-acquisition cycles; no lock held across fsync
@@ -40,6 +35,12 @@ RULES:
                       equality, accumulation without finiteness checks)
 
 Rule reference: crates/audit/RULES.md
+
+Determinism, panic-freedom and unsafe documentation are clippy lints:
+    cargo clippy --workspace --all-targets -- -D warnings
+Default levels: [workspace.lints.clippy] in the root Cargo.toml. The
+determinism lists: crates/clippy.toml. Scopes: `deny` attributes on the
+scoped modules and crate roots (DESIGN.md, Static analysis).
 
 SUPPRESSION (reason mandatory):
     // nimbus-audit: allow(rule-name) — why this is sound

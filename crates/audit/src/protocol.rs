@@ -24,16 +24,18 @@
 //!   (the journal-failure arm) at/after the append.
 //! - **C4** no dedup claim after the append — claims gate duplicate
 //!   work, so they precede durability.
-//! - **C5** dedup resolution happens at/after the ledger record — a
-//!   resolve published before the record hands waiters an unrecorded
-//!   sale.
+//! - **C5** a dedup resolution that hands waiters a sale (any argument
+//!   but a bare `None`) happens at/after a ledger record — published
+//!   before the record, it hands waiters an unrecorded sale. Unfulfilled
+//!   resolutions (the journal-failure arm) may come anywhere.
 //! - **C6** a claim with no resolution on any arm leaks the claim and
 //!   wedges every duplicate submitter forever.
 //!
 //! Positions compare with ≤/≥ so a pure delegating wrapper — all events
 //! inherited at one call site — trivially satisfies the ordering.
 
-use crate::facts::{fn_facts, FnFacts};
+use crate::facts::{fn_facts, CallSite, FnFacts};
+use crate::lexer::Token;
 use crate::parse::FileAst;
 use crate::testmap::TestMap;
 use crate::Finding;
@@ -49,15 +51,18 @@ enum Event {
     Charge,
     Refund,
     Claim,
+    /// A resolution that hands waiters no sale: `resolve(key, None)`.
     Resolve,
+    /// A resolution that hands waiters a sale.
+    Fulfill,
     Append,
     Record,
 }
 
 /// Classify a direct call site into a protocol event, if any.
-fn classify(chain: &[String], method: &str) -> Option<Event> {
-    let chain_has = |needle: &str| chain.iter().any(|s| s.contains(needle));
-    let m = method;
+fn classify(code: &[Token], call: &CallSite) -> Option<Event> {
+    let chain_has = |needle: &str| call.chain.iter().any(|s| s.contains(needle));
+    let m = call.method.as_str();
     if (m.starts_with("charge") || m.starts_with("try_charge")) && chain_has("account") {
         return Some(Event::Charge);
     }
@@ -68,7 +73,11 @@ fn classify(chain: &[String], method: &str) -> Option<Event> {
         return Some(Event::Claim);
     }
     if m.starts_with("resolve") && chain_has("dedup") {
-        return Some(Event::Resolve);
+        return Some(if last_arg_is_none(code, call.idx) {
+            Event::Resolve
+        } else {
+            Event::Fulfill
+        });
     }
     if (m == "append_sale" || m == "append_sales") && chain_has("journal") {
         return Some(Event::Append);
@@ -77,6 +86,26 @@ fn classify(chain: &[String], method: &str) -> Option<Event> {
         return Some(Event::Record);
     }
     None
+}
+
+/// Whether the call whose name sits at `code[idx]` passes a bare `None`
+/// as its last argument.
+fn last_arg_is_none(code: &[Token], idx: usize) -> bool {
+    let mut depth = 0usize;
+    for k in idx + 1..code.len() {
+        match code[k].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return code[k - 1].text == "None"
+                        && matches!(code[k - 2].text.as_str(), "," | "(");
+                }
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Run the durability-order rule over one parsed file. Findings are
@@ -95,7 +124,7 @@ pub fn check(path: &str, ast: &FileAst, tests: &TestMap, out: &mut Vec<Finding>)
         .map(|(_, ff)| {
             ff.calls
                 .iter()
-                .filter_map(|c| classify(&c.chain, &c.method).map(|e| (e, c.idx, c.line, c.col)))
+                .filter_map(|c| classify(&ast.code, c).map(|e| (e, c.idx, c.line, c.col)))
                 .collect()
         })
         .collect();
@@ -214,19 +243,21 @@ pub fn check(path: &str, ast: &FileAst, tests: &TestMap, out: &mut Vec<Finding>)
                 )));
             }
         }
-        // C5: resolve must not precede the ledger record when both exist.
-        let records = pos(Event::Record);
-        let resolves = pos(Event::Resolve);
-        if let (Some(&first_record), false) = (records.iter().min(), resolves.is_empty()) {
-            if !resolves.iter().any(|&r| r >= first_record) {
-                let (l, c) = at(Event::Resolve, *resolves.iter().max().unwrap());
-                out.push(Finding::new("durability-order", path, l, c, format!(
-                    "`{name}` resolves the dedup claim before recording the sale — waiters observe a sale the ledger doesn't have yet"
-                )));
-            }
+        // C5: a resolve that hands waiters a sale must not precede the
+        // ledger record.
+        let first_record = pos(Event::Record).into_iter().min();
+        let fulfills = pos(Event::Fulfill);
+        for &r in fulfills
+            .iter()
+            .filter(|&&r| first_record.is_none_or(|rec| r < rec))
+        {
+            let (l, c) = at(Event::Fulfill, r);
+            out.push(Finding::new("durability-order", path, l, c, format!(
+                "`{name}` resolves the dedup claim before recording the sale — waiters observe a sale the ledger doesn't have yet"
+            )));
         }
         // C6: claim without any resolution wedges duplicate submitters.
-        if !pos(Event::Claim).is_empty() && resolves.is_empty() {
+        if !pos(Event::Claim).is_empty() && fulfills.is_empty() && pos(Event::Resolve).is_empty() {
             let &cl = pos(Event::Claim).iter().min().unwrap();
             let (l, c) = at(Event::Claim, cl);
             out.push(Finding::new("durability-order", path, l, c, format!(

@@ -2,19 +2,21 @@
 //!
 //! | rule | scope | invariant |
 //! |---|---|---|
-//! | `determinism` | designated deterministic modules | noise/replay is a pure function of `(seed, tx_id, x)`: no wall-clock, ambient RNG, env reads, or hash-order dependence |
-//! | `no-panic` | serving hot path, non-test | admission control must answer, not abort: no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/indexing |
-//! | `unsafe-safety` | whole workspace | every `unsafe` carries an adjacent `// SAFETY:` comment |
 //! | `float-eq` | pricing code (`core`, `optim`), non-test | no `==`/`!=` against float literals (menus are grids, compare with tolerances) |
 //! | `wire-sync` | `wire.rs`/`error.rs` vs `DESIGN.md` | opcode and error-code tables cannot drift from the documented protocol |
 //! | `lock-order` | `market` + `server`, non-test | no lock-acquisition cycles; no lock held across an fsync ([`crate::lockgraph`]) |
 //! | `durability-order` | `broker.rs` commit paths | charge → append → record, refund on failure, claims resolved ([`crate::protocol`]) |
 //! | `money-safety` | `market` + `server`, non-test | no unguarded f64 money arithmetic: int casts, exact equality, unchecked accumulation |
 //!
-//! Scopes are path prefixes relative to the workspace root. The first
-//! five rules are token matchers — see [`crate::lexer`] for what keeps
-//! them honest; the last three run on the parsed AST ([`crate::parse`])
-//! with per-function dataflow facts ([`crate::facts`]).
+//! Scopes are path prefixes relative to the workspace root. `float-eq`
+//! and `wire-sync` are token matchers — see [`crate::lexer`] for what
+//! keeps them honest; the last three run on the parsed AST
+//! ([`crate::parse`]) with per-function dataflow facts ([`crate::facts`]).
+//!
+//! Determinism, panic-freedom and `unsafe` documentation are clippy lints
+//! (`crates/clippy.toml`, the root `Cargo.toml` `[workspace.lints]`, and
+//! `deny` attributes on the scoped modules), checked by `cargo clippy
+//! --workspace --all-targets -- -D warnings`.
 
 use crate::facts::{fn_facts, is_money_ident};
 use crate::lexer::{Token, TokenKind};
@@ -25,56 +27,12 @@ use crate::Finding;
 
 /// All rule names, for suppression validation and `--help`.
 pub const RULE_NAMES: &[&str] = &[
-    "determinism",
-    "no-panic",
-    "unsafe-safety",
     "float-eq",
     "wire-sync",
     "lock-order",
     "durability-order",
     "money-safety",
     "suppression",
-];
-
-/// Files whose code must be deterministic: the quote/commit/noise path
-/// and everything replay depends on. `market::simulation` qualifies since
-/// its wall-clock moved behind a caller-supplied clock closure, and
-/// `server::event` since its deadline timers run on an injected clock.
-/// `randkit::snapped` and `market::account` joined with the privacy
-/// hardening: the snapped sampler promises bitwise-identical draws for a
-/// given `(seed, tx_id, x)`, and budget accounting must replay to the
-/// same ledger from the journal alone.
-pub const DETERMINISTIC_FILES: &[&str] = &[
-    "crates/core/src/mechanism.rs",
-    "crates/core/src/curve_provider.rs",
-    "crates/market/src/account.rs",
-    "crates/market/src/broker.rs",
-    "crates/market/src/journal.rs",
-    "crates/market/src/ledger.rs",
-    "crates/market/src/marketplace.rs",
-    "crates/market/src/simulation.rs",
-    "crates/randkit/src/snapped.rs",
-    "crates/server/src/event.rs",
-];
-
-/// Whole-directory determinism scopes. The agent-ecology simulator
-/// promises bitwise-identical journals for the same `(scenario, seed)`,
-/// so every source file in it is under the same discipline as the
-/// serving path (wall-clock only via the injected clock, ordered maps,
-/// seeded RNG streams).
-pub const DETERMINISTIC_PREFIXES: &[&str] = &["crates/agents/src/"];
-
-/// The serving hot path: panic here kills a worker thread under load.
-pub const HOT_PATH_PREFIXES: &[&str] = &["crates/server/src/"];
-
-/// Hot-path files outside the prefix list. `account.rs` is here because
-/// the budget check runs inside every metered commit before durability.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/market/src/account.rs",
-    "crates/market/src/broker.rs",
-    "crates/market/src/journal.rs",
-    "crates/market/src/ledger.rs",
-    "crates/market/src/marketplace.rs",
 ];
 
 /// Pricing code under float discipline.
@@ -90,15 +48,8 @@ const INT_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
-/// Keywords that may legitimately precede `[` without it being an index
-/// expression (slice patterns, array types after `mut`, …).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "mut", "ref", "in", "return", "if", "else", "match", "move", "as", "let", "static", "const",
-    "break", "continue", "dyn", "where", "unsafe", "loop", "while", "for", "box", "yield",
-];
-
-fn uses_path(path: &str, prefixes: &[&str], files: &[&str]) -> bool {
-    prefixes.iter().any(|p| path.starts_with(p)) || files.contains(&path)
+fn in_scope(path: &str, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| path.starts_with(p))
 }
 
 /// Runs every token-level rule over one file. `path` is workspace-relative
@@ -117,17 +68,10 @@ pub fn check_file(path: &str, src: &str) -> (Vec<Finding>, usize) {
     let suppressions = suppress::collect(&tokens, path, &mut findings);
 
     let mut raw = Vec::new();
-    if uses_path(path, DETERMINISTIC_PREFIXES, DETERMINISTIC_FILES) {
-        determinism(path, &tokens, &test_map, &mut raw);
-    }
-    if uses_path(path, HOT_PATH_PREFIXES, HOT_PATH_FILES) {
-        no_panic(path, &tokens, &test_map, &mut raw);
-    }
-    unsafe_safety(path, src, &tokens, &mut raw);
-    if uses_path(path, FLOAT_SCOPE_PREFIXES, &[]) {
+    if in_scope(path, FLOAT_SCOPE_PREFIXES) {
         float_eq(path, &tokens, &test_map, &mut raw);
     }
-    if uses_path(path, MONEY_SCOPE_PREFIXES, &[]) {
+    if in_scope(path, MONEY_SCOPE_PREFIXES) {
         money_safety(path, &tokens, &test_map, &mut raw);
     }
     if crate::protocol::in_scope(path) {
@@ -135,8 +79,8 @@ pub fn check_file(path: &str, src: &str) -> (Vec<Finding>, usize) {
         crate::protocol::check(path, &ast, &test_map, &mut raw);
     }
 
-    // One finding per (rule, line): `HashSet::new()` names the marker
-    // twice on one line but is one violation to fix.
+    // One finding per (rule, line): `x == 0.0 || x == 1.0` compares twice
+    // on one line but is one violation to fix.
     raw.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
     let mut used = 0usize;
     for f in raw {
@@ -168,184 +112,6 @@ fn code(tokens: &[Token]) -> Vec<&Token> {
         .iter()
         .filter(|t| t.kind != TokenKind::Comment)
         .collect()
-}
-
-/// Rule `determinism`: no wall-clock (`SystemTime::now`, `Instant::now`),
-/// no ambient RNG (`thread_rng`), no env reads (`env::var*`), and no
-/// randomly-seeded `HashMap`/`HashSet` (iteration order would vary per
-/// process, breaking replay) in the designated modules.
-fn determinism(path: &str, tokens: &[Token], tests: &TestMap, out: &mut Vec<Finding>) {
-    let code = code(tokens);
-    for (i, t) in code.iter().enumerate() {
-        if t.kind != TokenKind::Ident || tests.is_test_line(t.line) {
-            continue;
-        }
-        let next_is = |k: usize, text: &str| code.get(i + k).is_some_and(|n| n.text == text);
-        match t.text.as_str() {
-            "SystemTime" | "Instant" if next_is(1, "::") && next_is(2, "now") => {
-                out.push(Finding::new(
-                    "determinism",
-                    path,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{}::now()` in a deterministic module: noise and replay must be pure in `(seed, tx_id, x)` — take the clock as a caller-supplied closure",
-                        t.text
-                    ),
-                ));
-            }
-            "thread_rng" => out.push(Finding::new(
-                "determinism",
-                path,
-                t.line,
-                t.col,
-                "ambient `thread_rng` in a deterministic module: derive a stream from the market seed instead",
-            )),
-            "HashMap" | "HashSet" => out.push(Finding::new(
-                "determinism",
-                path,
-                t.line,
-                t.col,
-                format!(
-                    "`{}` in a deterministic module: iteration order is seeded per-process; use `BTreeMap`/`BTreeSet` or a fixed-seed hasher",
-                    t.text
-                ),
-            )),
-            "env" if next_is(1, "::")
-                && code
-                    .get(i + 2)
-                    .is_some_and(|n| matches!(n.text.as_str(), "var" | "vars" | "var_os" | "vars_os")) =>
-            {
-                out.push(Finding::new(
-                    "determinism",
-                    path,
-                    t.line,
-                    t.col,
-                    "environment read in a deterministic module: thread configuration through explicit parameters",
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Rule `no-panic`: `unwrap(`, `expect(`, `panic!`, `todo!`,
-/// `unimplemented!`, and index/slice expressions (`expr[...]`) in
-/// non-test hot-path code. Indexing is recognized as a `[` directly
-/// preceded by an identifier (not a binding keyword), `)`, or `]`.
-fn no_panic(path: &str, tokens: &[Token], tests: &TestMap, out: &mut Vec<Finding>) {
-    let code = code(tokens);
-    for (i, t) in code.iter().enumerate() {
-        if tests.is_test_line(t.line) {
-            continue;
-        }
-        let next = code.get(i + 1);
-        if t.kind == TokenKind::Ident {
-            match t.text.as_str() {
-                "unwrap" | "expect" if next.is_some_and(|n| n.text == "(") => {
-                    out.push(Finding::new(
-                        "no-panic",
-                        path,
-                        t.line,
-                        t.col,
-                        format!(
-                            "`{}()` in the serving hot path: convert to a typed error — a panic here kills a worker under load",
-                            t.text
-                        ),
-                    ));
-                }
-                "panic" | "todo" | "unimplemented" if next.is_some_and(|n| n.text == "!") => {
-                    out.push(Finding::new(
-                        "no-panic",
-                        path,
-                        t.line,
-                        t.col,
-                        format!(
-                            "`{}!` in the serving hot path: return a typed error instead",
-                            t.text
-                        ),
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if t.text == "[" && i > 0 {
-            let prev = code[i - 1];
-            let is_index_base = match prev.kind {
-                TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                TokenKind::Punct => prev.text == ")" || prev.text == "]",
-                _ => false,
-            };
-            if is_index_base {
-                out.push(Finding::new(
-                    "no-panic",
-                    path,
-                    t.line,
-                    t.col,
-                    format!(
-                        "index/slice `{}[…]` in the serving hot path: out-of-bounds panics; use `.get(…)` or suppress with the bounds invariant",
-                        prev.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Rule `unsafe-safety`: every `unsafe` token needs a `// SAFETY:` comment
-/// on the same line or in the contiguous comment block directly above.
-fn unsafe_safety(path: &str, src: &str, tokens: &[Token], out: &mut Vec<Finding>) {
-    let src_lines: Vec<&str> = src.lines().collect();
-    let comment_on = |line: u32| -> Option<&Token> {
-        tokens
-            .iter()
-            .find(|t| t.kind == TokenKind::Comment && t.line == line)
-    };
-    let code_on = |line: u32| -> bool {
-        tokens
-            .iter()
-            .any(|t| t.kind != TokenKind::Comment && t.line == line)
-    };
-    for t in tokens {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        // Same line (block comments may span down onto it).
-        let mut justified = tokens.iter().any(|c| {
-            c.kind == TokenKind::Comment
-                && c.text.contains("SAFETY:")
-                && (c.line..=c.line + c.text.matches('\n').count() as u32).contains(&t.line)
-        });
-        // Otherwise scan the contiguous comment-only block above.
-        let mut line = t.line.saturating_sub(1);
-        while !justified && line >= 1 {
-            match comment_on(line) {
-                Some(c) if !code_on(line) => {
-                    if c.text.contains("SAFETY:") {
-                        justified = true;
-                    }
-                    line -= 1;
-                }
-                _ => break,
-            }
-        }
-        if !justified {
-            let snippet = src_lines
-                .get(t.line as usize - 1)
-                .copied()
-                .unwrap_or("")
-                .to_string();
-            let mut f = Finding::new(
-                "unsafe-safety",
-                path,
-                t.line,
-                t.col,
-                "`unsafe` without an adjacent `// SAFETY:` comment stating the proof obligation",
-            );
-            f.snippet = snippet;
-            out.push(f);
-        }
-    }
 }
 
 /// Rule `money-safety`: unguarded f64 arithmetic on money identifiers

@@ -1,6 +1,6 @@
 //! Inline suppression comments.
 //!
-//! Syntax: `// nimbus-audit: allow(no-panic) — index is masked` — the
+//! Syntax: `// nimbus-audit: allow(float-eq) — exact-zero guard` — the
 //! allow-list names one or more rules (comma-separated), and everything
 //! after the closing paren (minus a leading `—`/`-`/`:`) is the reason.
 //! The reason is **mandatory** — a suppression without one is itself a
@@ -10,10 +10,10 @@
 //! so both styles work:
 //!
 //! ```text
-//! shards[i].lock() // nimbus-audit: allow(no-panic) — i is idx % N
+//! if total == 0.0 { // nimbus-audit: allow(float-eq) — sum of non-negative masses
 //!
-//! // nimbus-audit: allow(no-panic) — i is idx % N, always in bounds
-//! shards[i].lock()
+//! // nimbus-audit: allow(float-eq) — exact-zero guard on a sum of squares
+//! if norm2 == 0.0 {
 //! ```
 
 use crate::lexer::{Token, TokenKind};
@@ -144,20 +144,20 @@ mod tests {
 
     #[test]
     fn parses_reasoned_suppression() {
-        let src = "// nimbus-audit: allow(no-panic) — index is masked\nx[i];\n";
+        let src = "// nimbus-audit: allow(float-eq) — exact-zero guard\nx == 0.0;\n";
         let mut findings = Vec::new();
         let sup = collect(&lex(src), "f.rs", &mut findings);
         assert!(findings.is_empty());
         assert_eq!(sup.len(), 1);
-        assert!(is_suppressed(&sup, "no-panic", 1));
-        assert!(is_suppressed(&sup, "no-panic", 2));
-        assert!(!is_suppressed(&sup, "no-panic", 3));
-        assert!(!is_suppressed(&sup, "determinism", 2));
+        assert!(is_suppressed(&sup, "float-eq", 1));
+        assert!(is_suppressed(&sup, "float-eq", 2));
+        assert!(!is_suppressed(&sup, "float-eq", 3));
+        assert!(!is_suppressed(&sup, "money-safety", 2));
     }
 
     #[test]
     fn reason_is_mandatory() {
-        let src = "// nimbus-audit: allow(no-panic)\nx[i];\n";
+        let src = "// nimbus-audit: allow(float-eq)\nx == 0.0;\n";
         let mut findings = Vec::new();
         let sup = collect(&lex(src), "f.rs", &mut findings);
         assert!(sup.is_empty());
@@ -176,11 +176,11 @@ mod tests {
 
     #[test]
     fn multiple_rules_one_comment() {
-        let src = "// nimbus-audit: allow(no-panic, determinism) — fixture\n";
+        let src = "// nimbus-audit: allow(float-eq, money-safety) — fixture\n";
         let mut findings = Vec::new();
         let sup = collect(&lex(src), "f.rs", &mut findings);
         assert!(findings.is_empty());
-        assert!(is_suppressed(&sup, "no-panic", 2));
-        assert!(is_suppressed(&sup, "determinism", 2));
+        assert!(is_suppressed(&sup, "float-eq", 2));
+        assert!(is_suppressed(&sup, "money-safety", 2));
     }
 }

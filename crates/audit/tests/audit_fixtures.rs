@@ -1,5 +1,6 @@
 //! Fixture-corpus tests: every rule's hit / miss / suppression cases,
-//! the JSON round-trip, and wire-table drift detection.
+//! the lexer's resynchronization, the JSON round-trip, and wire-table
+//! drift detection.
 //!
 //! Fixtures live under `tests/fixtures/<rule>/`. They are checked through
 //! [`nimbus_audit::rules::check_file`] with pseudo-paths that put them in
@@ -29,111 +30,6 @@ fn lines_of(findings: &[Finding], rule: &str) -> Vec<u32> {
         .collect()
 }
 
-// ---------------------------------------------------------------- no-panic
-
-#[test]
-fn no_panic_hit_flags_every_marker() {
-    let (findings, used) = check_file("crates/server/src/fixture.rs", &fixture("no_panic/hit.rs"));
-    assert_eq!(used, 0);
-    assert_eq!(lines_of(&findings, "no-panic"), vec![3, 4, 6, 9, 12, 14]);
-    assert_eq!(findings.len(), 6, "{findings:#?}");
-    // Findings carry their source line for the caret rendering.
-    assert!(findings.iter().all(|f| !f.snippet.is_empty()));
-}
-
-#[test]
-fn no_panic_miss_is_clean() {
-    let (findings, used) = check_file("crates/server/src/fixture.rs", &fixture("no_panic/miss.rs"));
-    assert_eq!(used, 0);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn no_panic_out_of_scope_path_is_clean() {
-    // The same violating source outside the hot path produces nothing.
-    let (findings, _) = check_file("crates/optim/src/fixture.rs", &fixture("no_panic/hit.rs"));
-    assert!(lines_of(&findings, "no-panic").is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn no_panic_suppressions_and_reasonless_rejection() {
-    let (findings, used) = check_file(
-        "crates/server/src/fixture.rs",
-        &fixture("no_panic/suppressed.rs"),
-    );
-    // Two reasoned suppressions (line-above and same-line forms) fired.
-    assert_eq!(used, 2);
-    // The reasonless suppression on line 7 silences nothing: it is itself
-    // a finding, and the indexing below it still fires.
-    assert_eq!(lines_of(&findings, "suppression"), vec![7]);
-    assert_eq!(lines_of(&findings, "no-panic"), vec![8]);
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-}
-
-// ------------------------------------------------------------- determinism
-
-#[test]
-fn determinism_hit_flags_every_marker() {
-    let (findings, used) = check_file(
-        "crates/core/src/mechanism.rs",
-        &fixture("determinism/hit.rs"),
-    );
-    assert_eq!(used, 0);
-    // Line 2 (`use …::{HashMap, HashSet}`) dedupes to one finding.
-    assert_eq!(
-        lines_of(&findings, "determinism"),
-        vec![2, 6, 7, 8, 9, 10, 11]
-    );
-    assert_eq!(findings.len(), 7, "{findings:#?}");
-}
-
-#[test]
-fn determinism_miss_is_clean() {
-    let (findings, used) = check_file(
-        "crates/core/src/mechanism.rs",
-        &fixture("determinism/miss.rs"),
-    );
-    assert_eq!(used, 0);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn determinism_only_applies_to_designated_files() {
-    let (findings, _) = check_file(
-        "crates/core/src/menu.rs", // real module, not on the deterministic list
-        &fixture("determinism/hit.rs"),
-    );
-    assert!(
-        lines_of(&findings, "determinism").is_empty(),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn determinism_covers_the_whole_agents_crate() {
-    // The simulator promises bitwise-identical journals, so every source
-    // file under `crates/agents/src/` is in scope by prefix — including
-    // ones that do not exist yet.
-    let (findings, _) = check_file(
-        "crates/agents/src/some_future_module.rs",
-        &fixture("determinism/hit.rs"),
-    );
-    assert!(
-        !lines_of(&findings, "determinism").is_empty(),
-        "agents crate must be under the determinism rule"
-    );
-}
-
-#[test]
-fn determinism_suppression_with_reason_is_honored() {
-    let (findings, used) = check_file(
-        "crates/core/src/mechanism.rs",
-        &fixture("determinism/suppressed.rs"),
-    );
-    assert_eq!(used, 1);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
 // ---------------------------------------------------------------- float-eq
 
 #[test]
@@ -142,6 +38,8 @@ fn float_eq_hit_flags_literal_comparisons() {
     assert_eq!(used, 0);
     assert_eq!(lines_of(&findings, "float-eq"), vec![3, 6, 9, 10]);
     assert_eq!(findings.len(), 4, "{findings:#?}");
+    // Findings carry their source line for the caret rendering.
+    assert!(findings.iter().all(|f| !f.snippet.is_empty()));
 }
 
 #[test]
@@ -161,55 +59,43 @@ fn float_eq_suppression_with_reason_is_honored() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
-// ----------------------------------------------------------- unsafe-safety
+#[test]
+fn float_eq_out_of_scope_path_is_clean() {
+    // The same violating source outside pricing code produces nothing.
+    let (findings, _) = check_file("crates/market/src/fixture.rs", &fixture("float_eq/hit.rs"));
+    assert!(lines_of(&findings, "float-eq").is_empty(), "{findings:#?}");
+}
 
 #[test]
-fn unsafe_safety_hit_flags_unjustified_unsafe() {
-    // unsafe-safety is workspace-wide: any path is in scope.
+fn float_eq_suppressions_and_reasonless_rejection() {
     let (findings, used) = check_file(
-        "crates/market/src/fixture.rs",
-        &fixture("unsafe_safety/hit.rs"),
+        "crates/optim/src/fixture.rs",
+        &fixture("float_eq/suppression_forms.rs"),
     );
-    assert_eq!(used, 0);
-    assert_eq!(lines_of(&findings, "unsafe-safety"), vec![4, 7]);
+    // Two reasoned suppressions (line-above and same-line forms) fired.
+    assert_eq!(used, 2);
+    // The reasonless suppression on line 10 silences nothing: it is itself
+    // a finding, and the comparison below it still fires.
+    assert_eq!(lines_of(&findings, "suppression"), vec![10]);
+    assert_eq!(lines_of(&findings, "float-eq"), vec![11]);
     assert_eq!(findings.len(), 2, "{findings:#?}");
-}
-
-#[test]
-fn unsafe_safety_miss_accepts_adjacent_justifications() {
-    let (findings, used) = check_file(
-        "crates/market/src/fixture.rs",
-        &fixture("unsafe_safety/miss.rs"),
-    );
-    assert_eq!(used, 0);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn unsafe_safety_suppression_with_reason_is_honored() {
-    let (findings, used) = check_file(
-        "crates/market/src/fixture.rs",
-        &fixture("unsafe_safety/suppressed.rs"),
-    );
-    assert_eq!(used, 1);
-    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 // ------------------------------------------------------------------- lexer
 
 #[test]
 fn lexer_edge_cases_yield_exactly_the_one_real_violation() {
-    // The fixture buries forbidden markers in raw strings (1 and 2 hashes),
+    // The fixture buries float comparisons in raw strings (1 and 2 hashes),
     // byte strings, raw byte strings, nested block comments, char escapes,
-    // and `//`-in-string traps — then commits one real `unwrap()`. Finding
+    // and `//`-in-string traps — then commits one real `== 1.0`. Finding
     // exactly that one proves the lexer resynchronizes after every trick.
     let (findings, used) = check_file(
-        "crates/server/src/fixture.rs",
+        "crates/optim/src/fixture.rs",
         &fixture("lexer/edge_cases.rs"),
     );
     assert_eq!(used, 0);
     assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "no-panic");
+    assert_eq!(findings[0].rule, "float-eq");
     assert_eq!(findings[0].line, 20);
     assert!(findings[0].snippet.contains("REAL-VIOLATION-LINE"));
 }
@@ -218,7 +104,7 @@ fn lexer_edge_cases_yield_exactly_the_one_real_violation() {
 
 #[test]
 fn json_output_round_trips() {
-    let (findings, _) = check_file("crates/server/src/fixture.rs", &fixture("no_panic/hit.rs"));
+    let (findings, _) = check_file("crates/optim/src/fixture.rs", &fixture("float_eq/hit.rs"));
     assert!(!findings.is_empty());
     let rendered = render_json(&findings);
     let parsed = json::parse(&rendered).expect("emitter output must parse");
@@ -354,6 +240,25 @@ fn durability_order_hit_flags_every_protocol_violation() {
 }
 
 #[test]
+fn durability_order_flags_a_sale_handed_out_before_its_record() {
+    // The failure arm's `resolve(key, None)` sits after the record, so a
+    // check that any resolve follows the record passes; the success arm
+    // still hands waiters a sale the ledger does not have yet.
+    let (findings, used) = check_file(
+        "crates/market/src/broker.rs",
+        &fixture("durability_order/resolve_early.rs"),
+    );
+    assert_eq!(used, 0);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert_eq!(findings[0].line, 13);
+    assert!(
+        findings[0].message.contains("`commit_batch_at`")
+            && findings[0].message.contains("before recording the sale"),
+        "{findings:#?}"
+    );
+}
+
+#[test]
 fn durability_order_miss_is_clean() {
     let (findings, used) = check_file(
         "crates/market/src/broker.rs",
@@ -438,7 +343,7 @@ fn money_safety_suppression_fires() {
 
 #[test]
 fn finding_ids_are_stable_and_occurrence_aware() {
-    let (findings, _) = check_file("crates/server/src/fixture.rs", &fixture("no_panic/hit.rs"));
+    let (findings, _) = check_file("crates/optim/src/fixture.rs", &fixture("float_eq/hit.rs"));
     assert!(!findings.is_empty());
     // Deterministic: the same report renders byte-identically.
     assert_eq!(render_json(&findings), render_json(&findings));

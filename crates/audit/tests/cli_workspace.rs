@@ -7,25 +7,28 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const CLEAN_HANDLER: &str = "\
-pub fn serve(x: Option<u32>) -> Result<u32, &'static str> {
-    x.ok_or(\"missing\")
+const CLEAN_PRICER: &str = "\
+pub fn is_free(price: f64) -> bool {
+    price.abs() < 1e-12
 }
 ";
 
-const PANICKY_HANDLER: &str = "\
-pub fn serve(x: Option<u32>) -> u32 {
-    x.unwrap()
+const EXACT_PRICER: &str = "\
+pub fn is_free(price: f64) -> bool {
+    price == 0.0
 }
 ";
 
 /// Creates a minimal workspace the auditor fully understands: a manifest,
-/// a serving crate with the wire fixture, and an in-sync DESIGN.md.
+/// a serving crate with the wire fixture, a pricing crate, and an in-sync
+/// DESIGN.md.
 fn scratch_workspace(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("nimbus-audit-e2e-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     let server_src = root.join("crates/server/src");
+    let optim_src = root.join("crates/optim/src");
     fs::create_dir_all(&server_src).expect("mkdir scratch workspace");
+    fs::create_dir_all(&optim_src).expect("mkdir scratch workspace");
     fs::write(
         root.join("Cargo.toml"),
         "[workspace]\nmembers = []\nresolver = \"2\"\n",
@@ -34,7 +37,7 @@ fn scratch_workspace(tag: &str) -> PathBuf {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire_sync");
     fs::copy(fixtures.join("wire.rs"), server_src.join("wire.rs")).expect("copy wire fixture");
     fs::copy(fixtures.join("DESIGN_ok.md"), root.join("DESIGN.md")).expect("copy design fixture");
-    fs::write(server_src.join("handler.rs"), CLEAN_HANDLER).expect("write handler");
+    fs::write(optim_src.join("pricer.rs"), CLEAN_PRICER).expect("write pricer");
     root
 }
 
@@ -54,21 +57,21 @@ fn clean_workspace_exits_zero_then_violation_fails() {
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
     assert!(stderr.contains("0 finding(s)"), "stderr: {stderr}");
 
-    // Introduce a hot-path panic: exit flips to 1 with a rustc-style
-    // diagnostic pointing at the exact location.
-    fs::write(root.join("crates/server/src/handler.rs"), PANICKY_HANDLER).expect("write handler");
+    // Introduce an exact float comparison in pricing code: exit flips to 1
+    // with a rustc-style diagnostic pointing at the exact location.
+    fs::write(root.join("crates/optim/src/pricer.rs"), EXACT_PRICER).expect("write pricer");
     let out = run_audit(&root, &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
-        stderr.contains("error[nimbus-audit::no-panic]"),
+        stderr.contains("error[nimbus-audit::float-eq]"),
         "stderr: {stderr}"
     );
     assert!(
-        stderr.contains("--> crates/server/src/handler.rs:2:7"),
+        stderr.contains("--> crates/optim/src/pricer.rs:2:11"),
         "stderr: {stderr}"
     );
-    assert!(stderr.contains("x.unwrap()"), "stderr: {stderr}");
+    assert!(stderr.contains("price == 0.0"), "stderr: {stderr}");
 
     let _ = fs::remove_dir_all(&root);
 }
@@ -76,7 +79,7 @@ fn clean_workspace_exits_zero_then_violation_fails() {
 #[test]
 fn json_mode_emits_parseable_findings() {
     let root = scratch_workspace("json");
-    fs::write(root.join("crates/server/src/handler.rs"), PANICKY_HANDLER).expect("write handler");
+    fs::write(root.join("crates/optim/src/pricer.rs"), EXACT_PRICER).expect("write pricer");
 
     let out = run_audit(&root, &["--json"]);
     assert_eq!(out.status.code(), Some(1));
@@ -87,10 +90,10 @@ fn json_mode_emits_parseable_findings() {
         .get("findings")
         .and_then(Value::as_arr)
         .expect("array");
-    assert_eq!(arr[0].get("rule").and_then(Value::as_str), Some("no-panic"));
+    assert_eq!(arr[0].get("rule").and_then(Value::as_str), Some("float-eq"));
     assert_eq!(
         arr[0].get("file").and_then(Value::as_str),
-        Some("crates/server/src/handler.rs")
+        Some("crates/optim/src/pricer.rs")
     );
     assert_eq!(arr[0].get("line").and_then(Value::as_u64), Some(2));
 

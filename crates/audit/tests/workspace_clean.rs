@@ -27,13 +27,13 @@ fn real_workspace_has_zero_unsuppressed_findings() {
             report.findings.len()
         );
     }
-    // The tree is clean *with reasons*: the dataflow rules (lock-order,
-    // money-safety) cover real sites that are sound by design and carry
-    // reasoned suppressions — if this floor drops, suppressions were
-    // deleted without restructuring the code they justified.
+    // The tree is clean *with reasons*: float-eq and the dataflow rules
+    // (lock-order, money-safety) cover real sites that are sound by design
+    // and carry reasoned suppressions — if this floor drops, suppressions
+    // were deleted without restructuring the code they justified.
     assert!(
-        report.suppressions_used >= 24,
-        "expected ≥ 24 reasoned suppressions honored, got {}",
+        report.suppressions_used >= 10,
+        "expected ≥ 10 reasoned suppressions honored, got {}",
         report.suppressions_used
     );
 }

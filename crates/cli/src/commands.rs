@@ -516,7 +516,10 @@ fn listing_builder(
 /// starts the TCP service on `addr`. The first dataset is the default
 /// listing. Shared by [`serve`] (which then blocks forever) and the tests
 /// (which shut the returned handle down).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per `nimbus serve` flag"
+)]
 pub(crate) fn start_marketplace_server(
     addr: &str,
     dataset_names: &[String],
@@ -577,7 +580,10 @@ pub(crate) fn start_marketplace_server(
 }
 
 /// `nimbus serve`: build the marketplace, bind, and serve until killed.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per `nimbus serve` flag"
+)]
 fn serve(
     addr: &str,
     datasets: &[String],

@@ -45,10 +45,14 @@
 //!   purchase options (pick a point, error budget, price budget).
 
 pub mod arbitrage;
+// Noise is a pure function of `(seed, tx_id, x)`: these modules read no
+// wall clock, environment or hash order (lists in `crates/clippy.toml`).
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod curve_provider;
 pub mod error;
 pub mod error_curve;
 pub mod isotonic;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod mechanism;
 pub mod ncp;
 pub mod parallel;

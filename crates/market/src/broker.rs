@@ -290,7 +290,10 @@ impl MarketSnapshot {
                 // For the square-loss default the curve is the Lemma 3
                 // identity and this reduces to x = 1/e exactly.
                 let pts = self.curve.points();
-                // nimbus-audit: allow(no-panic) — config validation enforces ≥ 2 curve points
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "config validation enforces ≥ 2 curve points"
+                )]
                 let loosest_error = pts[pts.len() - 1].smoothed_error;
                 let x = if e >= loosest_error {
                     // Looser than anything on the menu: clamp to the floor.
@@ -570,7 +573,7 @@ impl BrokerBuilder {
                 while let Some((epoch, nonce, _)) = keys.next_if(|k| k.2 == t.sequence) {
                     dedup.insert((epoch, nonce), t);
                 }
-                // nimbus-audit: allow(no-panic) — index is sequence % LEDGER_SHARDS
+                #[expect(clippy::indexing_slicing, reason = "index is sequence % LEDGER_SHARDS")]
                 shards[t.sequence as usize % LEDGER_SHARDS]
                     .get_mut()
                     .record_assigned(t);
@@ -818,7 +821,10 @@ impl Broker {
                 // map the metric's observed error range onto it (t = 1 at
                 // the lowest error) before transforming onto the φ grid.
                 let pts = curve.points();
-                // nimbus-audit: allow(no-panic) — provider returns ≥ 1 sampled point
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "provider returns ≥ 1 sampled point"
+                )]
                 let (e_lo, e_hi) = (pts[0].smoothed_error, pts[pts.len() - 1].smoothed_error);
                 let range = e_hi - e_lo;
                 let t_of = move |e: f64| {
@@ -1092,7 +1098,7 @@ impl Broker {
     /// ledger stripe and assembles the buyer-facing [`Sale`].
     fn record_prepared(&self, prepared: PreparedSale) -> Sale {
         let t = prepared.record.transaction;
-        // nimbus-audit: allow(no-panic) — index is tx_id % LEDGER_SHARDS
+        #[expect(clippy::indexing_slicing, reason = "index is tx_id % LEDGER_SHARDS")]
         self.shards[t.sequence as usize % LEDGER_SHARDS]
             .lock()
             .record_assigned(t);

@@ -1,8 +1,9 @@
 //! Injectable monotonic clocks.
 //!
 //! The simulation layer times strategy solves, but wall-clock reads are
-//! banned from the deterministic modules (`nimbus-audit`'s `determinism`
-//! rule): replay must be a pure function of its inputs. So the clock is a
+//! banned from the deterministic modules (`clippy::disallowed_methods`,
+//! listed in `crates/clippy.toml`): replay must be a pure function of its
+//! inputs. So the clock is a
 //! *capability* — callers hand [`crate::simulation::price_with_clock`] a
 //! closure reading elapsed time since an arbitrary fixed origin, and the
 //! deterministic code never touches [`Instant`] itself. Production entry

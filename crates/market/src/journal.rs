@@ -100,6 +100,10 @@ const TAG_SALE_BUYER: u8 = 0x03;
 // CRC-32 (IEEE), table-driven, std-only.
 // ---------------------------------------------------------------------------
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-eval loop, i < 256 by the guard"
+)]
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -114,7 +118,6 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        // nimbus-audit: allow(no-panic) — const-eval loop, i < 256 by the guard
         table[i] = crc;
         i += 1;
     }
@@ -124,10 +127,13 @@ const fn build_crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = build_crc_table();
 
 /// CRC-32/ISO-HDLC over `bytes` (the classic zip/Ethernet CRC).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "index masked to 0xFF, table has 256 entries"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // nimbus-audit: allow(no-panic) — index masked to 0xFF, table has 256 entries
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -327,13 +333,20 @@ impl FaultyFile {
     }
 
     /// Writes `buf` in full, subject to the plan's armed faults.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the bit flip runs only on a non-empty buf, so mid < len"
+    )]
     pub fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         let n = self.plan.inner.writes.fetch_add(1, Ordering::SeqCst) + 1;
         if n == self.plan.inner.fail_write_at.load(Ordering::SeqCst) {
             return Err(FaultPlan::injected("write failure"));
         }
         if n == self.plan.inner.short_write_at.load(Ordering::SeqCst) {
-            // nimbus-audit: allow(no-panic) — len / 2 ≤ len, prefix slice is in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "len / 2 ≤ len, prefix slice is in bounds"
+            )]
             self.file.write_all(&buf[..buf.len() / 2])?;
             let _ = self.file.sync_data();
             return Err(FaultPlan::injected("short write"));
@@ -341,7 +354,6 @@ impl FaultyFile {
         if n == self.plan.inner.flip_bit_at.load(Ordering::SeqCst) && !buf.is_empty() {
             let mut corrupt = buf.to_vec();
             let mid = corrupt.len() / 2;
-            // nimbus-audit: allow(no-panic) — buf is non-empty here, so mid < len
             corrupt[mid] ^= 0x40;
             return self.file.write_all(&corrupt);
         }

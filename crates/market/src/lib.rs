@@ -1,6 +1,15 @@
-// Unit tests exercise failure paths where `unwrap`/`panic!` are the
-// point; the serving-path hygiene lints apply to shipped code only.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::panic))]
+// Shipped code answers with a typed error, never a panic; unit tests
+// exercise failure paths where `unwrap`/`panic!` are the point.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![forbid(unsafe_code)]
 
 //! End-to-end marketplace simulation — the Nimbus demo flow.
@@ -67,18 +76,33 @@
 //! listing directory with a draft → published → retired lifecycle and
 //! per-listing journals recovered in parallel.
 
+// Deterministic modules replay from the journal alone, so they read no
+// wall clock, environment or hash order (the lists are in
+// `crates/clippy.toml`). Hot-path modules run inside every commit, where
+// an out-of-bounds index would kill a serving worker.
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod account;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod broker;
 pub mod buyer;
 pub mod clock;
 pub mod curves;
 pub mod error;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod journal;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod ledger;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod marketplace;
 pub mod parallel;
 pub mod persist;
 pub mod seller;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod simulation;
 pub mod transform;
 

@@ -152,6 +152,10 @@ pub fn arbitrage_demo(problem: &RevenueProblem) -> Result<ArbitrageDemo> {
             .collect(),
     )?;
     // Attack the most accurate (most expensive) version.
+    #[expect(
+        clippy::expect_used,
+        reason = "RevenueProblem::new rejects an empty point set"
+    )]
     let target = *params.last().expect("non-empty problem");
     let attack = find_attack(&pricing, target, &params, 4 * params.len().max(100))?;
     Ok(ArbitrageDemo {

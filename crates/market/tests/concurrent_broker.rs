@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! Concurrency guarantees of the snapshot-serving broker.
 //!
 //! The redesign's contract: after `open_market()` the serving path is a pure

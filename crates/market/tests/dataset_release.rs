@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! A broker keeps `h*`, not the dataset it was trained on, and its books
 //! once, not the journal replay they came from.
 //!

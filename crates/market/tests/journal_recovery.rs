@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! Crash-recovery integration tests: a journaled broker is killed (dropped
 //! or fault-injected mid-commit) and rebuilt from its write-ahead log; the
 //! replayed books must reconcile exactly with what buyers were acked, and

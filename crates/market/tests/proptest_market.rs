@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! Property-based tests for the marketplace layer.
 
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};

@@ -45,7 +45,10 @@ impl LeastSquaresAccumulator {
     }
 
     /// Absorbs one example.
-    #[allow(clippy::needless_range_loop)] // triangular index arithmetic is clearer explicit
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "triangular index arithmetic is clearer explicit"
+    )]
     pub fn push(&mut self, x: &[f64], y: f64) {
         debug_assert_eq!(x.len(), self.d);
         let mut idx = 0;

@@ -15,6 +15,9 @@
 pub mod discrete;
 pub mod laplace;
 pub mod normal;
+// Snapped draws are bitwise identical for a given `(seed, tx_id, x)`: no
+// wall clock, environment or hash order (lists in `crates/clippy.toml`).
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod snapped;
 pub mod summary;
 pub mod uniform;

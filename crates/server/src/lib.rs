@@ -1,6 +1,17 @@
-// Unit tests exercise failure paths where `unwrap`/`panic!` are the
-// point; the serving-path hygiene lints apply to shipped code only.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::panic))]
+// The serving hot path answers, never aborts: a panic here kills a worker
+// under load, so shipped code may not unwrap, index or panic. Unit tests
+// exercise failure paths where `unwrap`/`panic!` are the point.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! # nimbus-server — the broker as a networked service
 //!
@@ -78,6 +89,8 @@
 
 pub mod client;
 pub mod error;
+// Deadline timers run on an injected clock: replay must not see the wall.
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 mod event;
 pub mod loadgen;
 pub mod server;

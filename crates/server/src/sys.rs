@@ -18,7 +18,8 @@
 //!
 //! The `extern "C"` declarations bind the libc wrappers that `std`
 //! already links — no new dependency. Every `unsafe` block carries its
-//! proof obligation inline per the workspace `unsafe-safety` audit rule.
+//! proof obligation in a `// SAFETY:` comment
+//! (`clippy::undocumented_unsafe_blocks`, denied workspace-wide).
 
 use std::time::Duration;
 

@@ -562,7 +562,7 @@ impl Enc {
         while !s.is_char_boundary(len) {
             len -= 1;
         }
-        // nimbus-audit: allow(no-panic) — len ≤ s.len(), on a char boundary
+        #[expect(clippy::indexing_slicing, reason = "len ≤ s.len(), on a char boundary")]
         let bytes = &s.as_bytes()[..len];
         self.u16(bytes.len() as u16);
         self.buf.extend_from_slice(bytes);
@@ -604,6 +604,7 @@ impl<'a> Dec<'a> {
         Ok(head)
     }
 
+    #[expect(clippy::indexing_slicing, reason = "take(1) returns exactly one byte")]
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -728,7 +729,10 @@ pub fn read_frame_opt(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
-        // nimbus-audit: allow(no-panic) — loop guard keeps filled < 4 = len_buf.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "loop guard keeps filled < 4 = len_buf.len()"
+        )]
         let n = r.read(&mut len_buf[filled..])?;
         if n == 0 {
             return if filled == 0 {

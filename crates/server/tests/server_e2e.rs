@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! End-to-end serving tests: a real `NimbusServer` on an ephemeral
 //! loopback port, driven by real TCP clients.
 //!

@@ -1,7 +1,3 @@
-// Test code: `unwrap`/`panic!` are assertions here, not serving-path
-// hazards — opt out of the workspace panic-hygiene lints.
-#![allow(clippy::unwrap_used, clippy::panic)]
-
 //! Crash-safety end to end: a journalled server is cut down mid-load,
 //! restarted on the same journal, and the replayed ledger must reconcile
 //! *exactly* — same transaction count, same ids, same total revenue —

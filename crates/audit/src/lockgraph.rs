@@ -18,8 +18,8 @@
 //!    group-commit journal mutex), a reasoned suppression documents it.
 //!
 //! Lock identities are `Struct.field` when the receiver resolves against
-//! the inventory (`self.shards` in a `Broker` impl → `Broker.shards`; a
-//! bare `shards[i].lock()` resolves by unique field name). Unresolvable
+//! the inventory (`self.ledger` in a `Broker` impl → `Broker.ledger`; a
+//! bare `ledger.lock()` resolves by unique field name). Unresolvable
 //! `.lock()` receivers still participate in the durability check but are
 //! kept out of the cycle graph — a per-site pseudo-identity cannot be
 //! matched across functions and would fabricate edges.

@@ -47,9 +47,11 @@
 //!   `Arc`, then prices off its own reference. A superseded snapshot drops
 //!   with its last reader; outstanding quotes from it are rejected at
 //!   commit time with [`MarketError::QuoteExpired`].
-//! * **Striped ledger.** Sales record onto `LEDGER_SHARDS` independent
-//!   `Mutex<LedgerShard>` stripes selected by transaction id, merged into a
-//!   sequence-ordered [`Ledger`] only on read.
+//! * **One ledger.** A durable sale inserts its row into one
+//!   `Mutex<`[`Ledger`]`>` at its place in transaction-id order; the
+//!   insert lands at or near the tail, and a commit holds the lock for that
+//!   one insert. Reads clone or fold the rows in id order, so the books and
+//!   their revenue bits do not depend on thread interleaving.
 //! * **Per-transaction RNG.** Each commit draws its noise from an
 //!   independent stream `seeded_rng(split_stream(seed, transaction_id))`,
 //!   so the model a buyer receives depends only on `(seed, transaction id,
@@ -61,7 +63,7 @@
 
 use crate::account::BuyerAccounts;
 use crate::journal::{FaultPlan, GroupCommit, GroupCommitStats, Journal, JournalError, SaleRecord};
-use crate::ledger::{Ledger, LedgerShard, Transaction};
+use crate::ledger::{Ledger, Transaction};
 use crate::seller::{Seller, SellerTerms};
 use crate::{MarketError, Result};
 use nimbus_core::mechanism::RandomizedMechanism;
@@ -78,9 +80,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Number of stripes in the sharded ledger.
-const LEDGER_SHARDS: usize = 16;
 
 /// Largest menu a broker posts. A `MENU` reply of this many points is
 /// about 64 KiB, so a whole menu always fits one wire frame.
@@ -163,7 +162,7 @@ pub struct BatchCommitItem {
 
 /// A commit that has passed validation and perturbation but has not yet
 /// crossed the durability barrier: everything needed to journal it and,
-/// once durable, record it on a ledger stripe.
+/// once durable, record it on the ledger.
 struct PreparedSale {
     record: SaleRecord,
     model: LinearModel,
@@ -424,7 +423,7 @@ impl BrokerBuilder {
     /// Journals every committed sale to the append-only write-ahead log at
     /// `path`, fsynced before the sale is acknowledged; the log is never
     /// rewritten. On [`BrokerBuilder::build`] an existing journal is
-    /// replayed: the ledger shards, the monotone transaction-id sequence
+    /// replayed: the ledger, the monotone transaction-id sequence
     /// and the idempotency table are restored, and epochs of snapshots
     /// published by [`Broker::open_market`] continue above the highest
     /// journaled epoch. A tail torn by a crash is salvaged; corruption
@@ -550,34 +549,21 @@ impl BrokerBuilder {
         let Seller { dataset, terms } = self.seller;
         let optimal = Arc::new(self.trainer.train(&dataset.train)?);
         drop(dataset);
-        let mut shards: Vec<Mutex<LedgerShard>> = (0..LEDGER_SHARDS)
-            .map(|_| Mutex::new(LedgerShard::new()))
-            .collect();
-        let mut dedup: BTreeMap<(u64, u64), Transaction> = BTreeMap::new();
+        let mut ledger = Ledger::default();
+        let mut dedup = BTreeMap::new();
         let accounts = BuyerAccounts::new(self.buyer_budget);
         let mut journal = None;
         let mut recovery = None;
         if let Some(path) = self.journal_path {
-            let (j, mut rec) = Journal::open(path, 0, self.journal_faults)?;
+            // Move the replay into the books: its id-ordered sales become
+            // the ledger, its key → id map the idempotency table (the scan
+            // holds every key to a replayed sale), and buyer spend goes
+            // into the accounts.
+            let (j, rec) = Journal::open(path, 0, self.journal_faults)?;
             let revenue = rec.total_revenue();
-            // Move the replay into the books: every sale onto its stripe,
-            // each keyed one also into the idempotency table beside its key
-            // (the scan holds every key to a replayed sale), and buyer spend
-            // into the accounts. Both lists come in near-id order, so the
-            // sorts are cheap and the keys meet their sales in one merge.
-            rec.transactions.sort_unstable_by_key(|t| t.sequence);
-            rec.dedup.sort_unstable_by_key(|&(_, _, tx_id)| tx_id);
-            let mut keys = std::mem::take(&mut rec.dedup).into_iter().peekable();
             let sales = rec.transactions.len();
-            for t in std::mem::take(&mut rec.transactions) {
-                while let Some((epoch, nonce, _)) = keys.next_if(|k| k.2 == t.sequence) {
-                    dedup.insert((epoch, nonce), t);
-                }
-                #[expect(clippy::indexing_slicing, reason = "index is sequence % LEDGER_SHARDS")]
-                shards[t.sequence as usize % LEDGER_SHARDS]
-                    .get_mut()
-                    .record_assigned(t);
-            }
+            ledger = Ledger::from_sorted(rec.transactions);
+            dedup = rec.dedup;
             accounts.seed(&rec.accounts);
             journal = Some(GroupCommit::new(j, self.journal_group_commit_window));
             recovery = Some(RecoverySummary {
@@ -597,7 +583,7 @@ impl BrokerBuilder {
             commission: self.commission,
             optimal,
             current: Mutex::new(None),
-            shards,
+            ledger: Mutex::new(ledger),
             tx_counter: AtomicU64::new(recovery.as_ref().map_or(0, |r| r.next_tx_id)),
             journal,
             dedup: DedupTable::with(dedup),
@@ -614,7 +600,7 @@ impl BrokerBuilder {
 pub struct RecoverySummary {
     /// Replayed sales.
     pub sales: usize,
-    /// Revenue across the replayed sales, folded in journal order.
+    /// Revenue across the replayed sales, folded in id order.
     pub revenue: f64,
     /// The first transaction id handed out after the replay.
     pub next_tx_id: u64,
@@ -626,8 +612,8 @@ pub struct RecoverySummary {
     pub truncated: Option<JournalError>,
 }
 
-/// Idempotency table `(quote epoch, client nonce) → transaction`: a retry
-/// reads its sale's ledger row from here, never from a ledger stripe.
+/// Idempotency table `(quote epoch, client nonce) → transaction id`: a
+/// retry finds its sale's ledger row by that id.
 ///
 /// A keyed commit *claims* its key before the durability barrier and
 /// *resolves* it afterwards, so the table is never locked across a journal
@@ -644,12 +630,12 @@ struct DedupTable {
 
 #[derive(Debug, Default)]
 struct DedupState {
-    committed: BTreeMap<(u64, u64), Transaction>,
+    committed: BTreeMap<(u64, u64), u64>,
     in_flight: BTreeSet<(u64, u64)>,
 }
 
 impl DedupTable {
-    fn with(committed: BTreeMap<(u64, u64), Transaction>) -> Self {
+    fn with(committed: BTreeMap<(u64, u64), u64>) -> Self {
         DedupTable {
             state: std::sync::Mutex::new(DedupState {
                 committed,
@@ -666,13 +652,13 @@ impl DedupTable {
     }
 
     /// Waits out any in-flight commit of `key`, then either returns the
-    /// committed transaction to replay or, with `None`, hands the key to
-    /// the caller, who must [`DedupTable::resolve`] it.
-    fn claim(&self, key: (u64, u64)) -> Option<Transaction> {
+    /// id of the committed transaction to replay or, with `None`, hands
+    /// the key to the caller, who must [`DedupTable::resolve`] it.
+    fn claim(&self, key: (u64, u64)) -> Option<u64> {
         let mut state = self.lock_state();
         loop {
-            if let Some(&transaction) = state.committed.get(&key) {
-                return Some(transaction);
+            if let Some(&tx_id) = state.committed.get(&key) {
+                return Some(tx_id);
             }
             if state.in_flight.insert(key) {
                 return None;
@@ -681,13 +667,13 @@ impl DedupTable {
         }
     }
 
-    /// Releases a claimed key, recording its transaction on success and
-    /// waking every retry parked on it.
-    fn resolve(&self, key: (u64, u64), transaction: Option<Transaction>) {
+    /// Releases a claimed key, recording its transaction id on success
+    /// and waking every retry parked on it.
+    fn resolve(&self, key: (u64, u64), tx_id: Option<u64>) {
         let mut state = self.lock_state();
         state.in_flight.remove(&key);
-        if let Some(transaction) = transaction {
-            state.committed.insert(key, transaction);
+        if let Some(tx_id) = tx_id {
+            state.committed.insert(key, tx_id);
         }
         drop(state);
         self.resolved.notify_all();
@@ -710,8 +696,8 @@ pub struct Broker {
     /// The currently published snapshot (`None` before `open_market`).
     /// Held only to clone the `Arc` out or to swap a new one in.
     current: Mutex<Option<Arc<MarketSnapshot>>>,
-    /// Striped write-side ledger; merged on read by [`Broker::ledger`].
-    shards: Vec<Mutex<LedgerShard>>,
+    /// Every recorded sale, in transaction-id order.
+    ledger: Mutex<Ledger>,
     /// Globally unique transaction ids, also the label of each sale's
     /// private RNG stream.
     tx_counter: AtomicU64,
@@ -972,7 +958,7 @@ impl Broker {
 
     /// Redeems a [`Quote`]: checks the payment against the (re-derived)
     /// posted price, perturbs the optimal model on the transaction's
-    /// private RNG stream and records the sale on a ledger stripe.
+    /// private RNG stream and records the sale on the ledger.
     ///
     /// The quote must carry the epoch of the currently published snapshot;
     /// a quote issued before a re-`open_market()` fails with
@@ -1094,14 +1080,11 @@ impl Broker {
         })
     }
 
-    /// The post-durability half of a commit: records the sale on its
-    /// ledger stripe and assembles the buyer-facing [`Sale`].
+    /// The post-durability half of a commit: records the sale on the
+    /// ledger and assembles the buyer-facing [`Sale`].
     fn record_prepared(&self, prepared: PreparedSale) -> Sale {
         let t = prepared.record.transaction;
-        #[expect(clippy::indexing_slicing, reason = "index is tx_id % LEDGER_SHARDS")]
-        self.shards[t.sequence as usize % LEDGER_SHARDS]
-            .lock()
-            .record_assigned(t);
+        self.ledger.lock().record_assigned(t);
         Sale {
             model: prepared.model,
             inverse_ncp: t.inverse_ncp,
@@ -1150,7 +1133,7 @@ impl Broker {
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let claims: BTreeMap<(u64, u64), Option<Transaction>> = keys
+        let claims: BTreeMap<(u64, u64), Option<u64>> = keys
             .into_iter()
             .map(|key| (key, self.dedup.claim(key)))
             .collect();
@@ -1170,8 +1153,8 @@ impl Broker {
                     })));
                     continue;
                 }
-                if let Some(&Some(transaction)) = claims.get(&key) {
-                    results.push(Some(self.replay_sale(transaction)));
+                if let Some(&Some(tx_id)) = claims.get(&key) {
+                    results.push(Some(self.replay_sale(tx_id)));
                     continue;
                 }
             }
@@ -1208,7 +1191,7 @@ impl Broker {
                     // on this key finds the sale already in the books.
                     let sale = self.record_prepared(p);
                     if let Some(key) = key {
-                        self.dedup.resolve(key, Some(sale.transaction));
+                        self.dedup.resolve(key, Some(sale.transaction.sequence));
                     }
                     Ok(sale)
                 }
@@ -1239,12 +1222,22 @@ impl Broker {
             .collect()
     }
 
-    /// Reconstructs the exact [`Sale`] of an already-recorded transaction,
-    /// the ledger row its idempotency key was stored with: the noisy model
-    /// is re-derived from the transaction's private RNG stream, which
-    /// depends only on `(seed, transaction id, x)` — identical across
-    /// threads, re-opens and restarts (training is deterministic).
-    fn replay_sale(&self, transaction: Transaction) -> Result<Sale> {
+    /// Reconstructs the exact [`Sale`] of an already-recorded transaction
+    /// from its ledger row: the noisy model is re-derived from the
+    /// transaction's private RNG stream, which depends only on `(seed,
+    /// transaction id, x)` — identical across threads, re-opens and
+    /// restarts (training is deterministic).
+    fn replay_sale(&self, tx_id: u64) -> Result<Sale> {
+        // A key resolves only after its sale is recorded, so the row is
+        // there; the guard drops at the end of this statement.
+        let transaction =
+            self.ledger
+                .lock()
+                .get(tx_id)
+                .copied()
+                .ok_or_else(|| MarketError::InvalidConfig {
+                    reason: format!("idempotency table points at unknown transaction {tx_id}"),
+                })?;
         let snapshot = self.published()?;
         let ncp = InverseNcp::new(transaction.inverse_ncp)?.ncp();
         let mut rng = seeded_rng(split_stream(self.config.seed, transaction.sequence));
@@ -1261,8 +1254,8 @@ impl Broker {
 
     /// A summary of what the journal replayed when this broker was built
     /// (`None` without a journal; zero sales for a fresh journal). The
-    /// replayed sales themselves live on the ledger and in the idempotency
-    /// table.
+    /// replayed sales themselves live on the ledger, their keys in the
+    /// idempotency table.
     pub fn recovery(&self) -> Option<&RecoverySummary> {
         self.recovery.as_ref()
     }
@@ -1316,26 +1309,25 @@ impl Broker {
         PriceErrorCurve::new(&curve, snapshot.pricing()).map_err(Into::into)
     }
 
-    /// A merged, sequence-ordered copy of the sharded ledger.
+    /// A copy of the ledger, in transaction-id order.
     pub fn ledger(&self) -> Ledger {
-        let shards: Vec<LedgerShard> = self.shards.iter().map(|s| s.lock().clone()).collect();
-        Ledger::from_shards(shards.iter())
+        self.ledger.lock().clone()
     }
 
-    /// Total revenue collected so far.
+    /// Total revenue collected so far, folded in transaction-id order.
     pub fn collected_revenue(&self) -> f64 {
-        self.shards.iter().map(|s| s.lock().total_revenue()).sum()
+        self.ledger.lock().total_revenue()
     }
 
     /// Number of completed sales.
     pub fn sales_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().count()).sum()
+        self.ledger.lock().count()
     }
 
     /// One consistent-enough accounting snapshot for monitoring surfaces
     /// (the `INFO` op of the network serving layer, dashboards, logs).
     /// Epoch and expected revenue are read from the published snapshot;
-    /// sales and revenue are summed across the ledger stripes.
+    /// sales and revenue from the ledger.
     pub fn market_stats(&self) -> MarketStats {
         let snapshot = self.snapshot();
         MarketStats {
@@ -2073,6 +2065,7 @@ mod tests {
         let stats = broker.market_stats();
         assert_eq!(stats.epoch, None);
         assert_eq!(stats.sales, 0);
+        assert_eq!(stats.revenue.to_bits(), 0, "no sales is +0.0, not -0.0");
         broker.open_market().unwrap();
         let q = broker
             .quote_request(PurchaseRequest::AtInverseNcp(10.0))
@@ -2333,7 +2326,7 @@ mod tests {
         });
         assert_eq!(broker.sales_count(), threads * per_thread);
         assert!(broker.collected_revenue() > 0.0);
-        // Merged ledger has every transaction id exactly once, in order.
+        // The ledger has every transaction id exactly once, in order.
         let ledger = broker.ledger();
         let seqs: Vec<u64> = ledger.transactions().iter().map(|t| t.sequence).collect();
         assert_eq!(

@@ -1,19 +1,10 @@
-//! The broker's transaction ledger.
-//!
-//! Two representations back the broker's accounting:
-//!
-//! * [`Ledger`] — the classic append-only, sequence-ordered record, used
-//!   standalone and as the merged read-side view;
-//! * [`LedgerShard`] — one stripe of the broker's sharded write path.
-//!   Concurrent sales hash their (globally unique, atomically assigned)
-//!   transaction id onto a stripe, so writers contend only 1/N of the time.
-//!   [`Ledger::from_shards`] merges stripes back into a sequence-ordered
-//!   [`Ledger`] on demand.
+//! The broker's transaction ledger: every sale, in transaction-id order.
 
 /// One completed sale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transaction {
-    /// Monotone sequence number assigned by the ledger.
+    /// Transaction id, handed out by the broker's monotone counter; also
+    /// the label of the sale's private RNG stream.
     pub sequence: u64,
     /// Inverse NCP of the version sold.
     pub inverse_ncp: f64,
@@ -23,31 +14,53 @@ pub struct Transaction {
     pub expected_error: f64,
 }
 
-/// Append-only record of every sale, with revenue accounting.
+/// Record of every sale, kept in transaction-id order, with revenue
+/// accounting.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     transactions: Vec<Transaction>,
 }
 
 impl Ledger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Ledger::default()
+    /// A ledger holding `transactions`, whose ids must be unique and
+    /// ascending.
+    pub(crate) fn from_sorted(transactions: Vec<Transaction>) -> Self {
+        debug_assert!(transactions.is_sorted_by(|a, b| a.sequence < b.sequence));
+        Ledger { transactions }
     }
 
-    /// Records a sale, assigning the next sequence number.
-    pub fn record(&mut self, inverse_ncp: f64, price: f64, expected_error: f64) -> Transaction {
-        let tx = Transaction {
-            sequence: self.transactions.len() as u64,
-            inverse_ncp,
-            price,
-            expected_error,
-        };
-        self.transactions.push(tx);
-        tx
+    /// Records a sale under its broker-assigned id, at its place in id
+    /// order. Ids are unique and commits finish close to the order they
+    /// drew them in, so the row lands at or near the tail.
+    pub(crate) fn record_assigned(&mut self, transaction: Transaction) {
+        let at = self
+            .transactions
+            .partition_point(|t| t.sequence < transaction.sequence);
+        self.transactions.insert(at, transaction);
     }
 
-    /// All transactions in order.
+    /// The sale with transaction id `sequence`. Ids are unique and
+    /// ascending, so id `s` sits at index `s − g`, `g` the ids below `s`
+    /// that no row holds (drawn by a commit that then failed); `g` is at
+    /// most the ledger's gap count, so a binary search of that window finds
+    /// the row, in one probe when no id was lost.
+    pub(crate) fn get(&self, sequence: u64) -> Option<&Transaction> {
+        let last = self.transactions.len().checked_sub(1)?;
+        let gaps = self
+            .transactions
+            .get(last)?
+            .sequence
+            .saturating_sub(last as u64);
+        let lo = usize::try_from(sequence.saturating_sub(gaps)).ok()?;
+        let hi = usize::try_from(sequence).ok()?.min(last);
+        let window = self.transactions.get(lo..=hi)?;
+        let at = window
+            .binary_search_by_key(&sequence, |t| t.sequence)
+            .ok()?;
+        window.get(at)
+    }
+
+    /// All transactions in id order.
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions
     }
@@ -57,74 +70,11 @@ impl Ledger {
         self.transactions.len()
     }
 
-    /// Total revenue across all sales.
+    /// Total revenue, folded in id order from `+0.0` (std's `Sum` starts
+    /// at `-0.0`), so it is a pure function of the set of sales and an
+    /// empty ledger reports plain zero.
     pub fn total_revenue(&self) -> f64 {
-        self.transactions.iter().map(|t| t.price).sum()
-    }
-
-    /// Average sale price (`None` when no sales yet).
-    pub fn average_price(&self) -> Option<f64> {
-        if self.transactions.is_empty() {
-            None
-        } else {
-            Some(self.total_revenue() / self.transactions.len() as f64)
-        }
-    }
-
-    /// Merges striped shards into one ledger ordered by global transaction
-    /// id — i.e. replay order equals commit order, regardless of how the
-    /// broker's concurrent writers interleaved onto stripes (a stripe's
-    /// local order is arrival order, which under contention is *not* id
-    /// order even within the stripe). Sequence numbers come pre-assigned
-    /// by the broker's atomic counter and are globally unique, so the
-    /// merge is a sort on them, not a renumbering; `sort_unstable` is safe
-    /// because no two transactions share an id.
-    pub fn from_shards<'a>(shards: impl IntoIterator<Item = &'a LedgerShard>) -> Self {
-        let mut transactions: Vec<Transaction> = shards
-            .into_iter()
-            .flat_map(|s| s.transactions().iter().copied())
-            .collect();
-        transactions.sort_unstable_by_key(|t| t.sequence);
-        Ledger { transactions }
-    }
-}
-
-/// One stripe of the broker's sharded ledger.
-///
-/// Unlike [`Ledger`], a shard does not assign sequence numbers: the broker
-/// hands each sale a globally unique transaction id from an atomic counter
-/// and records it on the stripe `id % N`. That keeps ids unique and totals
-/// exact under any thread interleaving, while writers only contend with the
-/// ~1/N of sales that hash to the same stripe.
-#[derive(Debug, Clone, Default)]
-pub struct LedgerShard {
-    transactions: Vec<Transaction>,
-}
-
-impl LedgerShard {
-    /// Creates an empty stripe.
-    pub fn new() -> Self {
-        LedgerShard::default()
-    }
-
-    /// Records a sale under its broker-assigned sequence number.
-    pub fn record_assigned(&mut self, transaction: Transaction) {
-        self.transactions.push(transaction);
-    }
-
-    /// Transactions on this stripe, in local arrival order.
-    pub fn transactions(&self) -> &[Transaction] {
-        &self.transactions
-    }
-
-    /// Number of sales on this stripe.
-    pub fn count(&self) -> usize {
-        self.transactions.len()
-    }
-
-    /// Revenue collected on this stripe.
-    pub fn total_revenue(&self) -> f64 {
-        self.transactions.iter().map(|t| t.price).sum()
+        self.transactions.iter().fold(0.0, |acc, t| acc + t.price)
     }
 }
 
@@ -132,79 +82,78 @@ impl LedgerShard {
 mod tests {
     use super::*;
 
-    fn tx(sequence: u64, inverse_ncp: f64, price: f64, expected_error: f64) -> Transaction {
+    fn tx(sequence: u64, price: f64) -> Transaction {
         Transaction {
             sequence,
-            inverse_ncp,
+            inverse_ncp: sequence as f64,
             price,
-            expected_error,
+            expected_error: 0.1,
         }
     }
 
     #[test]
     fn records_in_sequence() {
-        let mut l = Ledger::new();
-        let t0 = l.record(10.0, 5.0, 0.1);
-        let t1 = l.record(20.0, 8.0, 0.05);
-        assert_eq!(t0.sequence, 0);
-        assert_eq!(t1.sequence, 1);
+        let mut l = Ledger::default();
+        l.record_assigned(tx(0, 5.0));
+        l.record_assigned(tx(1, 8.0));
         assert_eq!(l.count(), 2);
         assert_eq!(l.transactions()[1].price, 8.0);
-    }
-
-    #[test]
-    fn shards_merge_in_sequence_order() {
-        let mut a = LedgerShard::new();
-        let mut b = LedgerShard::new();
-        // Interleaved ids landing on two stripes, recorded out of order.
-        b.record_assigned(tx(1, 20.0, 8.0, 0.05));
-        a.record_assigned(tx(2, 30.0, 9.0, 0.03));
-        a.record_assigned(tx(0, 10.0, 5.0, 0.1));
-        let merged = Ledger::from_shards([&a, &b]);
-        let seqs: Vec<u64> = merged.transactions().iter().map(|t| t.sequence).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(merged.count(), 3);
-        assert!((merged.total_revenue() - 22.0).abs() < 1e-12);
-        assert!((a.total_revenue() + b.total_revenue() - 22.0).abs() < 1e-12);
-        assert_eq!(a.count() + b.count(), 3);
+        assert_eq!(l.get(0).map(|t| t.price), Some(5.0));
+        assert!(l.get(2).is_none());
     }
 
     #[test]
     fn replay_order_equals_commit_order() {
-        // Commit order is transaction-id order. Scatter ids over stripes
-        // with deliberately shuffled arrival order — within stripes too,
-        // as happens when two commits on one stripe race — and assert the
-        // merged ledger replays exactly in id order.
-        let n_shards = 4;
-        let mut shards: Vec<LedgerShard> = (0..n_shards).map(|_| LedgerShard::new()).collect();
-        let ids: Vec<u64> = vec![7, 0, 13, 2, 9, 4, 15, 6, 1, 8, 3, 10, 5, 12, 11, 14];
-        for &id in &ids {
-            shards[(id % n_shards as u64) as usize].record_assigned(tx(id, id as f64, 1.0, 0.1));
+        // Commits finish out of id order when two of them race, so rows
+        // arrive shuffled; the ledger still holds them in id order.
+        let mut l = Ledger::default();
+        for id in [7, 0, 13, 2, 9, 4, 15, 6, 1, 8, 3, 10, 5, 12, 11, 14] {
+            l.record_assigned(tx(id, 1.0));
         }
-        // Stripe 1 received 13 before 9 before 1 — arrival order is not
-        // id order inside the stripe.
-        let stripe1: Vec<u64> = shards[1]
-            .transactions()
-            .iter()
-            .map(|t| t.sequence)
-            .collect();
-        assert_eq!(stripe1, vec![13, 9, 1, 5]);
-        let merged = Ledger::from_shards(shards.iter());
-        let seqs: Vec<u64> = merged.transactions().iter().map(|t| t.sequence).collect();
-        assert_eq!(seqs, (0..16).collect::<Vec<u64>>());
-        for t in merged.transactions() {
-            assert_eq!(t.inverse_ncp, t.sequence as f64);
+        let ids: Vec<u64> = l.transactions().iter().map(|t| t.sequence).collect();
+        assert_eq!(ids, (0..16).collect::<Vec<u64>>());
+        assert_eq!(l.count(), 16);
+        for id in 0..16 {
+            assert_eq!(l.get(id).map(|t| t.sequence), Some(id));
         }
+        assert!(l.get(16).is_none());
+    }
+
+    #[test]
+    fn finds_rows_around_lost_ids() {
+        // Ids 3, 4 and 9 were drawn by commits that failed.
+        let ids = [0, 1, 2, 5, 6, 7, 8, 10, 11];
+        let mut l = Ledger::default();
+        for id in ids {
+            l.record_assigned(tx(id, 1.0));
+        }
+        for id in 0..14 {
+            let found = l.get(id).map(|t| t.sequence);
+            assert_eq!(found, ids.contains(&id).then_some(id), "id {id}");
+        }
+        assert!(Ledger::default().get(0).is_none());
     }
 
     #[test]
     fn revenue_accounting() {
-        let mut l = Ledger::new();
-        assert_eq!(l.total_revenue(), 0.0);
-        assert!(l.average_price().is_none());
-        l.record(1.0, 3.0, 1.0);
-        l.record(2.0, 7.0, 0.5);
-        assert_eq!(l.total_revenue(), 10.0);
-        assert_eq!(l.average_price(), Some(5.0));
+        let mut l = Ledger::default();
+        assert_eq!(l.total_revenue().to_bits(), 0);
+        // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit:
+        // arrival order must not pick the association.
+        let mut shuffled = Ledger::default();
+        for (id, price) in [(0, 0.1), (1, 0.2), (2, 0.3)] {
+            l.record_assigned(tx(id, price));
+        }
+        for (id, price) in [(2, 0.3), (0, 0.1), (1, 0.2)] {
+            shuffled.record_assigned(tx(id, price));
+        }
+        assert_eq!(
+            l.total_revenue().to_bits(),
+            ((0.1 + 0.2) + 0.3f64).to_bits()
+        );
+        assert_eq!(
+            l.total_revenue().to_bits(),
+            shuffled.total_revenue().to_bits()
+        );
     }
 }

@@ -24,7 +24,7 @@
 //!   transforms the curves through the error-inverse, optimizes prices
 //!   with `nimbus-optim`, and serves buyers through the three §3.2
 //!   purchase options via an explicit quote→commit protocol, recording
-//!   every sale in a sharded [`ledger::Ledger`];
+//!   every sale in one id-ordered [`ledger::Ledger`];
 //! * [`buyer::BuyerPopulation`] draws buyers from the demand curve, each
 //!   with a valuation from the value curve, who decide to buy iff the
 //!   posted price does not exceed their valuation.
@@ -33,8 +33,8 @@
 //!
 //! The broker is built for a read-mostly serving workload: the posted menu
 //! is immutable between `open_market()` calls, while many buyers quote and
-//! purchase concurrently. Three mechanisms make the hot path scale with
-//! cores instead of serializing on locks:
+//! purchase concurrently. Three mechanisms keep the hot path off shared
+//! locks, or hold them for one small step:
 //!
 //! 1. **Snapshot publication.** `Broker::open_market()` bundles the revenue
 //!    problem, the optimized price table and the shared optimal model into
@@ -45,10 +45,11 @@
 //!    last reader, and each carries an epoch: a [`broker::Quote`] issued
 //!    against epoch `k` is rejected with [`MarketError::QuoteExpired`] if
 //!    epoch `k+1` has been posted by the time the buyer commits.
-//! 2. **Striped ledger.** Commits record onto one of N
-//!    `Mutex<`[`ledger::LedgerShard`]`>` stripes chosen by transaction id;
-//!    [`Broker::ledger`](broker::Broker::ledger) merges the stripes into a
-//!    sequence-ordered [`ledger::Ledger`] on demand.
+//! 2. **One id-ordered ledger.** A durable commit inserts its row into one
+//!    `Mutex<`[`ledger::Ledger`]`>` at its place in transaction-id order
+//!    (at or near the tail); [`Broker::ledger`](broker::Broker::ledger) is
+//!    a plain copy, and revenue is folded in id order, so neither depends
+//!    on how commits interleaved.
 //! 3. **Per-transaction RNG streams.** Each sale's transaction id comes
 //!    from an atomic counter and seeds its own
 //!    `seeded_rng(split_stream(seed, id))`, so the noise a buyer receives
@@ -118,7 +119,7 @@ pub use journal::{
     Announcement, FaultPlan, FaultyFile, GroupCommit, GroupCommitStats, Journal, JournalError,
     Recovery, SaleRecord, MAX_GROUP_COMMIT_WINDOW,
 };
-pub use ledger::{Ledger, LedgerShard, Transaction};
+pub use ledger::{Ledger, Transaction};
 pub use marketplace::{
     ListingBuilder, ListingMeta, ListingState, ListingStats, Marketplace, MarketplaceStats,
     MenuEntry,

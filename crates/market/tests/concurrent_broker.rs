@@ -2,8 +2,8 @@
 //!
 //! The redesign's contract: after `open_market()` the serving path is a pure
 //! read of one immutable snapshot, sale noise is a function of
-//! `(seed, transaction id)` alone, and the striped ledger merges to the same
-//! books regardless of thread interleaving. These tests drive 8 threads
+//! `(seed, transaction id)` alone, and the id-ordered ledger holds the same
+//! books, to the bit, regardless of thread interleaving. These tests drive 8 threads
 //! against one broker and then *replay the same transaction ids
 //! sequentially* on a fresh broker — the two runs must agree to the bit.
 
@@ -85,11 +85,11 @@ fn eight_threads_match_sequential_replay_exactly() {
         assert_eq!(*seq, expect as u64);
     }
 
-    // The merged ledger agrees with what the buyers saw.
+    // The ledger agrees with what the buyers saw.
     let ledger = broker.ledger();
     assert_eq!(ledger.count(), total);
     let seen_revenue: f64 = broker.collected_revenue();
-    assert!((ledger.total_revenue() - seen_revenue).abs() < 1e-9);
+    assert_eq!(ledger.total_revenue().to_bits(), seen_revenue.to_bits());
 
     // Phase 2: sequential replay. A fresh broker with the same seed is asked
     // for the same x's *in transaction-id order*; ids are re-assigned
@@ -110,7 +110,7 @@ fn eight_threads_match_sequential_replay_exactly() {
         );
     }
     assert_eq!(replay.sales_count(), broker.sales_count());
-    // Entry-by-entry the two merged ledgers are bitwise identical…
+    // Entry-by-entry the two ledgers are bitwise identical…
     for (c, s) in ledger
         .transactions()
         .iter()
@@ -120,10 +120,11 @@ fn eight_threads_match_sequential_replay_exactly() {
         assert_eq!(c.inverse_ncp, s.inverse_ncp);
         assert_eq!(c.price, s.price);
     }
-    // …while the running totals accumulate in shard-arrival order, which
-    // the race reorders, so the sums agree only up to f64 reassociation.
-    assert!(
-        (replay.collected_revenue() - broker.collected_revenue()).abs() < 1e-6,
+    // …and so are the totals, which fold in id order however the race
+    // ordered the inserts.
+    assert_eq!(
+        replay.collected_revenue().to_bits(),
+        broker.collected_revenue().to_bits(),
         "ledger totals diverged: sequential {} vs concurrent {}",
         replay.collected_revenue(),
         broker.collected_revenue()
@@ -136,12 +137,10 @@ fn eight_threads_match_sequential_replay_exactly() {
     assert!(report.is_arbitrage_free(), "{report:?}");
 }
 
-/// Satellite to the serving layer: one writer thread per ledger stripe.
-/// With 16 threads racing and dense transaction ids, every one of the 16
-/// stripes takes writes; the merged books must still match a sequential
-/// replay of the same purchases.
+/// Sixteen writer threads race on one ledger; its rows must come out in
+/// dense id order and match a sequential replay of the same purchases.
 #[test]
-fn sixteen_threads_commit_through_every_ledger_stripe() {
+fn sixteen_threads_commit_into_one_id_ordered_ledger() {
     const THREADS_16: usize = 16;
     const PER_THREAD: usize = 32;
     let broker = build_broker(63);
@@ -176,19 +175,22 @@ fn sixteen_threads_commit_through_every_ledger_stripe() {
     let ledger = broker.ledger();
     assert_eq!(ledger.count(), total);
 
-    // Dense ids 0..512 mean every residue class mod 16 — i.e. every ledger
-    // stripe — recorded exactly `total / 16` transactions.
-    let mut per_stripe = [0usize; 16];
-    for (seq, _, _) in &sales {
-        per_stripe[(*seq % 16) as usize] += 1;
-    }
-    assert!(
-        per_stripe.iter().all(|&n| n == total / 16),
-        "{per_stripe:?}"
-    );
+    // However the inserts interleaved, the rows are the dense ids 0..512
+    // in order, each with the price its buyer was charged.
+    let rows: Vec<(u64, f64)> = ledger
+        .transactions()
+        .iter()
+        .map(|t| (t.sequence, t.price))
+        .collect();
+    let acked: Vec<(u64, f64)> = sales.iter().map(|&(seq, _, price)| (seq, price)).collect();
+    assert_eq!(rows, acked);
+    assert!(rows
+        .iter()
+        .enumerate()
+        .all(|(i, &(seq, _))| seq == i as u64));
 
     // Sequential replay in transaction-id order: same sale count, same
-    // per-transaction books, totals equal up to f64 reassociation.
+    // per-transaction books, totals equal to the bit.
     let replay = build_broker(63);
     replay.open_market().unwrap();
     for (seq, x, price) in &sales {
@@ -200,8 +202,14 @@ fn sixteen_threads_commit_through_every_ledger_stripe() {
         assert_eq!(sale.price, *price, "price diverged at transaction {seq}");
     }
     assert_eq!(replay.sales_count(), broker.sales_count());
-    assert!((replay.collected_revenue() - broker.collected_revenue()).abs() < 1e-6);
-    assert!((ledger.total_revenue() - replay.ledger().total_revenue()).abs() < 1e-6);
+    assert_eq!(
+        replay.collected_revenue().to_bits(),
+        broker.collected_revenue().to_bits()
+    );
+    assert_eq!(
+        ledger.total_revenue().to_bits(),
+        replay.ledger().total_revenue().to_bits()
+    );
 }
 
 /// The quote→commit epoch protocol: a quote priced before `open_market()`
@@ -280,8 +288,9 @@ fn multithreaded_commits_match_single_threaded_books() {
         assert_eq!(w.price, n.price);
         assert_eq!(w.inverse_ncp, n.inverse_ncp);
     }
-    // Totals only up to f64 reassociation: shard sums accumulate in
-    // arrival order, which differs across thread counts.
+    // Totals only up to f64 reassociation: ids follow arrival order, which
+    // differs across thread counts, so the two ledgers fold the same prices
+    // in different orders.
     assert!((wide.collected_revenue() - narrow.collected_revenue()).abs() < 1e-6);
 }
 

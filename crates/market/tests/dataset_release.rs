@@ -9,8 +9,8 @@
 //! separate copy of the training split. A classification listing still
 //! holds its metric's test split (the curve is re-estimated from it on
 //! every `open_market`), and nothing more. A broker reopened on a journal
-//! keeps each replayed sale on its ledger and, when keyed, in its
-//! idempotency table, and nowhere else.
+//! keeps each replayed sale once, as a ledger row, plus the sale's id in
+//! its idempotency table when keyed.
 
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
@@ -167,18 +167,22 @@ fn reopened_broker_keeps_each_keyed_sale_once() {
     ));
     std::fs::write(&path, bytes).unwrap();
 
-    // The books' own cost: a ledger row per sale, in stripes grown by
-    // push (so at most twice their length), plus the idempotency table
-    // built by the same inserts.
-    let ledger_bytes = 2 * SALES as isize * std::mem::size_of::<Transaction>() as isize;
+    // The books' own cost: one ledger `Vec` grown by push, plus the
+    // idempotency table `key → transaction id`, each built by the same
+    // pushes and inserts the journal scan makes.
     let before = LIVE.load(Ordering::SeqCst);
-    let mut table: BTreeMap<(u64, u64), Transaction> = BTreeMap::new();
+    let mut rows: Vec<Transaction> = Vec::new();
     for r in &records {
-        table.insert((r.snapshot_epoch, r.nonce.unwrap()), r.transaction);
+        rows.push(r.transaction);
+    }
+    let ledger_bytes = LIVE.load(Ordering::SeqCst) - before;
+    let before = LIVE.load(Ordering::SeqCst);
+    let mut table: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    for r in &records {
+        table.insert((r.snapshot_epoch, r.nonce.unwrap()), r.transaction.sequence);
     }
     let dedup_bytes = LIVE.load(Ordering::SeqCst) - before;
-    drop(table);
-    drop(records);
+    drop((rows, table, records));
 
     let (broker, growth) = build_measured(&copy, |b| {
         b.trainer(LinearRegressionTrainer::ridge(1e-6))

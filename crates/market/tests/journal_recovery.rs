@@ -164,7 +164,7 @@ fn idempotent_commit_is_exactly_once_within_and_across_restart() {
     let (_, rec) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
     assert_eq!(rec.transactions.len(), 1);
     assert_eq!(rec.dedup.len(), 1);
-    assert_eq!(rec.dedup[0], (1, nonce, original_id));
+    assert_eq!(rec.dedup.get(&(1, nonce)), Some(&original_id));
 
     // A retry that lands on a *restarted* broker (the lost-ACK case)
     // still dedups: the key was replayed from the journal and the replay
@@ -240,8 +240,8 @@ fn faulty_journal_never_acks_an_unjournaled_sale() {
 #[test]
 fn concurrent_journaled_commits_replay_in_commit_order() {
     // Keyed, buyer-attributed sales from several threads: ids can reach the
-    // stripes out of order, and every key must still replay its own sale
-    // after a restart.
+    // ledger and the journal out of order, and every key must still replay
+    // its own sale after a restart.
     let path = temp_path("concurrent");
     let threads = 4;
     let per_thread = 25;
@@ -283,7 +283,7 @@ fn concurrent_journaled_commits_replay_in_commit_order() {
     };
     let broker = journaled_builder(&path).build().unwrap();
     assert_eq!(broker.sales_count(), threads * per_thread);
-    // Replay order equals commit (transaction-id) order: the merged
+    // Replay order equals commit (transaction-id) order: the replayed
     // ledger is exactly 0..N in sequence, with every id exactly once.
     let ledger = broker.ledger();
     let seqs: Vec<u64> = ledger.transactions().iter().map(|t| t.sequence).collect();
@@ -314,6 +314,58 @@ fn concurrent_journaled_commits_replay_in_commit_order() {
     for (t, before) in spent.iter().enumerate() {
         assert_eq!(broker.accounts().spent(100 + t as u64), *before);
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn revenue_is_a_pure_function_of_the_sale_set() {
+    // Keyed sales from several threads at non-integer prices: the revenue
+    // bits must not depend on how the commits interleaved, nor on a
+    // restart that rebuilds the books from the journal.
+    let path = temp_path("revenue-bits");
+    let id_order_fold = |broker: &Broker| {
+        broker
+            .ledger()
+            .transactions()
+            .iter()
+            .fold(0.0, |acc, t| acc + t.price)
+    };
+    let live = {
+        let broker = journaled_builder(&path).build().unwrap();
+        broker.open_market().unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let broker = &broker;
+                s.spawn(move || {
+                    for i in 0..50u64 {
+                        let x = 1.5 + ((t * 50 + i) * 7 % 97) as f64 * 0.93;
+                        let q = broker
+                            .quote_request(PurchaseRequest::AtInverseNcp(x))
+                            .unwrap();
+                        broker
+                            .commit_at_idempotent_for(
+                                q.x,
+                                q.snapshot_epoch,
+                                q.price,
+                                t << 32 | i,
+                                None,
+                            )
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let ledger = broker.ledger();
+        assert_eq!(ledger.count(), 200);
+        assert!(ledger.transactions().iter().all(|t| t.price.fract() != 0.0));
+        let revenue = broker.collected_revenue();
+        assert_eq!(revenue.to_bits(), id_order_fold(&broker).to_bits());
+        revenue
+    };
+    let broker = journaled_builder(&path).build().unwrap();
+    assert_eq!(broker.collected_revenue().to_bits(), live.to_bits());
+    assert_eq!(id_order_fold(&broker).to_bits(), live.to_bits());
+    assert_eq!(broker.recovery().unwrap().revenue.to_bits(), live.to_bits());
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Solves the relaxed program (5) — maximize `T_BV(z) = Σ b_j z_j 1[z_j ≤
 //! v_j]` subject to `z` non-decreasing, `z_j/a_j` non-increasing, `z ≥ 0` —
-//! *exactly*, in `O(n²)` time and space (Theorem 13).
+//! *exactly*, in `O(n²)` time (Theorem 13). It keeps one byte of choice
+//! per `(k, Δ)` cell and two rows of values, so `n = 4096` needs ~16 MiB.
 //!
 //! The recursion of §5.3: `OPT(k, Δ)` is the best revenue from points
 //! `k..n` when every unit price `z_j/a_j` is capped at `Δ`. Only `n+1`
@@ -74,22 +75,19 @@ pub fn solve_revenue_dp_with_sale_bonus(
     delta_set.push(f64::INFINITY);
     let m = delta_set.len();
 
-    // opt[k][di], price[k][di], choice[k][di]; k in 0..n, di in 0..m.
-    let mut opt = vec![vec![0.0f64; m]; n];
-    let mut price = vec![vec![0.0f64; m]; n];
-    let mut choice = vec![vec![Choice::Follow; m]; n];
+    // Two rolling rows of opt[·][di] (point k+1, then k), and choice[k][di]
+    // flattened at k·m + di. Prices are rebuilt along the chosen path only.
+    let mut next = vec![0.0f64; m];
+    let mut row = vec![0.0f64; m];
+    let mut choice = vec![Choice::Follow; n * m];
 
     // Base case: the last point takes the highest affordable price.
     let last = &pts[n - 1];
     for (di, &delta) in delta_set.iter().enumerate() {
-        let capped = if delta.is_infinite() {
-            last.v
-        } else {
-            last.v.min(delta * last.a)
-        };
-        price[n - 1][di] = capped;
-        opt[n - 1][di] = last.b * (capped + bonus);
-        choice[n - 1][di] = if capped < last.v {
+        // `a > 0` is finite, so Δ = +∞ gives `Δ·a = +∞` and `capped = v`.
+        let capped = last.v.min(delta * last.a);
+        next[di] = last.b * (capped + bonus);
+        choice[(n - 1) * m + di] = if capped < last.v {
             Choice::Follow
         } else {
             Choice::Cap
@@ -99,45 +97,42 @@ pub fn solve_revenue_dp_with_sale_bonus(
     // Backward induction.
     for k in (0..n.saturating_sub(1)).rev() {
         let p = &pts[k];
-        for di in 0..m {
-            let delta = delta_set[di];
-            let cap_price = if delta.is_infinite() {
-                f64::INFINITY
+        for (di, &delta) in delta_set.iter().enumerate() {
+            let cap_price = delta * p.a;
+            // Lemma 11: price exactly at the cap. Lemma 12: cap at valuation
+            // or skip this buyer group.
+            let opt_cap = p.b * (p.v + bonus) + next[k];
+            (row[di], choice[k * m + di]) = if cap_price <= p.v {
+                (p.b * (cap_price + bonus) + next[di], Choice::Follow)
+            } else if opt_cap > next[di] {
+                (opt_cap, Choice::Cap)
             } else {
-                delta * p.a
+                (next[di], Choice::Skip)
             };
-            if cap_price <= p.v {
-                // Lemma 11: price exactly at the cap.
-                price[k][di] = cap_price;
-                opt[k][di] = p.b * (cap_price + bonus) + opt[k + 1][di];
-                choice[k][di] = Choice::Follow;
-            } else {
-                // Lemma 12: cap at valuation or skip this buyer group.
-                let opt_cap = p.b * (p.v + bonus) + opt[k + 1][k];
-                let opt_skip = opt[k + 1][di];
-                if opt_cap > opt_skip {
-                    price[k][di] = p.v;
-                    opt[k][di] = opt_cap;
-                    choice[k][di] = Choice::Cap;
-                } else {
-                    // Inherit the (k+1) unit price so the relaxed
-                    // subadditive chain stays intact.
-                    price[k][di] = price[k + 1][di] * p.a / pts[k + 1].a;
-                    opt[k][di] = opt_skip;
-                    choice[k][di] = Choice::Skip;
-                }
-            }
         }
+        std::mem::swap(&mut next, &mut row);
     }
 
-    // Forward reconstruction from (k = 0, Δ = +∞).
-    let mut prices = Vec::with_capacity(n);
+    // Forward pass from (k = 0, Δ = +∞) fixes the path of caps …
+    let mut path = Vec::with_capacity(n);
     let mut di = m - 1;
     for k in 0..n {
-        prices.push(price[k][di]);
-        if choice[k][di] == Choice::Cap && k < n - 1 {
+        path.push((di, choice[k * m + di]));
+        if choice[k * m + di] == Choice::Cap && k < n - 1 {
             di = k; // Δ := v_k / a_k
         }
+    }
+    // … and the prices are rebuilt backward along it. A skip inherits the
+    // (k+1) unit price so the relaxed subadditive chain stays intact; on
+    // the path, k+1 shares k's cap, so that is `prices[k + 1]`.
+    let mut prices = vec![0.0f64; n];
+    for k in (0..n).rev() {
+        let (di, c) = path[k];
+        prices[k] = match c {
+            Choice::Follow => delta_set[di] * pts[k].a,
+            Choice::Cap => pts[k].v,
+            Choice::Skip => prices[k + 1] * pts[k].a / pts[k + 1].a,
+        };
     }
     // Repair pass: `clamp_menu` moves each `z_k` into `[z_{k−1}, B_k]`, `B_k`
     // the largest `f64` with `B_k·a_{k−1} ≤ z_{k−1}·a_k` exactly. Raising
@@ -160,10 +155,10 @@ pub fn solve_revenue_dp_with_sale_bonus(
             .map(|(&z, p)| if z <= p.v { p.b } else { 0.0 })
             .sum();
         let objective = achieved + bonus * served_mass;
+        let best = next[m - 1];
         debug_assert!(
-            (objective - opt[0][m - 1]).abs() <= 1e-9 * (1.0 + objective.abs()),
-            "reconstructed objective {objective} disagrees with DP value {}",
-            opt[0][m - 1]
+            (objective - best).abs() <= 1e-9 * (1.0 + objective.abs()),
+            "reconstructed objective {objective} disagrees with DP value {best}"
         );
     }
     Ok(DpSolution {

@@ -1,7 +1,7 @@
 //! End-to-end serving tests: a real `NimbusServer` on an ephemeral
 //! loopback port, driven by real TCP clients.
 //!
-//! The core reconciliation: revenue in each listing's striped ledger must
+//! The core reconciliation: revenue in each listing's ledger must
 //! equal the sum of prices the *clients* observed over the wire — the
 //! serving layer adds no money and loses none. On top of that: admission
 //! floods resolve as typed `BUSY` frames (never hangs), stale quotes fail
@@ -734,7 +734,7 @@ fn assert_slices_reconcile(
 }
 
 /// Tentpole: three listings served concurrently from one socket, routed
-/// by name under a weighted mix. Each listing's striped ledger reconciles
+/// by name under a weighted mix. Each listing's ledger reconciles
 /// exactly against the load generator's per-listing slice, and the
 /// marketplace-wide stats snapshot sums them consistently.
 #[test]

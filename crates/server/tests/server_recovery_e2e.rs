@@ -139,10 +139,15 @@ fn killed_server_recovers_every_acked_commit() {
     for (r, a) in replayed.transactions().iter().zip(&acked) {
         assert_eq!(r.price.to_bits(), a.price.to_bits());
     }
-    // Summed in the same (id) order, revenue matches bit for bit; the
-    // broker's stripe-order total only reassociates f64 addition.
+    // Summed in the same (id) order, revenue matches bit for bit, and so
+    // does the broker's own total; the load generator's arrival-order
+    // total only reassociates f64 addition.
     let acked_revenue: f64 = acked.iter().map(|t| t.price).sum();
     assert_eq!(replayed.total_revenue().to_bits(), acked_revenue.to_bits());
+    assert_eq!(
+        broker.collected_revenue().to_bits(),
+        acked_revenue.to_bits()
+    );
     assert!((replayed.total_revenue() - report.revenue).abs() < 1e-6);
     assert!((broker.collected_revenue() - report.revenue).abs() < 1e-6);
 
@@ -298,8 +303,7 @@ fn books_past_the_checkpoint_record_cap_reopen_whole() {
     let broker = journaled_broker(71, &journal);
     assert_eq!(broker.ledger().transactions(), &transactions[..]);
     assert_eq!(broker.accounts().snapshot(), accounts);
-    let mut keys: Vec<(u64, u64)> = recovery.dedup.iter().map(|&(e, n, _)| (e, n)).collect();
-    keys.sort_unstable();
+    let keys: Vec<(u64, u64)> = recovery.dedup.keys().copied().collect();
     let expected: Vec<(u64, u64)> = (0..SALES as u64)
         .map(|n| (quote.snapshot_epoch, n))
         .collect();

@@ -234,6 +234,8 @@ pub enum ParseError {
     },
     /// `buy` requires exactly one of the three request flags.
     AmbiguousBuyRequest,
+    /// `serve` takes `--journal` or `--journal-dir`, not both.
+    AmbiguousJournal,
     /// `client` requires an action.
     MissingClientAction,
     /// `sim` requires an action.
@@ -255,6 +257,10 @@ impl fmt::Display for ParseError {
             ParseError::AmbiguousBuyRequest => write!(
                 f,
                 "buy requires exactly one of --error-budget, --price-budget, --at"
+            ),
+            ParseError::AmbiguousJournal => write!(
+                f,
+                "serve takes --journal PATH or --journal-dir DIR, not both"
             ),
             ParseError::MissingClientAction => write!(
                 f,
@@ -502,6 +508,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     }
                     other => return Err(ParseError::UnknownFlag(other.to_string())),
                 }
+            }
+            if journal.is_some() && journal_dir.is_some() {
+                return Err(ParseError::AmbiguousJournal);
             }
             if datasets.is_empty() {
                 datasets.push("Simulated1".to_string());
@@ -1078,6 +1087,16 @@ mod tests {
             parse(&["serve", "--journal"]),
             Err(ParseError::MissingValue("--journal".into()))
         );
+    }
+
+    #[test]
+    fn serve_refuses_a_journal_next_to_a_journal_dir() {
+        for args in [
+            ["serve", "--journal", "j.log", "--journal-dir", "d"],
+            ["serve", "--journal-dir", "d", "--journal", "j.log"],
+        ] {
+            assert_eq!(parse(&args), Err(ParseError::AmbiguousJournal));
+        }
     }
 
     #[test]

@@ -115,6 +115,13 @@ impl Dataset {
         }
     }
 
+    /// Frees the dataset and hands its memory back to the OS (see
+    /// [`nimbus_linalg::release_pages`]): for a dataset dropped for good.
+    pub fn release(self) {
+        self.features.release();
+        self.targets.release();
+    }
+
     /// Fraction of positive labels; `None` for regression datasets.
     pub fn positive_rate(&self) -> Option<f64> {
         if self.task != Task::BinaryClassification || self.is_empty() {

@@ -29,7 +29,7 @@ pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{release_pages, Matrix};
 pub use vector::Vector;
 
 /// Convenience result alias used across the crate.

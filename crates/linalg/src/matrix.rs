@@ -324,7 +324,98 @@ impl Matrix {
     pub fn frobenius_norm(&self) -> f64 {
         dot_slices(&self.data, &self.data).sqrt()
     }
+
+    /// Frees the matrix and hands its memory back to the OS (see
+    /// [`release_pages`]). For a buffer that is dropped for good, such as
+    /// a seller's dataset once `h*` is trained.
+    pub fn release(self) {
+        release_pages(self.data);
+    }
 }
+
+/// Frees `buf`, first handing every whole page inside it back to the
+/// kernel, so the memory leaves the process's resident set even when the
+/// allocator keeps the freed block in its heap. (glibc serves a block
+/// from its heap once an earlier free of a larger mmapped block has
+/// raised its mmap threshold, and a freed heap block stays resident.)
+///
+/// On Linux this is one `madvise(MADV_DONTNEED)`, whose cost grows with
+/// the number of resident pages and is paid here, by the caller.
+/// Elsewhere, and under Miri, it is a plain drop.
+pub fn release_pages(mut buf: Vec<f64>) {
+    discard_pages(&mut buf);
+    drop(buf);
+}
+
+/// Byte offsets, from the start of `buf`, of the whole `page`-sized pages
+/// that lie inside it; empty when there is none. `page` must be a power
+/// of two.
+#[cfg(target_os = "linux")]
+fn whole_pages(buf: &[f64], page: usize) -> std::ops::Range<usize> {
+    let start = buf.as_ptr() as usize;
+    let end = start + std::mem::size_of_val(buf);
+    let first = start.next_multiple_of(page);
+    let last = end & !(page - 1);
+    if first >= last {
+        return 0..0;
+    }
+    first - start..last - start
+}
+
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_long, c_void};
+
+    pub(super) const MADV_DONTNEED: c_int = 4;
+    const SC_PAGESIZE: c_int = 30;
+
+    extern "C" {
+        fn sysconf(name: c_int) -> c_long;
+        pub(super) fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        #[cfg(test)]
+        pub(super) fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+    }
+
+    /// The kernel's page size, or `None` if it cannot be read.
+    pub(super) fn page_size() -> Option<usize> {
+        // SAFETY: sysconf takes no pointers and only reads a constant.
+        let page = unsafe { sysconf(SC_PAGESIZE) };
+        usize::try_from(page).ok().filter(|p| p.is_power_of_two())
+    }
+}
+
+/// Zeroes every whole page inside `buf` by handing it back to the kernel;
+/// entries outside those pages keep their values.
+#[cfg(target_os = "linux")]
+fn discard_pages(buf: &mut [f64]) {
+    if cfg!(miri) {
+        return;
+    }
+    let Some(page) = sys::page_size() else {
+        return;
+    };
+    let pages = whole_pages(buf, page);
+    if pages.is_empty() {
+        return;
+    }
+    // SAFETY: `pages` holds only whole pages strictly inside `buf`, so the
+    // offset stays in bounds and no allocator metadata, which lies outside
+    // the block, is touched. `buf` is an exclusive borrow of heap memory
+    // the allocator got from the kernel as private anonymous pages, and
+    // all-zero bytes are the valid `f64` `0.0`, so the zapped entries stay
+    // initialized. [`release_pages`] frees the buffer next. A failed call
+    // leaves the pages as they were, so its result is ignored.
+    unsafe {
+        sys::madvise(
+            buf.as_mut_ptr().cast::<u8>().add(pages.start).cast(),
+            pages.len(),
+            sys::MADV_DONTNEED,
+        )
+    };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn discard_pages(_buf: &mut [f64]) {}
 
 #[cfg(test)]
 mod tests {
@@ -459,6 +550,41 @@ mod tests {
     fn empty_from_rows() {
         let m = Matrix::from_rows(&[]).unwrap();
         assert_eq!(m.shape(), (0, 0));
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore)]
+    fn discarded_pages_leave_the_resident_set_and_read_zero() {
+        let page = sys::page_size().unwrap();
+        let mut buf = vec![1.5; (3 << 20) / 8 + 3];
+        let pages = whole_pages(&buf, page);
+        let start = buf.as_ptr() as usize;
+        assert_eq!((start + pages.start) % page, 0);
+        assert_eq!((start + pages.end) % page, 0);
+        assert!(pages.start < page && pages.end <= buf.len() * 8);
+        assert_eq!(whole_pages(&buf[..100], page), 0..0);
+        let resident = |buf: &mut [f64]| {
+            let mut vec = vec![0u8; pages.len() / page];
+            // SAFETY: the range is whole pages inside `buf`'s live block,
+            // and `vec` holds one byte per page.
+            let rc = unsafe {
+                sys::mincore(
+                    buf.as_mut_ptr().cast::<u8>().add(pages.start).cast(),
+                    pages.len(),
+                    vec.as_mut_ptr(),
+                )
+            };
+            assert_eq!(rc, 0);
+            vec.iter().filter(|&&b| b & 1 == 1).count()
+        };
+        assert_eq!(resident(&mut buf), pages.len() / page);
+        discard_pages(&mut buf);
+        assert_eq!(resident(&mut buf), 0);
+        let (lo, hi) = (pages.start / 8, pages.end / 8);
+        assert!(buf[lo..hi].iter().all(|v| v.to_bits() == 0));
+        assert!(buf[..lo].iter().chain(&buf[hi..]).all(|&v| v == 1.5));
+        release_pages(buf);
     }
 
     #[test]

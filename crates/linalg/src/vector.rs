@@ -19,6 +19,12 @@ impl Vector {
         Vector { data }
     }
 
+    /// Frees the vector and hands its memory back to the OS (see
+    /// [`release_pages`](crate::release_pages)).
+    pub fn release(self) {
+        crate::release_pages(self.data);
+    }
+
     /// Creates a vector of `len` zeros.
     pub fn zeros(len: usize) -> Self {
         Vector {

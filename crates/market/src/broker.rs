@@ -4,9 +4,10 @@
 //!
 //! 1. **Listing** — takes a [`Seller`]'s dataset and market-research curves.
 //! 2. **One-time training** — [`BrokerBuilder::build`] trains the optimal
-//!    model `h*_λ(D)` once, then drops `D`; every published snapshot
-//!    shares `h*` (the "train once, sell many" economics of §4 that make
-//!    real-time interaction possible).
+//!    model `h*_λ(D)` once, then frees `D` and hands its pages back to the
+//!    OS ([`Dataset::release`](nimbus_data::Dataset::release)); every
+//!    published snapshot shares `h*` (the "train once, sell many"
+//!    economics of §4 that make real-time interaction possible).
 //! 3. **Market opening** — transforms the curves onto the inverse-NCP axis,
 //!    builds the [`RevenueProblem`], runs the Algorithm 1 DP, certifies the
 //!    posted table arbitrage-free for every `x` from its own knots
@@ -383,7 +384,7 @@ pub struct BrokerBuilder {
     metric: Option<Box<dyn ErrorMetric>>,
     config: BrokerConfig,
     commission: f64,
-    journal_path: Option<PathBuf>,
+    pub(crate) journal_path: Option<PathBuf>,
     journal_faults: FaultPlan,
     journal_group_commit_window: Duration,
     buyer_budget: Option<f64>,
@@ -544,11 +545,13 @@ impl BrokerBuilder {
                 });
             }
         }
-        // Serving needs h*, the curves and the books, never `D`: drop it as
-        // soon as h* is trained.
+        // Serving needs h*, the curves and the books, never `D`: free it as
+        // soon as h* is trained, and hand its pages back to the OS, since
+        // the allocator may keep a freed block resident in its heap.
         let Seller { dataset, terms } = self.seller;
         let optimal = Arc::new(self.trainer.train(&dataset.train)?);
-        drop(dataset);
+        dataset.train.release();
+        dataset.test.release();
         let mut ledger = Ledger::default();
         let mut dedup = BTreeMap::new();
         let accounts = BuyerAccounts::new(self.buyer_budget);

@@ -316,6 +316,8 @@ impl ListingBuilder {
     }
 
     /// Journals every committed sale to the write-ahead log at `path`.
+    /// A listing takes a journal path or a [`journal_root`](Self::journal_root),
+    /// not both.
     pub fn journal(self, path: impl Into<PathBuf>) -> Self {
         self.map_builder(|b| b.journal(path))
     }
@@ -387,6 +389,15 @@ impl ListingBuilder {
             }
             ListingSource::Build(builder) => {
                 let builder = match self.journal_root {
+                    Some(_) if builder.journal_path.is_some() => {
+                        return Err(MarketError::InvalidConfig {
+                            reason: format!(
+                                "listing {:?} has both a journal path and a journal root; \
+                                 give one",
+                                self.name
+                            ),
+                        });
+                    }
                     Some(root) => {
                         let dir = root.join(&self.name);
                         crate::journal::create_dir_durable(&dir)
@@ -1047,6 +1058,28 @@ mod tests {
         let (broker, _) = mp2.broker("j").unwrap();
         assert!(broker.recovery().is_some());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn journal_path_next_to_journal_root_is_rejected() {
+        let dir =
+            std::env::temp_dir().join(format!("nimbus-marketplace-both-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (path, root) = (dir.join("journal.log"), dir.join("root"));
+        let mp = Marketplace::new();
+        assert!(matches!(
+            mp.list(
+                regression_listing("j", 29)
+                    .journal(&path)
+                    .journal_root(&root)
+            ),
+            Err(MarketError::InvalidConfig { .. })
+        ));
+        assert!(
+            !path.exists() && !root.exists(),
+            "a refused listing writes nothing"
+        );
+        assert!(mp.is_empty());
     }
 
     #[test]

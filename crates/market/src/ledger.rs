@@ -30,13 +30,12 @@ impl Ledger {
     }
 
     /// Records a sale under its broker-assigned id, at its place in id
-    /// order. Ids are unique and commits finish close to the order they
-    /// drew them in, so the row lands at or near the tail.
+    /// order. The broker's counter hands out each id once, so the slot is
+    /// always vacant.
     pub(crate) fn record_assigned(&mut self, transaction: Transaction) {
-        let at = self
-            .transactions
-            .partition_point(|t| t.sequence < transaction.sequence);
-        self.transactions.insert(at, transaction);
+        if let Some(at) = slot_for(&self.transactions, transaction.sequence) {
+            self.transactions.insert(at, transaction);
+        }
     }
 
     /// The sale with transaction id `sequence`. Ids are unique and
@@ -76,6 +75,12 @@ impl Ledger {
     pub fn total_revenue(&self) -> f64 {
         self.transactions.iter().fold(0.0, |acc, t| acc + t.price)
     }
+}
+
+/// Where a row with transaction id `id` goes in `rows`, whose ids are
+/// unique and ascending, or `None` when a row already holds `id`.
+pub(crate) fn slot_for(rows: &[Transaction], id: u64) -> Option<usize> {
+    rows.binary_search_by_key(&id, |t| t.sequence).err()
 }
 
 #[cfg(test)]

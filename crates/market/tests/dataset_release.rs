@@ -10,13 +10,14 @@
 //! holds its metric's test split (the curve is re-estimated from it on
 //! every `open_market`), and nothing more. A broker reopened on a journal
 //! keeps each replayed sale once, as a ledger row, plus the sale's id in
-//! its idempotency table when keyed.
+//! its idempotency table when keyed, and the reopen itself peaks no higher
+//! than building those books does.
 
 use nimbus_core::GaussianMechanism;
 use nimbus_data::catalog::{DatasetSpec, PaperDataset};
 use nimbus_data::{Dataset, TrainTest};
 use nimbus_market::curves::{DemandCurve, MarketCurves, ValueCurve};
-use nimbus_market::journal::{self, SaleRecord};
+use nimbus_market::journal::{self, Journal, SaleRecord};
 use nimbus_market::{Broker, BrokerBuilder, Seller, Transaction};
 use nimbus_ml::{
     LinearModel, LinearRegressionTrainer, LogisticRegressionTrainer, LossMetric, Trainer,
@@ -29,7 +30,10 @@ use std::sync::Mutex;
 /// Bytes currently allocated through the global allocator.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 
-/// The system allocator, keeping `LIVE` up to date.
+/// The highest `LIVE` has been since a measurement reset it.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator, keeping `LIVE` and `PEAK` up to date.
 struct Counting;
 
 // SAFETY: both calls forward to `System` with the caller's own arguments,
@@ -41,7 +45,11 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the same contract, passed to `System` unchanged.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            let size = layout.size() as isize;
+            PEAK.fetch_max(
+                LIVE.fetch_add(size, Ordering::Relaxed) + size,
+                Ordering::Relaxed,
+            );
         }
         p
     }
@@ -59,6 +67,15 @@ static ALLOCATOR: Counting = Counting;
 
 /// The counter is process-wide, so the tests take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Runs `f` and returns its result with the highest live heap growth
+/// along the way, whatever `f` freed before returning.
+fn peak_growth<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let result = f();
+    (result, PEAK.load(Ordering::SeqCst) - before)
+}
 
 fn bytes(d: &Dataset) -> isize {
     let x = d.features();
@@ -168,21 +185,34 @@ fn reopened_broker_keeps_each_keyed_sale_once() {
     std::fs::write(&path, bytes).unwrap();
 
     // The books' own cost: one ledger `Vec` grown by push, plus the
-    // idempotency table `key → transaction id`, each built by the same
-    // pushes and inserts the journal scan makes.
+    // idempotency table `key → transaction id`, built by the same
+    // interleaved pushes and inserts the journal scan makes; what they
+    // keep, and their peak while growing.
     let before = LIVE.load(Ordering::SeqCst);
-    let mut rows: Vec<Transaction> = Vec::new();
-    for r in &records {
-        rows.push(r.transaction);
-    }
-    let ledger_bytes = LIVE.load(Ordering::SeqCst) - before;
-    let before = LIVE.load(Ordering::SeqCst);
-    let mut table: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for r in &records {
-        table.insert((r.snapshot_epoch, r.nonce.unwrap()), r.transaction.sequence);
-    }
-    let dedup_bytes = LIVE.load(Ordering::SeqCst) - before;
-    drop((rows, table, records));
+    let (books, books_peak) = peak_growth(|| {
+        let mut rows: Vec<Transaction> = Vec::new();
+        let mut table: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        for r in &records {
+            rows.push(r.transaction);
+            table.insert((r.snapshot_epoch, r.nonce.unwrap()), r.transaction.sequence);
+        }
+        (rows, table)
+    });
+    let books_bytes = LIVE.load(Ordering::SeqCst) - before;
+    drop((books, records));
+
+    // The reopen streams the file: beyond the books it holds only its
+    // read and payload buffers, never the file's bytes or a set of ids.
+    let (opened, open_peak) =
+        peak_growth(|| Journal::open(&path, 0, journal::FaultPlan::new()).unwrap());
+    assert_eq!(opened.1.transactions.len() as u64, SALES);
+    drop(opened);
+    assert!(
+        open_peak <= books_peak + 64 * 1024,
+        "reopening peaked at {open_peak} B ({} B per sale); building the \
+         books alone peaks at {books_peak} B",
+        open_peak / SALES as isize
+    );
 
     let (broker, growth) = build_measured(&copy, |b| {
         b.trainer(LinearRegressionTrainer::ridge(1e-6))
@@ -193,13 +223,13 @@ fn reopened_broker_keeps_each_keyed_sale_once() {
     assert_eq!(broker.sales_count() as u64, SALES);
     assert_eq!(broker.recovery().unwrap().sales as u64, SALES);
     // A fixed allowance covers h*, the curves and the journal handle.
-    let bound = ledger_bytes + dedup_bytes + 64 * 1024;
+    let bound = books_bytes + 64 * 1024;
     assert!(
         growth <= bound,
         "the reopened broker kept {growth} B ({} B per sale); the ledger \
          and idempotency table account for {} B per sale",
         growth / SALES as isize,
-        (ledger_bytes + dedup_bytes) / SALES as isize
+        books_bytes / SALES as isize
     );
     drop(broker);
     std::fs::remove_file(&path).unwrap();

@@ -493,6 +493,39 @@ fn corpus_duplicate_transaction_id() {
 }
 
 #[test]
+fn corpus_duplicate_of_an_id_below_the_tail() {
+    // Ids 0, 1, 2 and then 0 again: the repeat matches no tail row, only
+    // one further down.
+    let good = vec![sale_frame(0, 1), sale_frame(1, 1), sale_frame(2, 1)];
+    let dup = sale_frame(0, 1);
+    let valid_len = (journal::MAGIC.len() + good.iter().map(Vec::len).sum::<usize>()) as u64;
+
+    // At EOF, a crash can explain it: salvaged.
+    let path = write_journal("corpus-dup-below-tail", &dup, &good);
+    let (_, rec) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+    assert!(matches!(
+        rec.truncated,
+        Some(JournalError::DuplicateTransaction { tx_id: 0, offset }) if offset == valid_len
+    ));
+    let ids: Vec<u64> = rec.transactions.iter().map(|t| t.sequence).collect();
+    assert_eq!(ids, vec![0, 1, 2]);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
+    std::fs::remove_file(&path).unwrap();
+
+    // A durable sale after it: refused, and the file is left alone.
+    let mut tail = dup;
+    tail.extend(sale_frame(3, 1));
+    let path = write_journal("corpus-dup-below-tail-refused", &tail, &good);
+    let before = std::fs::read(&path).unwrap();
+    assert!(matches!(
+        Journal::open(&path, 0, FaultPlan::new()),
+        Err(JournalError::DuplicateTransaction { tx_id: 0, offset }) if offset == valid_len
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn corpus_epoch_regression() {
     let good = vec![sale_frame(0, 2)];
     let regressing = sale_frame(1, 1);

@@ -1,4 +1,4 @@
-//! Findings and their two renderings: rustc-style text and JSON.
+//! Findings and their rustc-style rendering.
 
 use std::fmt::Write as _;
 
@@ -64,101 +64,6 @@ impl Finding {
     }
 }
 
-/// Computes the stable per-finding ID for `f`, the `occurrence`-th
-/// finding with identical `(rule, file, message, snippet)` in its report.
-///
-/// Line and column are deliberately excluded: an unrelated edit that
-/// shifts a violation down three lines must not change its identity, or
-/// CI baselines churn on every commit. The occurrence counter separates
-/// genuinely identical violations (two different lines with the same
-/// snippet) without reintroducing position sensitivity.
-pub fn finding_id(f: &Finding, occurrence: usize) -> String {
-    // FNV-1a, 64-bit — stable across platforms and releases, no std
-    // hasher (RandomState is seeded per process).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(f.rule.as_bytes());
-    eat(f.file.as_bytes());
-    eat(f.message.as_bytes());
-    eat(f.snippet.trim().as_bytes());
-    eat(occurrence.to_string().as_bytes());
-    format!("{h:016x}")
-}
-
-/// The rule-doc anchor for a finding: a stable pointer into the rule
-/// reference that CI annotations can link.
-pub fn finding_doc(rule: &str) -> String {
-    format!("crates/audit/RULES.md#{rule}")
-}
-
-/// Renders findings as a JSON document:
-/// `{"findings":[…],"count":N}`. Each finding carries a stable `id`
-/// ([`finding_id`]) and a `doc` anchor ([`finding_doc`]).
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut seen: std::collections::BTreeMap<(&str, &str, &str, &str), usize> =
-        std::collections::BTreeMap::new();
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let occurrence = {
-            let k = (
-                f.rule.as_str(),
-                f.file.as_str(),
-                f.message.as_str(),
-                f.snippet.as_str(),
-            );
-            let n = seen.entry(k).or_insert(0);
-            let o = *n;
-            *n += 1;
-            o
-        };
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"rule\":{},\"doc\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{}}}",
-            json_string(&finding_id(f, occurrence)),
-            json_string(&f.rule),
-            json_string(&finding_doc(&f.rule)),
-            json_string(&f.file),
-            f.line,
-            f.col,
-            json_string(&f.message),
-            json_string(&f.snippet),
-        );
-    }
-    let _ = write!(out, "],\"count\":{}}}", findings.len());
-    out
-}
-
-/// JSON string escaping per RFC 8259.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +83,5 @@ mod tests {
         assert!(text.contains("--> crates/optim/src/x.rs:12:14"));
         assert!(text.contains("12 |     if total == 0.0 {"));
         assert!(text.lines().last().is_some_and(|l| l.ends_with("    ^")));
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

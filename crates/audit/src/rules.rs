@@ -3,20 +3,21 @@
 //! | rule | scope | invariant |
 //! |---|---|---|
 //! | `float-eq` | pricing code (`core`, `optim`), non-test | no `==`/`!=` against float literals (menus are grids, compare with tolerances) |
-//! | `wire-sync` | `wire.rs`/`error.rs` vs `DESIGN.md` | opcode and error-code tables cannot drift from the documented protocol |
 //! | `lock-order` | `market` + `server`, non-test | no lock-acquisition cycles; no lock held across an fsync ([`crate::lockgraph`]) |
 //! | `durability-order` | `broker.rs` commit paths | charge → append → record, refund on failure, claims resolved ([`crate::protocol`]) |
 //! | `money-safety` | `market` + `server`, non-test | no unguarded f64 money arithmetic: int casts, exact equality, unchecked accumulation |
 //!
 //! Scopes are path prefixes relative to the workspace root. `float-eq`
-//! and `wire-sync` are token matchers — see [`crate::lexer`] for what
-//! keeps them honest; the last three run on the parsed AST
-//! ([`crate::parse`]) with per-function dataflow facts ([`crate::facts`]).
+//! is a token matcher — see [`crate::lexer`] for what keeps it honest;
+//! the other three run on the parsed AST ([`crate::parse`]) with
+//! per-function dataflow facts ([`crate::facts`]).
 //!
 //! Determinism, panic-freedom and `unsafe` documentation are clippy lints
 //! (`crates/clippy.toml`, the root `Cargo.toml` `[workspace.lints]`, and
 //! `deny` attributes on the scoped modules), checked by `cargo clippy
-//! --workspace --all-targets -- -D warnings`.
+//! --workspace --all-targets -- -D warnings`. The `DESIGN.md` protocol
+//! tables are held to the codec by a unit test in
+//! `crates/server/src/wire.rs`.
 
 use crate::facts::{fn_facts, is_money_ident};
 use crate::lexer::{Token, TokenKind};
@@ -28,7 +29,6 @@ use crate::Finding;
 /// All rule names, for suppression validation and `--help`.
 pub const RULE_NAMES: &[&str] = &[
     "float-eq",
-    "wire-sync",
     "lock-order",
     "durability-order",
     "money-safety",

@@ -2,7 +2,6 @@
 
 use crate::lockgraph;
 use crate::rules;
-use crate::wire_sync;
 use crate::Finding;
 use std::fs;
 use std::io;
@@ -35,7 +34,7 @@ const SKIP_COMPONENTS: &[&str] = &["target", "fixtures"];
 
 /// Audits the workspace rooted at `root`. Walks `crates/`, `vendor/`,
 /// `examples/` and `tests/` for `.rs` files, runs the token rules on
-/// each, then cross-checks the wire tables against `DESIGN.md`.
+/// each, then the whole-program lock graph over the serving crates.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let mut report = AuditReport::default();
     let mut files = Vec::new();
@@ -72,46 +71,6 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let (lock_findings, lock_used) = lockgraph::check_files(&pairs);
     report.findings.extend(lock_findings);
     report.suppressions_used += lock_used;
-
-    // Wire-table sync: code vs DESIGN.md.
-    let wire = root.join("crates/server/src/wire.rs");
-    let error = root.join("crates/server/src/error.rs");
-    let design = root.join("DESIGN.md");
-    if wire.is_file() && design.is_file() {
-        let wire_src = fs::read_to_string(&wire)?;
-        let error_src = if error.is_file() {
-            fs::read_to_string(&error)?
-        } else {
-            String::new()
-        };
-        let design_src = fs::read_to_string(&design)?;
-        let mut findings = wire_sync::check_wire_sync(
-            &[
-                ("crates/server/src/wire.rs", &wire_src),
-                ("crates/server/src/error.rs", &error_src),
-            ],
-            ("DESIGN.md", &design_src),
-        );
-        for f in &mut findings {
-            let src = if f.file == "DESIGN.md" {
-                &design_src
-            } else if f.file.ends_with("error.rs") {
-                &error_src
-            } else {
-                &wire_src
-            };
-            rules::attach_snippets(src, std::slice::from_mut(f));
-        }
-        report.findings.extend(findings);
-    } else {
-        report.findings.push(Finding::new(
-            "wire-sync",
-            "DESIGN.md",
-            1,
-            1,
-            "cannot cross-check protocol tables: crates/server/src/wire.rs or DESIGN.md missing",
-        ));
-    }
 
     report
         .findings

@@ -1,16 +1,13 @@
-//! Fixture-corpus tests: every rule's hit / miss / suppression cases,
-//! the lexer's resynchronization, the JSON round-trip, and wire-table
-//! drift detection.
+//! Fixture-corpus tests: every rule's hit / miss / suppression cases and
+//! the lexer's resynchronization.
 //!
 //! Fixtures live under `tests/fixtures/<rule>/`. They are checked through
 //! [`nimbus_audit::rules::check_file`] with pseudo-paths that put them in
 //! the rule's scope (the real workspace walk skips `fixtures/`
 //! directories, so the deliberate violations never pollute the gate).
 
-use nimbus_audit::json::{self, Value};
 use nimbus_audit::rules::check_file;
-use nimbus_audit::wire_sync::check_wire_sync;
-use nimbus_audit::{render_json, Finding};
+use nimbus_audit::Finding;
 use std::fs;
 use std::path::PathBuf;
 
@@ -98,40 +95,6 @@ fn lexer_edge_cases_yield_exactly_the_one_real_violation() {
     assert_eq!(findings[0].rule, "float-eq");
     assert_eq!(findings[0].line, 20);
     assert!(findings[0].snippet.contains("REAL-VIOLATION-LINE"));
-}
-
-// ------------------------------------------------------------------- JSON
-
-#[test]
-fn json_output_round_trips() {
-    let (findings, _) = check_file("crates/optim/src/fixture.rs", &fixture("float_eq/hit.rs"));
-    assert!(!findings.is_empty());
-    let rendered = render_json(&findings);
-    let parsed = json::parse(&rendered).expect("emitter output must parse");
-
-    assert_eq!(
-        parsed.get("count").and_then(Value::as_u64),
-        Some(findings.len() as u64)
-    );
-    let arr = parsed
-        .get("findings")
-        .and_then(Value::as_arr)
-        .expect("findings array");
-    assert_eq!(arr.len(), findings.len());
-    for (v, f) in arr.iter().zip(&findings) {
-        assert_eq!(v.get("rule").and_then(Value::as_str), Some(f.rule.as_str()));
-        assert_eq!(v.get("file").and_then(Value::as_str), Some(f.file.as_str()));
-        assert_eq!(v.get("line").and_then(Value::as_u64), Some(f.line as u64));
-        assert_eq!(v.get("col").and_then(Value::as_u64), Some(f.col as u64));
-        assert_eq!(
-            v.get("message").and_then(Value::as_str),
-            Some(f.message.as_str())
-        );
-        assert_eq!(
-            v.get("snippet").and_then(Value::as_str),
-            Some(f.snippet.as_str())
-        );
-    }
 }
 
 // ------------------------------------------------------------- lock-order
@@ -337,99 +300,4 @@ fn money_safety_suppression_fires() {
     );
     assert_eq!(used, 1);
     assert!(findings.is_empty(), "{findings:#?}");
-}
-
-// ------------------------------------------------------------- finding ids
-
-#[test]
-fn finding_ids_are_stable_and_occurrence_aware() {
-    let (findings, _) = check_file("crates/optim/src/fixture.rs", &fixture("float_eq/hit.rs"));
-    assert!(!findings.is_empty());
-    // Deterministic: the same report renders byte-identically.
-    assert_eq!(render_json(&findings), render_json(&findings));
-    let parsed = json::parse(&render_json(&findings)).expect("parse");
-    let arr = parsed.get("findings").and_then(Value::as_arr).unwrap();
-    let ids: Vec<&str> = arr
-        .iter()
-        .map(|v| v.get("id").and_then(Value::as_str).unwrap())
-        .collect();
-    // Unique per finding, even for repeated identical violations.
-    let unique: std::collections::BTreeSet<&&str> = ids.iter().collect();
-    assert_eq!(unique.len(), ids.len(), "{ids:?}");
-    // Doc anchors point into the rule reference.
-    for v in arr {
-        let doc = v.get("doc").and_then(Value::as_str).unwrap();
-        let rule = v.get("rule").and_then(Value::as_str).unwrap();
-        assert_eq!(doc, format!("crates/audit/RULES.md#{rule}"));
-    }
-    // Position-independent: shifting the finding down a line keeps its id.
-    let mut shifted = findings.clone();
-    for f in &mut shifted {
-        f.line += 3;
-    }
-    let reparsed = json::parse(&render_json(&shifted)).expect("parse");
-    let shifted_ids: Vec<String> = reparsed
-        .get("findings")
-        .and_then(Value::as_arr)
-        .unwrap()
-        .iter()
-        .map(|v| v.get("id").and_then(Value::as_str).unwrap().to_string())
-        .collect();
-    assert_eq!(ids, shifted_ids);
-}
-
-// -------------------------------------------------------------- wire-sync
-
-#[test]
-fn wire_sync_in_sync_fixture_is_clean() {
-    let wire = fixture("wire_sync/wire.rs");
-    let ok = fixture("wire_sync/DESIGN_ok.md");
-    let findings = check_wire_sync(&[("wire.rs", &wire)], ("DESIGN.md", &ok));
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn wire_sync_drift_fixture_reports_every_divergence() {
-    let wire = fixture("wire_sync/wire.rs");
-    let drift = fixture("wire_sync/DESIGN_drift.md");
-    let findings = check_wire_sync(&[("wire.rs", &wire)], ("DESIGN.md", &drift));
-    let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-
-    // 0x07 vs 0x02: value drift, anchored at the DESIGN.md row.
-    let quote = findings
-        .iter()
-        .find(|f| f.message.contains("`QUOTE`"))
-        .expect("drifted QUOTE reported");
-    assert!(quote.message.contains("drifted"), "{msgs:?}");
-    assert_eq!(quote.file, "DESIGN.md");
-
-    // GHOST documented but absent from code.
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`GHOST`") && m.contains("absent from the code")),
-        "{msgs:?}"
-    );
-    // UnknownOpcode in code but dropped from the docs, anchored at source.
-    let missing = findings
-        .iter()
-        .find(|f| f.message.contains("`UnknownOpcode`"))
-        .expect("undocumented error code reported");
-    assert!(missing.message.contains("not documented"), "{msgs:?}");
-    assert_eq!(missing.file, "wire.rs");
-
-    assert_eq!(findings.len(), 3, "{findings:#?}");
-}
-
-#[test]
-fn wire_sync_fenced_rows_are_ignored() {
-    // DESIGN_ok.md carries a decoy `0x99 | INSIDE_FENCE` row inside a
-    // ```-fence; if table parsing ever reads through fences, that row
-    // becomes a spurious "absent from the code" finding.
-    let wire = fixture("wire_sync/wire.rs");
-    let ok = fixture("wire_sync/DESIGN_ok.md");
-    let findings = check_wire_sync(&[("wire.rs", &wire)], ("DESIGN.md", &ok));
-    assert!(
-        findings.iter().all(|f| !f.message.contains("INSIDE_FENCE")),
-        "{findings:#?}"
-    );
 }

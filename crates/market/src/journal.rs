@@ -623,6 +623,9 @@ fn decode_payload(payload: &[u8], offset: u64, state: &mut State) -> Result<(), 
             if !c.done() {
                 return Err(bad("trailing bytes in sale record"));
             }
+            let next_tx = tx_id
+                .checked_add(1)
+                .ok_or(bad("sale id u64::MAX leaves no next id"))?;
             let at = slot_for(&state.transactions, tx_id)
                 .ok_or(JournalError::DuplicateTransaction { offset, tx_id })?;
             if epoch < state.max_epoch {
@@ -633,7 +636,7 @@ fn decode_payload(payload: &[u8], offset: u64, state: &mut State) -> Result<(), 
                 });
             }
             state.transactions.insert(at, row);
-            state.next_tx = state.next_tx.max(tx_id + 1);
+            state.next_tx = state.next_tx.max(next_tx);
             state.max_epoch = epoch;
             if let Some(nonce) = nonce {
                 state.dedup.insert((epoch, nonce), tx_id);

@@ -526,6 +526,39 @@ fn corpus_duplicate_of_an_id_below_the_tail() {
 }
 
 #[test]
+fn corpus_sale_id_u64_max_is_a_bad_record() {
+    // A CRC-valid sale with id u64::MAX leaves no id for the next sale.
+    let good = vec![sale_frame(0, 1), sale_frame(1, 1)];
+    let max = sale_frame(u64::MAX, 1);
+    let valid_len = (journal::MAGIC.len() + good.iter().map(Vec::len).sum::<usize>()) as u64;
+
+    // At EOF: salvaged, and the books hold only the prefix.
+    let path = write_journal("corpus-max-id", &max, &good);
+    let (_, rec) = Journal::open(&path, 0, FaultPlan::new()).unwrap();
+    assert!(matches!(
+        rec.truncated,
+        Some(JournalError::BadRecord { offset, .. }) if offset == valid_len
+    ));
+    let ids: Vec<u64> = rec.transactions.iter().map(|t| t.sequence).collect();
+    assert_eq!(ids, vec![0, 1]);
+    assert_eq!(rec.next_tx_id, 2);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
+    std::fs::remove_file(&path).unwrap();
+
+    // A durable sale after it: refused, and the file is left alone.
+    let mut tail = max;
+    tail.extend(sale_frame(2, 1));
+    let path = write_journal("corpus-max-id-refused", &tail, &good);
+    let before = std::fs::read(&path).unwrap();
+    assert!(matches!(
+        Journal::open(&path, 0, FaultPlan::new()),
+        Err(JournalError::BadRecord { offset, .. }) if offset == valid_len
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn corpus_epoch_regression() {
     let good = vec![sale_frame(0, 2)];
     let regressing = sale_frame(1, 1);

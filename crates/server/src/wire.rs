@@ -1391,6 +1391,7 @@ impl Response {
 mod tests {
     use super::*;
     use nimbus_market::MAX_PRICE_POINTS;
+    use std::collections::BTreeSet;
 
     fn roundtrip_request(req: Request) {
         let decoded = Request::decode(&req.encode()).unwrap();
@@ -1973,5 +1974,202 @@ mod tests {
         }
         assert!(ErrorCode::from_u16(0).is_none());
         assert!(ErrorCode::from_u16(999).is_none());
+    }
+
+    /// The request's name in `DESIGN.md`'s opcode table. No `_` arm: a
+    /// new variant does not compile until it is named here.
+    fn request_name(req: &Request) -> &'static str {
+        match req {
+            Request::Menu { .. } => "MENU",
+            Request::Quote { .. } => "QUOTE",
+            Request::Commit { .. } => "COMMIT",
+            Request::BatchCommit { .. } => "BATCH_COMMIT",
+            Request::Info { .. } => "INFO",
+            Request::Account { .. } => "ACCOUNT",
+            Request::Listings => "LISTINGS",
+            Request::Stats => "STATS",
+            Request::Publish { .. } => "PUBLISH",
+            Request::Retire { .. } => "RETIRE",
+        }
+    }
+
+    /// The response's name in `DESIGN.md`'s opcode table; no `_` arm.
+    fn response_name(resp: &Response) -> &'static str {
+        match resp {
+            Response::Menu(_) => "R_MENU",
+            Response::Quote(_) => "R_QUOTE",
+            Response::Commit(_) => "R_COMMIT",
+            Response::BatchCommit(_) => "R_BATCH_COMMIT",
+            Response::Info(_) => "R_INFO",
+            Response::Account(_) => "R_ACCOUNT",
+            Response::Listings(_) => "R_LISTINGS",
+            Response::Stats(_) => "R_STATS",
+            Response::Publish { .. } => "R_PUBLISH",
+            Response::Retire { .. } => "R_RETIRE",
+            Response::Busy { .. } => "R_BUSY",
+            Response::Error { .. } => "R_ERROR",
+        }
+    }
+
+    /// The `(value, name)` rows of the table headed `header` in
+    /// `DESIGN.md`'s wire-protocol section. A value is hex (`` `0x81` ``)
+    /// or decimal (`14`).
+    fn design_table(header: &str) -> BTreeSet<(u16, String)> {
+        let section = include_str!("../../../DESIGN.md")
+            .split("\n### ")
+            .find(|s| s.starts_with("Wire protocol and framing limits"))
+            .expect("DESIGN.md has the wire-protocol section");
+        section
+            .lines()
+            .skip_while(|line| *line != header)
+            .skip(2) // the header and its `|---|` rule
+            .take_while(|line| line.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
+                let value = match cells[1].strip_prefix("0x") {
+                    Some(hex) => u16::from_str_radix(hex, 16),
+                    None => cells[1].parse(),
+                };
+                let value = value.unwrap_or_else(|e| panic!("DESIGN.md row `{row}`: {e}"));
+                (value, cells[2].to_string())
+            })
+            .collect()
+    }
+
+    fn assert_same(table: &str, design: &BTreeSet<(u16, String)>, codec: &BTreeSet<(u16, String)>) {
+        assert!(
+            design == codec,
+            "DESIGN.md {table} table and the codec differ: only in DESIGN.md {:?}, only in the codec {:?}",
+            design.difference(codec).collect::<Vec<_>>(),
+            codec.difference(design).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn design_md_protocol_tables_match_the_codec() {
+        let requests = [
+            Request::Menu { listing: None },
+            Request::Quote {
+                listing: None,
+                request: PurchaseRequest::AtInverseNcp(1.0),
+            },
+            Request::Commit {
+                listing: None,
+                x: 1.0,
+                snapshot_epoch: 1,
+                payment: 1.0,
+                nonce: None,
+                buyer: None,
+            },
+            Request::BatchCommit {
+                listing: None,
+                items: Vec::new(),
+            },
+            Request::Info { listing: None },
+            Request::Account {
+                listing: None,
+                buyer: 1,
+            },
+            Request::Listings,
+            Request::Stats,
+            Request::Publish {
+                listing: String::new(),
+            },
+            Request::Retire {
+                listing: String::new(),
+            },
+        ];
+        let responses = [
+            Response::Menu(MenuMsg {
+                epoch: 1,
+                metric: String::new(),
+                points: Vec::new(),
+            }),
+            Response::Quote(QuoteMsg {
+                x: 1.0,
+                delta: 1.0,
+                price: 1.0,
+                expected_error: 1.0,
+                metric: String::new(),
+                snapshot_epoch: 1,
+                listing: String::new(),
+            }),
+            Response::Commit(SaleMsg {
+                inverse_ncp: 1.0,
+                price: 1.0,
+                expected_error: 1.0,
+                metric: String::new(),
+                transaction: 0,
+                weights: Vec::new(),
+            }),
+            Response::BatchCommit(BatchCommitMsg { items: Vec::new() }),
+            Response::Info(InfoMsg {
+                listing: String::new(),
+                metric: String::new(),
+                epoch: 1,
+                menu_len: 0,
+                x_lo: 1.0,
+                x_hi: 1.0,
+                expected_revenue: 0.0,
+                sales: 0,
+                revenue: 0.0,
+            }),
+            Response::Account(AccountMsg {
+                listing: String::new(),
+                buyer: 1,
+                spent: 0.0,
+                budget: None,
+                remaining: None,
+            }),
+            Response::Listings(ListingsMsg {
+                default_listing: String::new(),
+                listings: Vec::new(),
+            }),
+            Response::Stats(StatsMsg {
+                connections: 0,
+                busy_rejections: 0,
+                protocol_errors: 0,
+                queue_depth: 0,
+                ops: Vec::new(),
+                listings: Vec::new(),
+            }),
+            Response::Publish {
+                listing: String::new(),
+                epoch: 1,
+                expected_revenue: 0.0,
+            },
+            Response::Retire {
+                listing: String::new(),
+            },
+            Response::Busy { retry_after_ms: 0 },
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: String::new(),
+            },
+        ];
+        // Byte 3 of a payload is its opcode (`'N' 'B' version opcode`).
+        let mut opcodes: BTreeSet<(u16, String)> = requests
+            .iter()
+            .map(|r| (u16::from(r.encode()[3]), request_name(r).to_string()))
+            .collect();
+        opcodes.extend(
+            responses
+                .iter()
+                .map(|r| (u16::from(r.encode()[3]), response_name(r).to_string())),
+        );
+        assert_same(
+            "opcode",
+            &design_table("| opcode | message | direction |"),
+            &opcodes,
+        );
+
+        let codes: BTreeSet<(u16, String)> = (0..=u16::MAX)
+            .filter_map(|raw| ErrorCode::from_u16(raw).map(|code| (raw, format!("{code:?}"))))
+            .collect();
+        assert_same(
+            "error-code",
+            &design_table("| code | error | meaning |"),
+            &codes,
+        );
     }
 }
